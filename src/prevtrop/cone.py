@@ -7,11 +7,20 @@ dual cone.  Both are computed by an incremental double description sweep over
 exact integers; there is no floating point anywhere.  Sizes are desk scale:
 ambient rank stays in single digits and generator counts in the tens, so the
 algorithms favour clarity over asymptotics.
+
+Cones are shared and immutable.  Cone.from_rays, Cone.from_inequalities,
+Cone.dual, Cone.intersect and faces() return the one live Cone object for
+each (ambient rank, canonical rays), so equal cones are usually identical
+objects and their lazy caches (faces, hilbert_basis, span_quotient) are
+computed once and shared by every holder.  The lookup tables are weak: a
+cone leaves them as soon as nothing else references it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -145,17 +154,52 @@ def _generator_list(lineality, extremal):
     return tuple(sorted(gens))
 
 
+# One live Cone per canonical cone: (ambient_rank, generators) -> Cone.  A
+# cone is registered under its canonical rays and under every generator list
+# it was built from; entries vanish with the cone.
+_CONES = weakref.WeakValueDictionary()
+
+
+def _intern(cone):
+    """The registered cone equal to this one, registering it if there is none."""
+    return _CONES.setdefault((cone.ambient_rank, cone.rays), cone)
+
+
+def _integer_entry(x):
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return x.numerator
+    elif not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError("vector entry %r is not an integer" % (x,))
+
+
+def _integer_vector(v, n):
+    """v as a tuple of ints of length n; no entry is ever rounded."""
+    v = tuple(v)
+    if not all(type(x) is int for x in v):
+        v = tuple(_integer_entry(x) for x in v)
+    if len(v) != n:
+        raise ValueError("vector %r does not have length %d" % (list(v), n))
+    return v
+
+
 class Cone:
     """Rational polyhedral cone in a fixed lattice, canonical and immutable.
 
     rays: canonical generator list (V-description).
     inequalities: canonical generator list of the dual (H-description); the
       cone is exactly {x : <u, x> >= 0 for every u in inequalities}.
+
+    Instances are shared (see the module docstring): never mutate one.
     """
 
     __slots__ = ("ambient_rank", "rays", "inequalities", "lineality",
                  "_dual_lineality", "_faces", "_face_support", "_hilbert",
-                 "_span_quot")
+                 "_span_quot", "_meets", "_dim", "__weakref__")
 
     def __init__(self, ambient_rank, rays, inequalities, lineality, dual_lineality):
         self.ambient_rank = ambient_rank
@@ -167,22 +211,40 @@ class Cone:
         self._face_support = None
         self._hilbert = None
         self._span_quot = None
+        self._meets = None
+        self._dim = None
 
     @classmethod
     def from_rays(cls, rays, ambient_rank):
-        gens = sorted({primitive(tuple(int(x) for x in r)) for r in rays if any(r)})
-        dual_lin, dual_ext = _halfspace_generators(gens, ambient_rank)
-        ineqs = _generator_list(dual_lin, dual_ext)
-        lin, ext = _halfspace_generators(ineqs, ambient_rank)
-        return cls(ambient_rank, _generator_list(lin, ext), ineqs, lin, dual_lin)
+        """The cone generated by integer vectors (ints or integral Fractions)."""
+        vectors = (_integer_vector(r, ambient_rank) for r in rays)
+        gens = tuple(sorted({primitive(r) for r in vectors if any(r)}))
+        key = (ambient_rank, gens)
+        cone = _CONES.get(key)
+        if cone is None:
+            cone = _intern(cls._build(gens, ambient_rank))
+            _CONES[key] = cone
+        return cone
 
     @classmethod
     def from_inequalities(cls, normals, ambient_rank):
+        normals = [_integer_vector(a, ambient_rank) for a in normals]
         lin, ext = _halfspace_generators(normals, ambient_rank)
         rays = _generator_list(lin, ext)
+        cone = _CONES.get((ambient_rank, rays))
+        if cone is None:
+            dual_lin, dual_ext = _halfspace_generators(rays, ambient_rank)
+            cone = _intern(cls(ambient_rank, rays, _generator_list(dual_lin, dual_ext),
+                               lin, dual_lin))
+        return cone
+
+    @classmethod
+    def _build(cls, rays, ambient_rank):
+        """A new cone on integer generators by two sweeps, bypassing the table."""
         dual_lin, dual_ext = _halfspace_generators(rays, ambient_rank)
-        return cls(ambient_rank, rays, _generator_list(dual_lin, dual_ext),
-                   lin, dual_lin)
+        ineqs = _generator_list(dual_lin, dual_ext)
+        lin, ext = _halfspace_generators(ineqs, ambient_rank)
+        return cls(ambient_rank, _generator_list(lin, ext), ineqs, lin, dual_lin)
 
     # -- identity ----------------------------------------------------------
 
@@ -200,7 +262,9 @@ class Cone:
 
     @property
     def dim(self):
-        return rational_rank(self.rays, width=self.ambient_rank)
+        if self._dim is None:
+            self._dim = rational_rank(self.rays, width=self.ambient_rank)
+        return self._dim
 
     def is_pointed(self):
         return self.lineality.rank == 0
@@ -209,16 +273,33 @@ class Cone:
         return self.is_pointed() and len(self.rays) == self.dim
 
     def dual(self):
-        c = Cone(self.ambient_rank, self.inequalities, self.rays,
-                 self._dual_lineality, self.lineality)
-        return c
+        return _intern(Cone(self.ambient_rank, self.inequalities, self.rays,
+                            self._dual_lineality, self.lineality))
 
     def intersect(self, other):
         if self.ambient_rank != other.ambient_rank:
             raise ValueError("ambient rank mismatch")
-        lin, ext = _halfspace_generators(self.inequalities + other.inequalities,
-                                         self.ambient_rank)
-        return Cone.from_rays(_generator_list(lin, ext), self.ambient_rank)
+        if self._lies_in(other):
+            return self
+        if other._lies_in(self):
+            return other
+        # a swept meet is memoized on the operand with the smaller rays,
+        # weakly in both the partner and the meet, so an entry lives only
+        # while all three cones do
+        first, second = (self, other) if self.rays <= other.rays else (other, self)
+        if first._meets is None:
+            first._meets = weakref.WeakKeyDictionary()
+        ref = first._meets.get(second)
+        meet = ref() if ref is not None else None
+        if meet is None:
+            lin, ext = _halfspace_generators(self.inequalities + other.inequalities,
+                                             self.ambient_rank)
+            meet = Cone.from_rays(_generator_list(lin, ext), self.ambient_rank)
+            first._meets[second] = weakref.ref(meet)
+        return meet
+
+    def _lies_in(self, other):
+        return all(dot(u, r) >= 0 for u in other.inequalities for r in self.rays)
 
     def contains(self, vector):
         """Classify a rational vector against the cone.
@@ -246,12 +327,14 @@ class Cone:
     # -- faces -------------------------------------------------------------
 
     def faces(self):
-        """All faces, the zero face and the cone itself included."""
+        """All faces, the zero face and the cone itself included, sorted by
+        (dim, rays); the cone itself is always last."""
         if self._faces is None:
+            full = frozenset(self.rays)
             tight_sets = [frozenset(r for r in self.rays if dot(u, r) == 0)
                           for u in self.inequalities]
-            subsets = {frozenset(self.rays)}
-            frontier = [frozenset(self.rays)]
+            subsets = {full}
+            frontier = [full]
             while frontier:
                 fresh = []
                 for s in frontier:
@@ -261,14 +344,17 @@ class Cone:
                             subsets.add(c)
                             fresh.append(c)
                 frontier = fresh
-            cones = [Cone.from_rays(sorted(s), self.ambient_rank) for s in subsets]
-            cones.sort(key=lambda c: (c.dim, c.rays))
-            self._faces = tuple(cones)
+            subsets.remove(full)
+            # only proper faces are cached: caching the cone itself would put
+            # every cone with known faces on a reference cycle
+            proper = [Cone.from_rays(sorted(s), self.ambient_rank) for s in subsets]
+            proper.sort(key=lambda c: (c.dim, c.rays))
+            self._faces = tuple(proper)
             self._face_support = {
                 f.rays: tuple(u for u in self.inequalities
                               if all(dot(u, r) == 0 for r in f.rays))
-                for f in cones}
-        return self._faces
+                for f in proper + [self]}
+        return self._faces + (self,)
 
     def face_support(self, face):
         """Inequalities of this cone that vanish on the given face."""
@@ -379,7 +465,6 @@ class AffineSemigroup:
     _images: tuple
     _proj: IntMatrix
     _img_normals: tuple
-    _grading: tuple
 
     @property
     def ambient_rank(self):
@@ -403,7 +488,7 @@ class AffineSemigroup:
         Returns a dict generator -> multiplicity.  Raises ValueError when the
         target is not in the monoid.
         """
-        target = tuple(int(x) for x in target)
+        target = _integer_vector(target, self.ambient_rank)
         if any(dot(target, r) < 0 for r in self.cone.rays):
             raise ValueError("target outside the dual cone")
         img = tuple(self._proj.apply(target))
@@ -458,19 +543,22 @@ class AffineSemigroup:
         return None
 
 
-def hilbert_basis(cone, ambient=None):
+def hilbert_basis(cone):
     """Minimal generator set of sigma^v cap M as an AffineSemigroup.
 
     Units (a plus/minus lattice basis of sigma^perp) are split off first; the
     pointed quotient is handled by enumerating lattice points below the
     zonotope bound for the primitive extremal rays and striking reducibles.
-    The optional ambient lattice only sanity-checks the rank: every lattice
-    here is a standard Z^n.
+    The basis is computed once per cone.  The cone keeps only the semigroup's
+    other fields, since a semigroup refers to its cone and keeping it whole
+    would make a reference cycle.
     """
-    if cone._hilbert is not None:
-        return cone._hilbert
-    if ambient is not None and ambient.ambient != cone.ambient_rank:
-        raise ValueError("ambient lattice rank mismatch")
+    if cone._hilbert is None:
+        cone._hilbert = _hilbert_fields(cone)
+    return AffineSemigroup(cone, *cone._hilbert)
+
+
+def _hilbert_fields(cone):
     n = cone.ambient_rank
     unit_lattice = cone._dual_lineality
     units = []
@@ -490,10 +578,7 @@ def hilbert_basis(cone, ambient=None):
     ext = [u for u in cone.inequalities if u not in pairs]
     img_rays = sorted({primitive(proj.apply(r)) for r in ext})
     if not img_rays:
-        hb = AffineSemigroup(cone, tuple(sorted(units)), tuple(sorted(units)),
-                             (), (), proj, (), ())
-        cone._hilbert = hb
-        return hb
+        return tuple(sorted(units)), tuple(sorted(units)), (), (), proj, ()
     # H-description of the image cone: it is always pointed (its lineality
     # maps to zero), though it can be lower dimensional when the input cone is
     # not pointed; the plus/minus normal pairs then pin down its span.
@@ -530,11 +615,8 @@ def hilbert_basis(cone, ambient=None):
         lifts = list(basis_img)
     else:
         lifts = [tuple(quot.section.apply(h)) for h in basis_img]
-    hb = AffineSemigroup(cone, tuple(sorted(units + lifts)), tuple(sorted(units)),
-                         tuple(lifts), tuple(basis_img), proj,
-                         tuple(img_normals), w)
-    cone._hilbert = hb
-    return hb
+    return (tuple(sorted(units + lifts)), tuple(sorted(units)), tuple(lifts),
+            tuple(basis_img), proj, tuple(img_normals))
 
 
 def _box_points(lo, hi):

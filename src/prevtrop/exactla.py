@@ -264,11 +264,6 @@ def smith_normal_form(matrix):
                 row[j1] -= q * row[j2]
             _sub_row(qt, j1, j2, q)
 
-    def col_neg(j):
-        for row in d:
-            row[j] = -row[j]
-        _neg_row(qt, j)
-
     t = 0
     while True:
         # locate a nonzero entry in the remaining submatrix

@@ -142,6 +142,7 @@ class ChartPoset:
                 relevant.add(subset)
                 minimal.append(subset)
         self.subsets = tuple(sorted(relevant, key=lambda s: (len(s), sorted(s))))
+        self._relevant = frozenset(relevant)
         self.minimal = tuple(sorted(minimal, key=lambda s: (len(s), sorted(s))))
         self._cones = {}
         for subset in self.subsets:
@@ -160,7 +161,7 @@ class ChartPoset:
         return len(self.subsets)
 
     def is_relevant(self, subset):
-        return _check_subset(self.grading, subset) in set(self.subsets)
+        return _check_subset(self.grading, subset) in self._relevant
 
     def cone_of(self, subset):
         return self._cones[_check_subset(self.grading, subset)]

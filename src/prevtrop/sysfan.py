@@ -83,9 +83,6 @@ class Fan:
             self._maximal = tuple(c for c in self.cones if c.rays not in proper)
         return self._maximal
 
-    def is_subfan_of(self, other):
-        return self.ambient_rank == other.ambient_rank and self._keys <= other._keys
-
     def common_cones(self, other):
         """The face-closed collection of cones lying in both fans."""
         return Fan([c for c in self.cones if c in other], self.ambient_rank)
@@ -144,10 +141,6 @@ class SystemOfFans:
                     raise ValueError("missing fan entry for charts (%s, %s)" % (a, b))
                 self._matrix[(a, b)] = fan
         self._poset = None
-
-    @property
-    def nlabels(self):
-        return len(self.labels)
 
     def fan(self, a, b=None):
         """The fan glued between charts a and b (diagonal when b omitted)."""
@@ -216,10 +209,11 @@ class OmegaPoset:
     fan glued between i and j; transitivity of that relation is the subfan
     axiom, but the construction uses union-find so that even slightly invalid
     systems produce a well-defined (if unexpected) answer for diagnostics.
+    The poset keeps no reference to its system, which caches it: a back
+    reference would leave every dropped system on a reference cycle.
     """
 
     def __init__(self, system):
-        self.system = system
         labels = system.labels
         parent = {}
 
@@ -322,9 +316,6 @@ class SysFanMorphism:
         tgt_id = self.class_map[cls.class_id if isinstance(cls, OmegaClass)
                                 else cls]
         return self.target.omega().classes[tgt_id]
-
-    def push_vector(self, v):
-        return self.lattice_map.apply(tuple(v))
 
 
 def validate_morphism(morphism):

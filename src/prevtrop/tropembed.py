@@ -396,7 +396,9 @@ def hypersurface(grading, terms):
 
 def _integral(solution):
     """Round an exact rational solution known to be integral."""
-    assert solution is not None and all(c.denominator == 1 for c in solution)
+    if solution is None or any(c.denominator != 1 for c in solution):
+        raise ArithmeticError("expected an integral solution, got %r"
+                              % (solution,))
     return tuple(int(c) for c in solution)
 
 

@@ -1,6 +1,7 @@
 """Shared chart-system fixtures for the test modules.
 
-Each helper builds a fresh object so tests can mutate caches freely.
+Each helper builds a fresh system; the cones in it are the shared canonical
+objects that Cone.from_rays returns, so tests must not mutate them.
 """
 
 from prevtrop.cone import Cone

@@ -204,3 +204,12 @@ def test_product_command(tmp_path, capsys):
     combined = system_from_data(json.loads(out))
     assert combined.ambient_rank == 2
     assert len(combined.labels) == 4
+
+
+def test_fractional_ray_entries_exit_two(tmp_path, capsys):
+    doc = {"schema": 1, "kind": "system_of_fans", "ambient_rank": 2,
+           "indices": ["1"], "fans": {"1,1": [[[1, 0.5]]]}}
+    code, out, err = run_cli(capsys, "validate",
+                             write_doc(tmp_path, "half.json", doc))
+    assert code == 2 and out == ""
+    assert err == "error: vector entry 0.5 is not an integer\n"

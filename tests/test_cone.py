@@ -7,18 +7,24 @@ parallelogram.  Higher ranks are covered by frozen examples and structural
 properties (duality involution, face closure, quotient identities).
 """
 
+import gc
 from fractions import Fraction
 
 import pytest
 
+from prevtrop import cone as cone_module
 from prevtrop.cone import (
     Cone,
+    _generator_list,
+    _halfspace_generators,
     dot,
     hilbert_basis,
     lattice_quotient,
     primitive,
 )
-from prevtrop.exactla import IntMatrix
+from prevtrop.exactla import AbelianGroup, IntMatrix
+from prevtrop.multiproj import Grading, proj_system_of_fans
+from prevtrop.sysfan import is_separated, validate_system
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +453,8 @@ def test_decompose_rejects_outside_targets():
     hb = hilbert_basis(Cone.from_rays([(1, 0), (0, 1)], 2))
     with pytest.raises(ValueError):
         hb.decompose((-1, 4))
+    with pytest.raises(ValueError, match="not an integer"):
+        hb.decompose((1.5, 0))
 
 
 def test_random_recombination_roundtrip(rng):
@@ -483,3 +491,97 @@ def test_membership_predicate():
     assert (1, 1) in hb
     assert (0, 1) in hb
     assert (-1, 1) not in hb
+
+
+# ---------------------------------------------------------------------------
+# integer entries and shared canonical cones
+# ---------------------------------------------------------------------------
+
+def test_ray_entries_must_be_integers():
+    c = Cone.from_rays([(Fraction(2), Fraction(-4, 2))], 2)
+    assert c.rays == ((1, -1),)
+    for bad in [(1, 0.5), (1.0, 0), (True, 0), (Fraction(1, 2), 1), ("1", 0)]:
+        with pytest.raises(ValueError, match="not an integer"):
+            Cone.from_rays([bad], 2)
+    with pytest.raises(ValueError, match="length 2"):
+        Cone.from_rays([(1, 0, 0)], 2)
+    with pytest.raises(ValueError, match="not an integer"):
+        Cone.from_inequalities([(0.5, 1)], 2)
+
+
+def test_equal_cones_are_one_object():
+    a = Cone.from_rays([(1, 0), (1, 2)], 2)
+    assert Cone.from_rays([(1, 2), (1, 0)], 2) is a
+    # non-extremal, non-primitive and Fraction presentations resolve to it
+    assert Cone.from_rays([(2, 4), (1, 0), (3, 0), (1, 2), (2, 2)], 2) is a
+    assert Cone.from_rays([(Fraction(3), 0), (1, Fraction(2))], 2) is a
+    assert Cone.from_inequalities(a.inequalities, 2) is a
+    assert a.dual().dual() is a
+    assert a.dual() is Cone.from_rays(a.inequalities, 2)
+    assert a.faces()[-1] is a
+    assert Cone.from_rays([(1, 0, 0), (1, 2, 0)], 3) is not a
+
+
+def _random_rays(rng, n):
+    rays = [tuple(rng.randint(-3, 3) for _ in range(n))
+            for _ in range(rng.randint(0, 5))]
+    if rng.random() < 0.3:
+        line = tuple(rng.randint(-2, 2) for _ in range(n))
+        rays += [line, tuple(-x for x in line)]
+    return rays
+
+
+def test_shared_cones_match_uncached_builds(rng):
+    non_pointed = 0
+    for _ in range(150):
+        n = rng.choice([2, 3, 4])
+        rays = _random_rays(rng, n)
+        c = Cone.from_rays(rays, n)
+        fresh = Cone._build(rays, n)
+        assert fresh is not c
+        assert fresh.rays == c.rays
+        assert fresh.inequalities == c.inequalities
+        assert fresh.lineality == c.lineality
+        assert fresh.faces() == c.faces()
+        for f in c.faces():
+            assert fresh.face_support(f) == c.face_support(f)
+            g = Cone._build(f.rays, n)
+            assert (g.rays, g.inequalities, g.lineality, g.dim) \
+                == (f.rays, f.inequalities, f.lineality, f.dim)
+        d = Cone._build(c.inequalities, n)
+        assert (d.rays, d.inequalities, d.lineality) \
+            == (c.dual().rays, c.dual().inequalities, c.dual().lineality)
+        non_pointed += not c.is_pointed()
+    assert non_pointed > 10
+
+
+def test_meets_are_shared_and_match_a_direct_sweep(rng):
+    for _ in range(100):
+        n = rng.choice([2, 3])
+        a = Cone.from_rays(_random_rays(rng, n), n)
+        b = Cone.from_rays(_random_rays(rng, n), n)
+        meet = a.intersect(b)
+        assert b.intersect(a) is meet
+        assert a.intersect(b) is meet
+        direct = _generator_list(*_halfspace_generators(
+            a.inequalities + b.inequalities, n))
+        assert meet.rays == direct
+        assert meet is Cone.from_rays(direct, n)
+
+
+def test_dropped_system_leaves_the_intern_table():
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(cone_module._CONES)
+        proj = proj_system_of_fans(Grading(AbelianGroup(1), [(1,), (1,), (1,)]))
+        system = proj.system
+        assert len(system.omega()) == 7
+        assert validate_system(system) == []
+        assert is_separated(system) == (True, None)
+        assert len(cone_module._CONES) > before
+        del proj, system
+        # reference counting alone frees every cone: none is on a cycle
+        assert len(cone_module._CONES) == before
+    finally:
+        gc.enable()
