@@ -10,22 +10,22 @@ semantic violations.
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .cone import hilbert_basis
-from .extreal import INF, is_finite
+from .extreal import format_extended, parse_extended
 from .multiproj import (EmptyProj, grading_from_data, grading_to_data,
                         proj_system_of_fans)
 from .sysfan import (is_separated, product, support_is_full,
                      system_from_data, system_to_data, validate_system)
-from .troppre import (chart_polynomial, chart_values_from_data,
+from .troppre import (chart_entries_from_data, chart_polynomial,
+                      chart_values_from_data, class_from_data,
                       compare_to_trop, nonneg_point_from_chart_values,
                       nonneg_point_to_data, nonneg_strata,
-                      point_from_chart_values, strata, trop_eval,
+                      point_from_chart_values, strata,
                       trop_point_from_data, trop_point_to_data)
 from .tropembed import (classical_point, forget_refinement,
                         hypersurface_from_data, kapranov_membership,
-                        nonneg_trop_point, refine_embedding, refined_trop,
+                        kapranov_minimizers, nonneg_trop_point,
+                        refine_embedding, refined_trop,
                         valued_scalar_from_data)
 from .tropembed import trop_point as classical_trop
 
@@ -66,38 +66,16 @@ def _report(command, **payload):
     return document
 
 
-def _value(text):
-    text = str(text)
-    return INF if text == "inf" else Fraction(text)
-
-
-def _value_text(value):
-    return str(value) if is_finite(value) else "inf"
-
-
 def _load_system(path):
     return system_from_data(_read_document(path, {"system_of_fans"}))
 
 
-def _class_by_id(system, value):
-    classes = system.omega().classes
-    index = int(value)
-    if not 0 <= index < len(classes):
-        raise ValueError("no chart class with id %d" % index)
-    return classes[index]
-
-
 def _classical_from_data(system, data):
     """Decode {"chart": id, "values": {generator index: scalar}}."""
-    chart = _class_by_id(system, data["chart"])
-    gens = hilbert_basis(chart.cone).generators
-    values = {}
-    for key, payload in data["values"].items():
-        index = int(key)
-        if not 0 <= index < len(gens):
-            raise ValueError("no generator with index %d" % index)
-        values[gens[index]] = valued_scalar_from_data(payload)
-    return classical_point(system, chart, values)
+    chart, entries = chart_entries_from_data(system, data)
+    return classical_point(system, chart,
+                           {g: valued_scalar_from_data(payload)
+                            for g, payload in entries})
 
 
 def _point_for(system, data):
@@ -208,21 +186,15 @@ def cmd_kapranov(args):
         raise DocumentError("%s: a chart polynomial needs embedded "
                             "\"system\" and \"chart\" entries" % args.poly)
     system = system_from_data(data["system"])
-    chart = _class_by_id(system, data["chart"])
+    chart = class_from_data(system, data["chart"])
     poly = chart_polynomial(system, chart,
-                            [(tuple(term["exp"]), _value(term["val"]))
+                            [(tuple(term["exp"]),
+                              parse_extended(str(term["val"])))
                              for term in data["terms"]])
     point = trop_point_from_data(
         system, _read_document(args.point, {"trop_point"}))
-    values = []
-    for s, val in poly.terms:
-        if is_finite(val):
-            total = trop_eval(point, s)
-            if is_finite(total):
-                values.append((s, val + total))
-    low = min((v for _, v in values), default=None)
-    achieving = [{"exp": list(s), "value": _value_text(v)}
-                 for s, v in values if v == low]
+    achieving = [{"exp": list(s), "value": format_extended(v)}
+                 for s, v in kapranov_minimizers(poly, point)]
     _emit(_report("kapranov",
                   member=kapranov_membership(poly, point),
                   achieving_terms=achieving))

@@ -19,7 +19,6 @@ cone leaves them as soon as nothing else references it.
 from __future__ import annotations
 
 import math
-import operator
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,8 +26,11 @@ from fractions import Fraction
 from prevtrop.exactla import (
     IntMatrix,
     Lattice,
+    _echelon,
+    _integer_vector,
     invert_unimodular,
     kernel_lattice,
+    primitive,
     rational_rank,
     smith_normal_form,
     solve_rational,
@@ -37,50 +39,6 @@ from prevtrop.exactla import (
 
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def primitive(v):
-    """Divide an integer vector by the gcd of its entries (orientation kept)."""
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(x))
-    if g <= 1:
-        return tuple(v)
-    return tuple(x // g for x in v)
-
-
-def _echelon(rows, n):
-    """Canonical primitive-integer RREF of the rational row space.
-
-    Returns a list of (pivot_col, row) pairs sorted by pivot column; every row
-    is a primitive integer vector with positive pivot and zeros in the other
-    pivot columns.  Depends only on the row space, which makes it usable for
-    canonical reduction modulo a subspace.
-    """
-    work = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        lead = work[r][col]
-        work[r] = [x / lead for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-    out = []
-    for i, col in enumerate(pivots):
-        den = 1
-        for x in work[i]:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        row = tuple(int(x * den) for x in work[i])
-        out.append((col, primitive(row)))
-    return out
 
 
 def _reduce_mod(base, v):
@@ -163,28 +121,6 @@ _CONES = weakref.WeakValueDictionary()
 def _intern(cone):
     """The registered cone equal to this one, registering it if there is none."""
     return _CONES.setdefault((cone.ambient_rank, cone.rays), cone)
-
-
-def _integer_entry(x):
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return x.numerator
-    elif not isinstance(x, bool):
-        try:
-            return operator.index(x)
-        except TypeError:
-            pass
-    raise ValueError("vector entry %r is not an integer" % (x,))
-
-
-def _integer_vector(v, n):
-    """v as a tuple of ints of length n; no entry is ever rounded."""
-    v = tuple(v)
-    if not all(type(x) is int for x in v):
-        v = tuple(_integer_entry(x) for x in v)
-    if len(v) != n:
-        raise ValueError("vector %r does not have length %d" % (list(v), n))
-    return v
 
 
 class Cone:

@@ -1,13 +1,22 @@
 """Exact integer and rational linear algebra over lattices.
 
-Everything runs on Python's arbitrary-precision ints and fractions.Fraction.
-No floats, no fixed-width arithmetic, no sparse formats: the matrices that
-show up in fan and grading computations are tiny and dense, and exactness is
-non-negotiable because downstream cone identities are decided by equality.
+Everything runs on Python's arbitrary-precision ints.  No floats, no
+fixed-width arithmetic, no sparse formats: the matrices that show up in fan
+and grading computations are tiny and dense, and exactness is non-negotiable
+because downstream cone identities are decided by equality.
+
+Hermite and Smith normal forms use unimodular integer row and column
+operations.  Every question over Q (rank, linear solves, canonical bases of
+row spaces) goes through one fraction-free elimination, _echelon: rational
+input rows are scaled to integer rows on entry, and each update is an
+integer cross multiplication divided by the content of the result.  No
+elimination step computes with a fractions.Fraction: Fractions are only read
+from rational input and returned as the result of solve_rational.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -329,33 +338,18 @@ def smith_normal_form(matrix):
 
 
 def invert_unimodular(u):
-    """Exact inverse of a unimodular integer matrix."""
-    n = u.rows
-    if u.cols != n:
+    """Exact inverse of a unimodular integer matrix.
+
+    The row HNF of a unimodular matrix is the identity, so its transform is
+    the inverse; any other HNF means the matrix is singular or has
+    determinant other than +-1.
+    """
+    if u.cols != u.rows:
         raise ValueError("not square")
-    aug = [[Fraction(u[i, j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            x = aug[i][j]
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(x))
-        out.append(row)
-    return IntMatrix.from_rows(out, cols=n)
+    h, v = hermite_normal_form(u)
+    if h != IntMatrix.identity(u.rows):
+        raise ValueError("matrix is not unimodular")
+    return v
 
 
 def kernel_lattice(matrix):
@@ -373,28 +367,88 @@ def kernel_lattice(matrix):
     return Lattice(matrix.cols, IntMatrix.from_rows(basis, cols=matrix.cols))
 
 
+def primitive(v):
+    """Divide an integer vector by the gcd of its entries (orientation kept)."""
+    g = math.gcd(*v)
+    if g <= 1:
+        return tuple(v)
+    return tuple(x // g for x in v)
+
+
+def _integer_entry(x):
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return x.numerator
+    elif not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError("vector entry %r is not an integer" % (x,))
+
+
+def _integer_vector(v, n):
+    """v as a tuple of ints of length n; no entry is ever rounded."""
+    v = tuple(v)
+    if not all(type(x) is int for x in v):
+        v = tuple(_integer_entry(x) for x in v)
+    if len(v) != n:
+        raise ValueError("vector %r does not have length %d" % (list(v), n))
+    return v
+
+
+def _integer_row(row):
+    """An integer multiple of a rational row by the lcm of its denominators."""
+    row = tuple(row)
+    if all(type(x) is int for x in row):
+        return row
+    row = [Fraction(x) for x in row]
+    den = math.lcm(*(x.denominator for x in row))
+    return tuple(x.numerator * (den // x.denominator) for x in row)
+
+
+def _cross(row, pivot_row, col):
+    """row with its entry in col cancelled against pivot_row, made primitive."""
+    b = row[col]
+    if not b:
+        return row
+    a = pivot_row[col]
+    return primitive([a * x - b * y for x, y in zip(row, pivot_row)])
+
+
+def _echelon(rows, n):
+    """Canonical primitive-integer reduced row echelon form of a row space.
+
+    Returns a list of (pivot_col, row) pairs sorted by pivot column, with
+    pivots taken among the first n columns; every row is a primitive integer
+    vector with positive pivot and zeros in the other pivot columns.  Depends
+    only on the row space, which makes it usable for canonical reduction
+    modulo a subspace.  Fraction-free: rational rows are scaled to integer
+    rows on entry, and every update is an integer cross multiplication
+    divided by the content of its result.
+    """
+    work = [r for r in map(_integer_row, rows) if any(r)]
+    basis = []
+    for col in range(n):
+        if not work:
+            break
+        i = next((i for i, r in enumerate(work) if r[col]), None)
+        if i is None:
+            continue
+        p = work.pop(i)
+        p = primitive(p if p[col] > 0 else [-x for x in p])
+        basis = [(c, _cross(r, p, col)) for c, r in basis]
+        basis.append((col, p))
+        work = [r for r in (_cross(r, p, col) for r in work) if any(r)]
+    return basis
+
+
 def rational_rank(vectors, width=None):
     """Rank over Q of an iterable of integer/rational vectors."""
-    rows = [list(map(Fraction, v)) for v in vectors]
+    rows = list(vectors)
     if not rows:
         return 0
-    n = len(rows[0]) if width is None else width
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < n:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] / lead
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return len(_echelon(rows, len(rows[0]) if width is None else width))
 
 
 def solve_rational(rows, rhs):
@@ -408,33 +462,18 @@ def solve_rational(rows, rhs):
       A tuple of Fractions (free variables pinned to 0), or None when
       inconsistent.
     """
-    a = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
-    if not a:
+    pairs = [(tuple(r), Fraction(v)) for r, v in zip(rows, rhs)]
+    if not pairs:
         return ()
-    n = len(a[0]) - 1
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        lead = a[r][col]
-        a[r] = [x / lead for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(a):
-            break
-    for i in range(r, len(a)):
-        if a[i][n] != 0:
-            return None
+    n = len(pairs[0][0])
+    den = math.lcm(*(v.denominator for _, v in pairs))
+    reduced = _echelon([r + (v.numerator * (den // v.denominator),)
+                        for r, v in pairs], n + 1)
+    if reduced and reduced[-1][0] == n:
+        return None
     x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = a[i][n]
+    for col, row in reduced:
+        x[col] = Fraction(row[n], row[col] * den)
     return tuple(x)
 
 

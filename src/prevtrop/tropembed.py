@@ -15,12 +15,13 @@ from fractions import Fraction
 from math import factorial
 
 from .cone import dot, hilbert_basis
-from .exactla import IntMatrix, kernel_lattice, solve_rational
+from .exactla import (IntMatrix, _integer_entry, _integer_vector,
+                      kernel_lattice, solve_rational)
 from .extreal import INF, is_finite
 from .multiproj import Grading, proj_system_of_fans
-from .troppre import (FiniteLocusNotAFace, _own_class, chart_polynomial,
-                      nonneg_point_from_chart_values, point_from_chart_values,
-                      trop_eval)
+from .troppre import (FiniteLocusNotAFace, _check_chart_contains, _own_class,
+                      chart_polynomial, nonneg_point_from_chart_values,
+                      point_from_chart_values, trop_eval)
 
 
 class NotBounded(ValueError):
@@ -218,7 +219,7 @@ class ClassicalChartPoint:
     def eval(self, exponent):
         """Value of the chart monomial with the given exponent."""
         sigma = self.chart.cone
-        s = tuple(int(x) for x in exponent)
+        s = _integer_vector(exponent, sigma.ambient_rank)
         if any(dot(s, r) < 0 for r in sigma.rays):
             raise ValueError("exponent %r lies outside the chart monoid"
                              % list(s))
@@ -242,7 +243,7 @@ def classical_point(system, chart, values):
     sigma = chart.cone
     basis = hilbert_basis(sigma)
     gens = basis.generators
-    table = {tuple(int(x) for x in g): ValuedScalar.of(v)
+    table = {_integer_vector(g, sigma.ambient_rank): ValuedScalar.of(v)
              for g, v in values.items()}
     if set(table) != set(gens):
         raise ValueError("values must be given on exactly the %d chart "
@@ -341,29 +342,33 @@ def apply_morphism(morphism, point):
 # Kapranov membership for hypersurfaces
 # ---------------------------------------------------------------------------
 
-def kapranov_membership(poly, point):
-    """Whether a tropical point lies on the tropicalized hypersurface.
+def kapranov_minimizers(poly, point):
+    """The terms attaining the tropical minimum at a point, in term order.
 
-    Terms whose monomial or coefficient is infinite on the point's stratum
-    are discarded; membership means the minimum of valuation plus monomial
-    value is attained at least twice, or that no term survives at all (the
-    restricted polynomial vanishes identically on the stratum).
+    Returns (exponent, valuation plus monomial value) pairs.  Terms whose
+    monomial or coefficient is infinite on the point's stratum are discarded
+    first, so the list is empty when no term survives.
     """
-    if not (poly.chart.representative in point.stratum.members
-            and poly.chart.cone.has_face(point.stratum.cone)):
-        raise ValueError("the polynomial's chart does not contain the "
-                         "point's stratum")
+    _check_chart_contains(poly, point)
     survivors = []
     for s, val in poly.terms:
         if not is_finite(val):
             continue
         value = trop_eval(point, s)
         if is_finite(value):
-            survivors.append(val + value)
-    if not survivors:
-        return True
-    low = min(survivors)
-    return sum(1 for v in survivors if v == low) >= 2
+            survivors.append((s, val + value))
+    low = min((v for _, v in survivors), default=None)
+    return [(s, v) for s, v in survivors if v == low]
+
+
+def kapranov_membership(poly, point):
+    """Whether a tropical point lies on the tropicalized hypersurface.
+
+    Membership means the minimum of valuation plus monomial value is
+    attained at least twice, or that no term survives at all (the restricted
+    polynomial vanishes identically on the stratum).
+    """
+    return len(kapranov_minimizers(poly, point)) != 1
 
 # ---------------------------------------------------------------------------
 # hypersurfaces in a graded ambient
@@ -380,10 +385,9 @@ class EmbeddedHypersurface:
 def hypersurface(grading, terms):
     table = {}
     for exponent, coeff in terms:
-        e = tuple(int(x) for x in exponent)
-        if len(e) != grading.n or any(a < 0 for a in e):
-            raise ValueError("exponent %r must be nonnegative of length %d"
-                             % (list(e), grading.n))
+        e = _integer_vector(exponent, grading.n)
+        if any(a < 0 for a in e):
+            raise ValueError("exponent %r must be nonnegative" % list(e))
         if e in table:
             raise ValueError("duplicate exponent %r" % list(e))
         coeff = ValuedScalar.of(coeff)
@@ -409,7 +413,7 @@ def _character(proj, exponent):
     the degree-zero torus.
     """
     rows = proj.kernel.basis.transpose().row_lists()
-    sol = solve_rational(rows, [int(x) for x in exponent])
+    sol = solve_rational(rows, _integer_vector(exponent, len(rows)))
     if sol is None or any(c.denominator != 1 for c in sol):
         raise ValueError("monomial %r does not descend to the chart torus"
                          % list(exponent))
@@ -464,36 +468,22 @@ class Refinement:
 
 def refine_embedding(grading, terms, clearing=None):
     """Adjoin a coordinate for a homogeneous polynomial to a grading."""
-    table = {}
-    degrees = set()
-    for exponent, coeff in terms:
-        e = tuple(int(x) for x in exponent)
-        if len(e) != grading.n or any(a < 0 for a in e):
-            raise ValueError("exponent %r must be nonnegative of length %d"
-                             % (list(e), grading.n))
-        if e in table:
-            raise ValueError("duplicate exponent %r" % list(e))
-        coeff = ValuedScalar.of(coeff)
-        if not coeff.is_zero:
-            table[e] = coeff
-            degrees.add(grading.degree_of_monomial(e))
-    if not table:
-        raise ValueError("refinement polynomial must be nonzero")
+    gtilde = hypersurface(grading, terms).terms
+    degrees = {grading.degree_of_monomial(e) for e, _ in gtilde}
     if len(degrees) > 1:
         raise NotHomogeneous("terms of degrees %s cannot define a new "
                              "coordinate" % sorted(degrees))
     if clearing is None:
         clearing = (0,) * grading.n
-    clearing = tuple(int(x) for x in clearing)
-    if len(clearing) != grading.n or any(a < 0 for a in clearing):
-        raise ValueError("clearing monomial must be nonnegative of length %d"
-                         % grading.n)
+    clearing = _integer_vector(clearing, grading.n)
+    if any(a < 0 for a in clearing):
+        raise ValueError("clearing monomial must be nonnegative")
     x_degree = degrees.pop()
     new_grading = Grading(grading.group, list(grading.degrees) + [x_degree])
     return Refinement(grading, new_grading,
                       proj_system_of_fans(grading),
                       proj_system_of_fans(new_grading),
-                      tuple(sorted(table.items())), clearing, x_degree)
+                      gtilde, clearing, x_degree)
 
 
 def _compositions(total, parts):
@@ -599,7 +589,7 @@ def separation_witness(proj, p, q, terms):
     """
     if p.chart != q.chart:
         raise ValueError("points must share a chart")
-    cleaned = [(tuple(int(x) for x in e), ValuedScalar.of(c))
+    cleaned = [(_integer_vector(e, proj.grading.n), ValuedScalar.of(c))
                for e, c in terms]
     cleaned = [(e, c) for e, c in cleaned if not c.is_zero]
     if not cleaned:
@@ -634,7 +624,7 @@ def _poly_from_sparse(entries):
     coeffs = {}
     for pair in entries:
         text, power = pair
-        power = int(power)
+        power = _integer_entry(power)
         if power < 0:
             raise ValueError("polynomial powers must be nonnegative")
         coeffs[power] = coeffs.get(power, Fraction(0)) + Fraction(str(text))

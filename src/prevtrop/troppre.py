@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cone import Cone, dot, hilbert_basis
-from .exactla import solve_rational
+from .exactla import _integer_entry, _integer_vector, solve_rational
 from .extreal import INF, format_extended, is_finite, parse_extended
 from .sysfan import OmegaClass
 
@@ -39,14 +39,6 @@ def _vector(entries, rank, what):
     if len(out) != rank:
         raise ValueError("%s must have %d coordinates, got %d"
                          % (what, rank, len(out)))
-    return out
-
-
-def _exponent(entries, rank):
-    out = tuple(int(x) for x in entries)
-    if len(out) != rank:
-        raise ValueError("exponent must have %d entries, got %d"
-                         % (rank, len(out)))
     return out
 
 
@@ -159,7 +151,7 @@ def trop_eval(point, exponent):
     when the exponent annihilates the stratum cone.
     """
     tau = point.stratum.cone
-    s = _exponent(exponent, tau.ambient_rank)
+    s = _integer_vector(exponent, tau.ambient_rank)
     pairings = [dot(s, r) for r in tau.rays]
     if any(p < 0 for p in pairings):
         raise ValueError("exponent %r is not a monomial on the chart of "
@@ -184,7 +176,7 @@ def point_from_chart_values(system, chart, values):
     sigma = chart.cone
     basis = hilbert_basis(sigma)
     gens = basis.generators
-    table = {_exponent(g, sigma.ambient_rank): _extended(v)
+    table = {_integer_vector(g, sigma.ambient_rank): _extended(v)
              for g, v in values.items()}
     if set(table) != set(gens):
         raise ValueError("values must be given on exactly the %d chart "
@@ -313,7 +305,7 @@ def chart_polynomial(system, chart, terms):
     sigma = chart.cone
     table = {}
     for exponent, val in terms:
-        s = _exponent(exponent, sigma.ambient_rank)
+        s = _integer_vector(exponent, sigma.ambient_rank)
         if any(dot(s, r) < 0 for r in sigma.rays):
             raise ValueError("exponent %r lies outside the chart monoid"
                              % list(s))
@@ -323,6 +315,13 @@ def chart_polynomial(system, chart, terms):
     return ValuatedChartPolynomial(chart, tuple(sorted(table.items())))
 
 
+def _check_chart_contains(poly, point):
+    if not (poly.chart.representative in point.stratum.members
+            and poly.chart.cone.has_face(point.stratum.cone)):
+        raise ValueError("the polynomial's chart does not contain the "
+                         "point's stratum")
+
+
 def skeleton_seminorm(point, poly):
     """Tropical value of a valued chart polynomial at a tropical point.
 
@@ -330,10 +329,7 @@ def skeleton_seminorm(point, poly):
     INF for the empty polynomial.  The point's stratum must lie on the
     polynomial's chart.
     """
-    if not (poly.chart.representative in point.stratum.members
-            and poly.chart.cone.has_face(point.stratum.cone)):
-        raise ValueError("the polynomial's chart does not contain the "
-                         "point's stratum")
+    _check_chart_contains(poly, point)
     best = INF
     for s, val in poly.terms:
         candidate = val + trop_eval(point, s)
@@ -372,15 +368,31 @@ def trop_point_to_data(point):
             "coords": [format_extended(c) for c in point.coords]}
 
 
-def trop_point_from_data(system, data):
+def _index(value, count, what):
+    """A document index into count items: an integer, or a decimal string as
+    JSON object keys are; nothing is rounded."""
+    try:
+        k = int(value) if isinstance(value, str) else _integer_entry(value)
+    except ValueError:
+        raise ValueError("%s index %r is not an integer" % (what, value)) \
+            from None
+    if not 0 <= k < count:
+        raise ValueError("no %s with index %d" % (what, k))
+    return k
+
+
+def class_from_data(system, value):
+    """The chart class a document names by its index."""
     classes = system.omega().classes
-    index = int(data["class"])
-    if not 0 <= index < len(classes):
-        raise ValueError("no chart class with index %d" % index)
+    return classes[_index(value, len(classes), "chart class")]
+
+
+def trop_point_from_data(system, data):
+    stratum = class_from_data(system, data["class"])
     coords = [parse_extended(str(c)) for c in data["coords"]]
     if any(not is_finite(c) for c in coords):
         raise ValueError("tropical coordinates must be finite")
-    return trop_point(system, classes[index], coords)
+    return trop_point(system, stratum, coords)
 
 
 def nonneg_point_to_data(point):
@@ -389,18 +401,16 @@ def nonneg_point_to_data(point):
             "coords": [format_extended(c) for c in point.coords]}
 
 
+def chart_entries_from_data(system, data):
+    """Decode the chart and the generator keys of a {"chart": id, "values":
+    {generator index: payload}} document; payloads are returned undecoded."""
+    chart = class_from_data(system, data["chart"])
+    gens = hilbert_basis(chart.cone).generators
+    return chart, [(gens[_index(key, len(gens), "chart generator")], payload)
+                   for key, payload in data["values"].items()]
+
+
 def chart_values_from_data(system, data):
     """Decode a {"chart": id, "values": {index: value}} request."""
-    classes = system.omega().classes
-    index = int(data["chart"])
-    if not 0 <= index < len(classes):
-        raise ValueError("no chart class with index %d" % index)
-    chart = classes[index]
-    gens = hilbert_basis(chart.cone).generators
-    values = {}
-    for key, text in data["values"].items():
-        k = int(key)
-        if not 0 <= k < len(gens):
-            raise ValueError("no chart generator with index %d" % k)
-        values[gens[k]] = parse_extended(str(text))
-    return chart, values
+    chart, entries = chart_entries_from_data(system, data)
+    return chart, {g: parse_extended(str(text)) for g, text in entries}

@@ -213,3 +213,13 @@ def test_fractional_ray_entries_exit_two(tmp_path, capsys):
                              write_doc(tmp_path, "half.json", doc))
     assert code == 2 and out == ""
     assert err == "error: vector entry 0.5 is not an integer\n"
+
+
+def test_fractional_chart_index_exits_two(tmp_path, capsys):
+    system = write_doc(tmp_path, "sys.json", system_doc(affine_plane()))
+    values = write_doc(tmp_path, "vals.json",
+                       {"schema": 1, "kind": "chart_values", "chart": 1.5,
+                        "values": {"0": "3/2", "1": "inf"}})
+    code, out, err = run_cli(capsys, "trop", values, system)
+    assert code == 2 and out == ""
+    assert err == "error: chart class index 1.5 is not an integer\n"

@@ -1,13 +1,16 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from sympy import Matrix as SymMatrix
+from sympy import Rational
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from prevtrop.exactla import (
     AbelianGroup,
     IntMatrix,
+    _echelon,
     cokernel_is_finite,
     hermite_normal_form,
     invert_unimodular,
@@ -310,6 +313,7 @@ def test_cokernel_vs_minor_oracle_random():
 
 def test_invert_unimodular_round_trip():
     rng = fresh_rng(6)
+    pick = fresh_rng(8)
     for _ in range(100):
         n = rng.randint(1, 4)
         a = random_matrix(rng, max_dim=1, bound=5)
@@ -324,6 +328,21 @@ def test_invert_unimodular_round_trip():
         assert um.is_unimodular()
         inv = invert_unimodular(um)
         assert um @ inv == IntMatrix.identity(n)
+        # doubling a row gives determinant +-2, repeating one gives 0
+        k = pick.randrange(n)
+        doubled = [row if i != k else [2 * x for x in row]
+                   for i, row in enumerate(u)]
+        pytest.raises(ValueError, invert_unimodular,
+                      IntMatrix.from_rows(doubled, cols=n))
+        if n > 1:
+            repeated = [row if i != k else u[(k + 1) % n]
+                        for i, row in enumerate(u)]
+            pytest.raises(ValueError, invert_unimodular,
+                          IntMatrix.from_rows(repeated, cols=n))
+    pytest.raises(ValueError, invert_unimodular,
+                  IntMatrix.from_rows([[1, 1], [1, -1]]))
+    pytest.raises(ValueError, invert_unimodular, IntMatrix.zero(2, 2))
+    pytest.raises(ValueError, invert_unimodular, IntMatrix.zero(2, 3))
 
 
 def test_rational_rank_and_solve():
@@ -332,3 +351,67 @@ def test_rational_rank_and_solve():
     assert rational_rank([], width=3) == 0
     assert solve_rational([(1, 0), (0, 1)], (5, 7)) == (5, 7)
     assert solve_rational([(1, 1), (2, 2)], (1, 3)) is None
+
+
+def _random_rational_matrix(rng):
+    """An m x n matrix of ints or Fractions of rank at most r <= min(m, n).
+
+    Rows are random integer combinations of r random base rows, so about
+    half the matrices are rank deficient.
+    """
+    m, n = rng.randint(1, 8), rng.randint(1, 8)
+    rank = rng.randint(0, min(m, n))
+    fractional = rng.random() < 0.5
+
+    def entry():
+        x = rng.randint(-5, 5)
+        return Fraction(x, rng.randint(1, 4)) if fractional else x
+
+    base = [[entry() for _ in range(n)] for _ in range(rank)]
+    rows = []
+    for _ in range(m):
+        coeffs = [rng.randint(-2, 2) for _ in base]
+        rows.append([sum((c * b[j] for c, b in zip(coeffs, base)), 0)
+                     for j in range(n)])
+    return rows
+
+
+def _sym(rows):
+    return SymMatrix([[Rational(x.numerator, x.denominator)
+                       if isinstance(x, Fraction) else x for x in r]
+                      for r in rows])
+
+
+def test_elimination_matches_sympy():
+    rng = fresh_rng(7)
+    inconsistent = 0
+    for _ in range(150):
+        rows = _random_rational_matrix(rng)
+        n = len(rows[0])
+        a = _sym(rows)
+        assert rational_rank(rows) == a.rank()
+        # echelon rows are sympy's RREF rows scaled to primitive integers
+        rref, pivots = a.rref()
+        reduced = _echelon(rows, n)
+        assert [col for col, _ in reduced] == list(pivots)
+        for k, (col, row) in enumerate(reduced):
+            assert all(type(x) is int for x in row)
+            assert row[col] > 0 and math.gcd(*row) == 1
+            assert [Fraction(x, row[col]) for x in row] \
+                == [Fraction(int(x.p), int(x.q)) for x in rref.row(k)]
+        if rng.random() < 0.5:
+            xs = [rng.randint(-3, 3) for _ in range(n)]
+            rhs = [sum(x * y for x, y in zip(r, xs)) for r in rows]
+        else:
+            rhs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                   for _ in rows]
+        got = solve_rational(rows, rhs)
+        try:
+            sol, params = a.gauss_jordan_solve(_sym([rhs]).T)
+        except ValueError:
+            inconsistent += 1
+            assert got is None
+            continue
+        want = sol.subs({p: 0 for p in params})
+        assert got == tuple(Fraction(int(x.p), int(x.q)) for x in want)
+    assert inconsistent > 10

@@ -17,7 +17,8 @@ from prevtrop.tropembed import (
     NotBounded, NotHomogeneous, NotSeparating, ValuedScalar, apply_morphism,
     classical_point, coordinate_point, evaluate_polynomial, forget_refinement,
     hypersurface, hypersurface_from_data, hypersurface_to_data,
-    kapranov_membership, nonneg_trop_point, refine_embedding,
+    kapranov_membership, kapranov_minimizers, nonneg_trop_point,
+    refine_embedding,
     refined_classical, refined_trop, restrict_to_chart, scalar,
     separation_witness, trop_point, valued_scalar_from_data,
     valued_scalar_to_data)
@@ -144,6 +145,8 @@ def test_coordinate_points_evaluate_monomials():
     assert p.eval((2, 3)) == T * T * (ONE + T) ** 3
     with pytest.raises(ValueError, match="outside the chart"):
         p.eval((-1, 0))
+    with pytest.raises(ValueError, match="not an integer"):
+        p.eval((1.5, 0))
     edge = coordinate_point(system, chart, (T, ONE),
                             zero_face=Cone.from_rays([(0, 1)], 2))
     assert edge.values[(0, 1)].is_zero
@@ -284,6 +287,13 @@ def test_frozen_line_membership():
     # identically-zero restriction counts as membership
     axes = chart_polynomial(system, chart, [((1, 0), 0), ((0, 1), 0)])
     assert kapranov_membership(axes, stratum_point(system, deep, ()))
+    assert kapranov_minimizers(axes, stratum_point(system, deep, ())) == []
+    # at (0, 2) the constant term and x tie, listed in term order
+    tie = stratum_point(system, dense, (0, 2))
+    assert kapranov_minimizers(poly, tie) == [((0, 0), 0), ((1, 0), 0)]
+    assert kapranov_membership(poly, tie)
+    assert kapranov_minimizers(poly, stratum_point(system, dense, (1, 2))) \
+        == [((0, 0), 0)]
 
 
 def test_line_membership_region():
@@ -350,6 +360,9 @@ def test_hypersurface_validation():
         hypersurface(grading, [((1, 0), ONE), ((1, 0), T)])
     with pytest.raises(ValueError, match="nonzero"):
         hypersurface(grading, [((1, 0), scalar(0))])
+    line = Grading(AbelianGroup(1), [(1,), (1,)])
+    with pytest.raises(ValueError, match="not an integer"):
+        hypersurface(line, [((1.5, 0), scalar(1)), ((0, 1), scalar(1))])
 
 
 def test_chart_restriction_of_a_hypersurface():
@@ -393,6 +406,8 @@ def test_refine_embedding_degree_bookkeeping():
         refine_embedding(flat, [((1, 0), scalar(0))])
     with pytest.raises(ValueError, match="clearing"):
         refine_embedding(flat, [((1, 0), ONE)], clearing=(-1, 0))
+    with pytest.raises(ValueError, match="not an integer"):
+        refine_embedding(flat, [((1, 0), ONE)], clearing=(0.5, 0))
 
 
 def test_new_chart_poset_restricts_to_the_old_one():
