@@ -254,8 +254,7 @@ class Cone:
                 return "outside", None
             if d == 0:
                 tight.append(u)
-        face_rays = [r for r in self.rays if all(dot(u, r) == 0 for u in tight)]
-        face = next(f for f in self.faces() if f.rays == tuple(sorted(face_rays)))
+        face = self.face_orthogonal_to(tight)
         if face == self:
             return "interior", self
         return "boundary", face
@@ -301,7 +300,16 @@ class Cone:
             raise ValueError("not a face of this cone") from None
 
     def has_face(self, other):
-        return any(f == other for f in self.faces())
+        self.faces()
+        return (other.ambient_rank == self.ambient_rank
+                and other.rays in self._face_support)
+
+    def face_orthogonal_to(self, covectors):
+        """The face cut out by covectors that are nonnegative on the cone:
+        the cone on the rays where all of them vanish."""
+        return Cone.from_rays([r for r in self.rays
+                               if all(dot(u, r) == 0 for u in covectors)],
+                              self.ambient_rank)
 
     def facets(self):
         d = self.dim
@@ -453,7 +461,7 @@ class AffineSemigroup:
         for u, c in zip(plus_units, coeffs):
             if c.denominator != 1:
                 raise AssertionError("residual outside the unit lattice")
-            c = int(c)
+            c = c.numerator
             if c > 0:
                 out[u] = out.get(u, 0) + c
             elif c < 0:

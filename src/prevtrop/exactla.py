@@ -174,9 +174,7 @@ class AbelianGroup:
         return self.free_rank + len(self.torsion)
 
     def reduce(self, element):
-        element = tuple(int(x) for x in element)
-        if len(element) != self.ngens:
-            raise ValueError("element length mismatch")
+        element = _integer_vector(element, self.ngens)
         free = element[:self.free_rank]
         tors = tuple(x % m for x, m in zip(element[self.free_rank:], self.torsion))
         return free + tors

@@ -16,6 +16,8 @@ from prevtrop.cone import Cone
 from prevtrop.exactla import (
     AbelianGroup,
     IntMatrix,
+    _integer_entry,
+    _integer_vector,
     cokernel_is_finite,
     kernel_lattice,
     rational_rank,
@@ -54,9 +56,7 @@ class Grading:
 
     def degree_of_monomial(self, exponents):
         """Degree of T^a for a nonnegative integer exponent vector a."""
-        exponents = tuple(int(x) for x in exponents)
-        if len(exponents) != self.n:
-            raise ValueError("exponent vector length mismatch")
+        exponents = _integer_vector(exponents, self.n)
         total = [0] * self.group.ngens
         for a, d in zip(exponents, self.degrees):
             for j in range(len(total)):
@@ -81,7 +81,7 @@ class Grading:
 
 
 def _check_subset(grading, subset):
-    subset = frozenset(int(i) for i in subset)
+    subset = frozenset(_integer_entry(i) for i in subset)
     for i in subset:
         if not 1 <= i <= grading.n:
             raise ValueError("variable index %d out of range" % i)
@@ -107,7 +107,7 @@ def is_relevant_subset(grading, subset):
 
 
 def monomial_in_irrelevant_ideal(grading, exponents):
-    exponents = tuple(int(x) for x in exponents)
+    exponents = tuple(_integer_entry(x) for x in exponents)
     if len(exponents) != grading.n or any(a < 0 for a in exponents):
         raise ValueError("exponent vector must be nonnegative of length n")
     return is_relevant_subset(
@@ -239,9 +239,9 @@ def grading_to_data(grading):
 
 
 def grading_from_data(data):
-    group = AbelianGroup(int(data["free_rank"]),
-                         tuple(int(m) for m in data.get("torsion", ())))
-    degrees = [tuple(int(x) for x in d) for d in data["degrees"]]
-    if int(data["n"]) != len(degrees):
+    group = AbelianGroup(_integer_entry(data["free_rank"]),
+                         tuple(_integer_entry(m) for m in data.get("torsion", ())))
+    degrees = list(data["degrees"])
+    if _integer_entry(data["n"]) != len(degrees):
         raise ValueError("variable count does not match the degree list")
     return Grading(group, degrees)

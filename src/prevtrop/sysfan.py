@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from prevtrop.cone import Cone
-from prevtrop.exactla import IntMatrix
+from prevtrop.exactla import IntMatrix, _integer_entry
 
 
 @dataclass(frozen=True)
@@ -83,17 +83,19 @@ class Fan:
             self._maximal = tuple(c for c in self.cones if c.rays not in proper)
         return self._maximal
 
-    def common_cones(self, other):
-        """The face-closed collection of cones lying in both fans."""
-        return Fan([c for c in self.cones if c in other], self.ambient_rank)
-
     def validate(self, where=()):
+        """Every cone is pointed and every two cones meet in a common face.
+
+        Only pairs of maximal cones are intersected: when two maximal cones
+        meet in a common face, so do any faces of theirs.  So on an invalid
+        fan the "fan" issues name pairs of maximal cones.
+        """
         issues = []
         for c in self.cones:
             if not c.is_pointed():
                 issues.append(ValidationIssue(
                     "pointed", where, "cone %r has a lineality space" % (c,)))
-        cones = self.cones
+        cones = self.maximal_cones()
         for a in range(len(cones)):
             for b in range(a + 1, len(cones)):
                 meet = cones[a].intersect(cones[b])
@@ -177,8 +179,8 @@ def validate_system(system):
             for c in labels:
                 fbc = system.fan(b, c)
                 fac = system.fan(a, c)
-                for cone in fab.common_cones(fbc):
-                    if cone not in fac:
+                for cone in fab.cones:
+                    if cone in fbc and cone not in fac:
                         issues.append(ValidationIssue(
                             "subfan", (a, b, c),
                             "cone %r is glued via %s but missing from (%s,%s)"
@@ -253,12 +255,11 @@ class OmegaPoset:
         for cls in self.classes:
             for m in cls.members:
                 self._by_pair[(cls.cone.rays, m)] = cls
-        self._leq = set()
-        for low in self.classes:
-            for high in self.classes:
-                if set(low.members) >= set(high.members) \
-                        and high.cone.has_face(low.cone):
-                    self._leq.add((low.class_id, high.class_id))
+        # fans are face-closed, so a face of high's cone is glued along the
+        # same charts: the one class on it whose members include high's
+        self._leq = {(self.class_of(f, high.representative).class_id,
+                      high.class_id)
+                     for high in self.classes for f in high.cone.faces()}
         self._check_partial_order()
 
     def __len__(self):
@@ -455,13 +456,7 @@ def support_is_full(system):
         raise ValueError("support test requires a separated system; %s"
                          % (witness[3],))
     n = system.ambient_rank
-    cones = {cls.cone.rays: cls.cone for cls in system.omega().classes}
-    proper = set()
-    for c in cones.values():
-        for f in c.faces():
-            if f != c:
-                proper.add(f.rays)
-    maximal = [c for key, c in cones.items() if key not in proper]
+    maximal = Fan([cls.cone for cls in system.omega().classes], n).maximal_cones()
     for c in maximal:
         if c.dim < n:
             return False
@@ -490,7 +485,7 @@ def system_to_data(system):
 
 def system_from_data(data):
     labels = [str(l) for l in data["indices"]]
-    n = int(data["ambient_rank"])
+    n = _integer_entry(data["ambient_rank"])
     entries = {}
     for key, cones in data["fans"].items():
         a, _, b = key.partition(",")

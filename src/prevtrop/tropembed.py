@@ -98,7 +98,7 @@ class ValuedScalar:
     @classmethod
     def t_power(cls, power, coeff=1):
         """coeff * t**power for any integer power."""
-        power = int(power)
+        power = _integer_entry(power)
         if power >= 0:
             return cls(_poly([0] * power + [coeff]), _poly([1]))
         return cls(_poly([coeff]), _poly([0] * (-power) + [1]))
@@ -149,7 +149,7 @@ class ValuedScalar:
                             _pmul(self.den, other.num))
 
     def __pow__(self, power):
-        power = int(power)
+        power = _integer_entry(power)
         if power < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
@@ -249,13 +249,9 @@ def classical_point(system, chart, values):
         raise ValueError("values must be given on exactly the %d chart "
                          "generators" % len(gens))
     alive = [g for g in gens if not table[g].is_zero]
-    zero_face = None
-    for face in sigma.faces():
-        cut = [g for g in gens if all(dot(g, r) == 0 for r in face.rays)]
-        if set(cut) == set(alive):
-            zero_face = face
-            break
-    if zero_face is None:
+    zero_face = sigma.face_orthogonal_to(alive)
+    if alive != [g for g in gens
+                 if all(dot(g, r) == 0 for r in zero_face.rays)]:
         raise FiniteLocusNotAFace(
             "the generators with nonzero values, %r, are not those "
             "vanishing on a face of the chart cone" % sorted(alive))
@@ -403,7 +399,7 @@ def _integral(solution):
     if solution is None or any(c.denominator != 1 for c in solution):
         raise ArithmeticError("expected an integral solution, got %r"
                               % (solution,))
-    return tuple(int(c) for c in solution)
+    return tuple(c.numerator for c in solution)
 
 
 def _character(proj, exponent):
@@ -417,7 +413,7 @@ def _character(proj, exponent):
     if sol is None or any(c.denominator != 1 for c in sol):
         raise ValueError("monomial %r does not descend to the chart torus"
                          % list(exponent))
-    return tuple(int(c) for c in sol)
+    return tuple(c.numerator for c in sol)
 
 
 def restrict_to_chart(proj, hyp, label):

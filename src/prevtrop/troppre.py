@@ -182,14 +182,9 @@ def point_from_chart_values(system, chart, values):
         raise ValueError("values must be given on exactly the %d chart "
                          "generators" % len(gens))
     finite = frozenset(g for g in gens if is_finite(table[g]))
-    tau = None
-    for face in sigma.faces():
-        cut = frozenset(g for g in gens
-                        if all(dot(g, r) == 0 for r in face.rays))
-        if cut == finite:
-            tau = face
-            break
-    if tau is None:
+    # a face with cut S is the cone meet S^perp, so no other face can match
+    tau = sigma.face_orthogonal_to(finite)
+    if finite != {g for g in gens if all(dot(g, r) == 0 for r in tau.rays)}:
         raise FiniteLocusNotAFace(
             "the generators with finite values, %r, are not those vanishing "
             "on a face of the chart cone" % sorted(finite))

@@ -215,6 +215,23 @@ def test_fractional_ray_entries_exit_two(tmp_path, capsys):
     assert err == "error: vector entry 0.5 is not an integer\n"
 
 
+def test_fractional_degree_exits_two(tmp_path, capsys):
+    doc = grading_doc([(1,), (1,)])
+    doc["degrees"] = [[1.5], [1]]
+    code, out, err = run_cli(capsys, "proj", write_doc(tmp_path, "g.json", doc))
+    assert code == 2 and out == ""
+    assert err == "error: vector entry 1.5 is not an integer\n"
+
+
+def test_fractional_ambient_rank_exits_two(tmp_path, capsys):
+    doc = system_doc(affine_plane())
+    doc["ambient_rank"] = 2.5
+    code, out, err = run_cli(capsys, "validate",
+                             write_doc(tmp_path, "s.json", doc))
+    assert code == 2 and out == ""
+    assert err == "error: vector entry 2.5 is not an integer\n"
+
+
 def test_fractional_chart_index_exits_two(tmp_path, capsys):
     system = write_doc(tmp_path, "sys.json", system_doc(affine_plane()))
     values = write_doc(tmp_path, "vals.json",

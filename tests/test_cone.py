@@ -569,6 +569,37 @@ def test_meets_are_shared_and_match_a_direct_sweep(rng):
         assert meet is Cone.from_rays(direct, n)
 
 
+def test_face_orthogonal_to_matches_a_search_of_the_faces(rng):
+    non_pointed = 0
+    for _ in range(150):
+        n = rng.choice([2, 3, 4])
+        c = Cone.from_rays(_random_rays(rng, n), n)
+        non_pointed += not c.is_pointed()
+        for _ in range(4):
+            chosen = rng.sample(c.inequalities,
+                                rng.randint(0, len(c.inequalities)))
+            # nonnegative combinations stay in the dual cone
+            covectors = [tuple(k * x for x in u)
+                         for k, u in zip(rng.choices([1, 2, 3], k=len(chosen)),
+                                         chosen)]
+            if len(covectors) > 1:
+                covectors.append(tuple(map(sum, zip(*covectors))))
+            largest = max((f for f in c.faces()
+                           if all(dot(u, r) == 0
+                                  for u in covectors for r in f.rays)),
+                          key=lambda f: f.dim)
+            assert c.face_orthogonal_to(covectors) is largest
+            assert c.has_face(largest)
+    assert non_pointed > 10
+
+
+def test_has_face_checks_the_ambient_rank():
+    c = Cone.from_rays([(1, 0), (0, 1)], 2)
+    assert c.has_face(Cone.from_rays([(1, 0)], 2))
+    assert not c.has_face(Cone.from_rays([(1, 1)], 2))
+    assert not Cone.from_rays([], 2).has_face(Cone.from_rays([], 3))
+
+
 def test_dropped_system_leaves_the_intern_table():
     gc.collect()
     gc.disable()

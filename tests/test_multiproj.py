@@ -8,6 +8,7 @@ cofactor expansion.
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -108,6 +109,29 @@ def test_degree_of_monomial():
     assert g.degree_of_monomial((1, 0)) == (1, 1)
     assert g.degree_of_monomial((3, 2)) == (7, 1)
     assert g.degree_of_monomial((0, 0)) == (0, 0)
+
+
+def test_fractional_grading_entries_are_rejected():
+    with pytest.raises(ValueError):
+        grading_from_data({"n": 2, "free_rank": 1, "degrees": [[1.5], [1]]})
+    for bad in [{"n": 2.5, "free_rank": 1, "degrees": [[1], [1]]},
+                {"n": 2, "free_rank": 1.0, "degrees": [[1], [1]]},
+                {"n": 1, "free_rank": 1, "torsion": [2.5],
+                 "degrees": [[1, 0]]}]:
+        with pytest.raises(ValueError):
+            grading_from_data(bad)
+    g = g_projline()
+    with pytest.raises(ValueError):
+        g.group.reduce((Fraction(1, 2),))
+    with pytest.raises(ValueError):
+        g.degree_of_monomial((1.5, 0))
+    with pytest.raises(ValueError):
+        is_relevant_subset(g, [1.5])
+    with pytest.raises(ValueError):
+        monomial_in_irrelevant_ideal(g, (0.5, 1))
+    assert g.degree_of_monomial((Fraction(2), 1)) == (3,)
+    assert grading_from_data({"n": 2, "free_rank": 1,
+                              "degrees": [[Fraction(1)], [1]]}) == g
 
 
 def test_grading_data_round_trip():

@@ -3,7 +3,8 @@
 import pytest
 
 from prevtrop.cone import Cone
-from prevtrop.exactla import IntMatrix
+from prevtrop.exactla import AbelianGroup, IntMatrix
+from prevtrop.multiproj import EmptyProj, Grading, proj_system_of_fans
 from prevtrop.sysfan import (
     Fan,
     SysFanMorphism,
@@ -19,6 +20,7 @@ from prevtrop.sysfan import (
 )
 
 import systems
+from conftest import fresh_rng
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +63,43 @@ def test_valid_fan_has_no_issues():
     assert systems.quadrant_fan_system().fan("0").validate() == []
 
 
+def all_pairs_fan_verdict(fan):
+    """Reference: whether every two cones of the fan, faces included, meet
+    in a common face (the check before it was cut to maximal cones)."""
+    cones = fan.cones
+    for a in range(len(cones)):
+        for b in range(a + 1, len(cones)):
+            meet = cones[a].intersect(cones[b])
+            faces_a, faces_b = cones[a].faces(), cones[b].faces()
+            if not (any(f == meet for f in faces_a)
+                    and any(f == meet for f in faces_b)):
+                return False
+    return True
+
+
+def test_fan_validation_on_maximal_cones_matches_all_pairs(rng):
+    verdicts = []
+    for _ in range(120):
+        n = rng.choice([2, 3])
+        cones = [Cone.from_rays([tuple(rng.randint(-2, 2) for _ in range(n))
+                                 for _ in range(rng.randint(1, 3))], n)
+                 for _ in range(rng.randint(2, 4))]
+        fan = Fan(cones, n)
+        issues = fan.validate()
+        overlaps = [i.detail for i in issues if i.kind == "fan"]
+        valid = all_pairs_fan_verdict(fan)
+        assert (not overlaps) == valid
+        maximal = fan.maximal_cones()
+        maximal_pairs = {"cones %r and %r overlap without a common face"
+                         % (maximal[a], maximal[b])
+                         for a in range(len(maximal))
+                         for b in range(a + 1, len(maximal))}
+        assert set(overlaps) <= maximal_pairs
+        assert len(issues) - len(overlaps) == sum(not c.is_pointed() for c in fan)
+        verdicts.append(valid)
+    assert 30 < verdicts.count(False) < 90
+
+
 # ---------------------------------------------------------------------------
 # system construction and validation
 # ---------------------------------------------------------------------------
@@ -75,6 +114,26 @@ def test_all_fixture_systems_are_valid():
                   systems.projective_line_fan, systems.quadrant_fan_system,
                   systems.point_system]:
         assert validate_system(build()) == [], build.__name__
+
+
+def test_proj_system_validation_intersects_no_cones(monkeypatch):
+    # every fan of a Proj system is the face closure of one cone, so no pair
+    # of maximal cones is left to intersect
+    gradings = [Grading(AbelianGroup(1), [(1,)] * 3),
+                Grading(AbelianGroup(1), [(1,)] * 4),
+                Grading(AbelianGroup(2), [(1, 0), (1, 0), (0, 1), (1, 1)])]
+    built = [proj_system_of_fans(g).system for g in gradings]
+    calls = []
+    intersect = Cone.intersect
+
+    def counting(self, other):
+        calls.append(1)
+        return intersect(self, other)
+
+    monkeypatch.setattr(Cone, "intersect", counting)
+    for system in built:
+        assert validate_system(system) == []
+    assert calls == []
 
 
 def test_symmetry_violation_detected():
@@ -153,6 +212,48 @@ def test_quadrant_fan_has_nine_classes():
     assert len(omega) == 9
     dims = sorted(c.cone.dim for c in omega)
     assert dims == [0, 1, 1, 1, 1, 2, 2, 2, 2]
+
+
+def all_pairs_order(omega):
+    """Reference: the class order by comparing every two classes."""
+    return {(low.class_id, high.class_id)
+            for low in omega.classes for high in omega.classes
+            if set(low.members) >= set(high.members)
+            and any(f == low.cone for f in high.cone.faces())}
+
+
+def _projective(n):
+    return proj_system_of_fans(
+        Grading(AbelianGroup(1), [(1,)] * (n + 1))).system
+
+
+def test_class_order_matches_all_pairs():
+    rng = fresh_rng(4)
+    fixtures = [systems.affine_line(), systems.affine_plane(),
+                systems.line_two_origins(), systems.projective_line_two_charts(),
+                systems.projective_line_fan(), systems.quadrant_fan_system(),
+                systems.point_system()]
+    fixtures += [_projective(n) for n in range(1, 5)]
+    fixtures.append(proj_system_of_fans(
+        Grading(AbelianGroup(1), [(1,), (-1,)])).system)
+    fixtures.append(product(systems.line_two_origins(), _projective(1)))
+    mixed = 0
+    while mixed < 6:
+        n = rng.choice([3, 4])
+        free_rank = rng.choice([1, 2])
+        degrees = [tuple(rng.randint(-2, 2) for _ in range(free_rank))
+                   for _ in range(n)]
+        if not (any(d[0] < 0 for d in degrees) and any(d[0] > 0 for d in degrees)):
+            continue
+        try:
+            fixtures.append(proj_system_of_fans(
+                Grading(AbelianGroup(free_rank), degrees)).system)
+        except EmptyProj:
+            continue
+        mixed += 1
+    for system in fixtures:
+        omega = system.omega()
+        assert omega.order_pairs() == all_pairs_order(omega)
 
 
 def test_empty_index_set():

@@ -102,6 +102,11 @@ def test_powers_and_division():
         v / scalar(0)
     with pytest.raises(ZeroDivisionError):
         scalar(0) ** -1
+    assert ValuedScalar.t_power(Fraction(3)) == T ** 3
+    with pytest.raises(ValueError):
+        scalar(2) ** Fraction(1, 2)
+    with pytest.raises(ValueError):
+        ValuedScalar.t_power(1.5)
 
 
 # ---------------------------------------------------------------------------
