@@ -313,7 +313,7 @@ def main(argv=None):
         return 1
     except (ValueError, KeyError, EmptyProj, ZeroDivisionError) as err:
         message = err.args[0] if err.args else err
-        print("error: %s" % message, file=sys.stderr)
+        print("error: %s" % (message,), file=sys.stderr)
         return 2
 
 

@@ -4,16 +4,17 @@ A cone carries both a canonical generator list (primitive extremal rays, plus
 a plus/minus lattice basis of its lineality space when it is not pointed) and
 a canonical inequality list, which is by duality the generator list of the
 dual cone.  Both are computed by an incremental double description sweep over
-exact integers; there is no floating point anywhere.  Sizes are desk scale:
-ambient rank stays in single digits and generator counts in the tens, so the
-algorithms favour clarity over asymptotics.
+exact integers, with a combinatorial extremality test; there is no floating
+point anywhere.  Sizes are desk scale: ambient rank stays in single digits
+and generator counts in the tens, so the algorithms favour clarity over
+asymptotics.
 
 Cones are shared and immutable.  Cone.from_rays, Cone.from_inequalities,
 Cone.dual, Cone.intersect and faces() return the one live Cone object for
 each (ambient rank, canonical rays), so equal cones are usually identical
 objects and their lazy caches (faces, hilbert_basis, span_quotient) are
-computed once and shared by every holder.  The lookup tables are weak: a
-cone leaves them as soon as nothing else references it.
+computed once and shared by every holder.  The lookup table is weak: a
+cone leaves it as soon as nothing else references it.
 """
 
 from __future__ import annotations
@@ -58,16 +59,17 @@ def _halfspace_generators(normals, n):
     """Generator description of the cone {x : <a, x> >= 0 for a in normals}.
 
     Returns (lineality, rays): the saturated lattice of the lineality space
-    with canonical HNF basis, and the sorted primitive extremal rays reduced
-    modulo the lineality.  Incremental double description with an exact
-    extremality test: a ray r of {x : <a_i, x> >= 0} is extremal iff its tight
-    normals have rank exactly rank(all normals) - 1.
+    (the kernel of the normals) with canonical HNF basis, and the sorted
+    primitive extremal rays reduced modulo the lineality.  Incremental double
+    description; each ray carries its zero set, the indices of the processed
+    normals vanishing on it, and a plus/minus pair is combined iff no third
+    ray's zero set contains their common one (Fukuda-Prodon, "Double
+    description method revisited", 1996, Prop. 7): no rank is computed.
     """
     normals = sorted({primitive(a) for a in normals if any(a)})
     lin = [(j, tuple(1 if k == j else 0 for k in range(n))) for j in range(n)]
-    rays = []
-    processed = []
-    for a in normals:
+    rays = {}
+    for k, a in enumerate(normals):
         hit = next(((pc, l) for pc, l in lin if dot(a, l) != 0), None)
         if hit is not None:
             pc0, l0 = hit
@@ -77,30 +79,29 @@ def _halfspace_generators(normals, n):
             others = [l for pc, l in lin if pc != pc0]
             lin = _echelon(
                 [tuple(d0 * x - dot(a, l) * y for x, y in zip(l, l0)) for l in others], n)
-            rays = [tuple(d0 * x - dot(a, r) * y for x, y in zip(r, l0)) for r in rays]
-            rays.append(l0)
+            # projecting along l0 maps the old quotient by the lineality
+            # isomorphically onto the new one, so extremal rays stay extremal;
+            # every earlier normal vanishes on l0
+            rays = {tuple(d0 * x - dot(a, r) * y for x, y in zip(r, l0)): z | {k}
+                    for r, z in rays.items()}
+            rays[l0] = frozenset(range(k))
         else:
             plus, zero, minus = [], [], []
-            for r in rays:
+            for r, z in rays.items():
                 d = dot(a, r)
-                (plus if d > 0 else zero if d == 0 else minus).append((d, r))
-            rays = [r for _, r in plus + zero]
-            for dp, p in plus:
-                for dm, m in minus:
-                    rays.append(tuple(dp * x - dm * y for x, y in zip(m, p)))
-        processed.append(a)
-        seen = set()
-        cleaned = []
-        for r in rays:
-            r = _reduce_mod(lin, r)
-            if any(r) and r not in seen:
-                seen.add(r)
-                cleaned.append(r)
-        rank_all = rational_rank(processed, width=n)
-        rays = [r for r in cleaned
-                if rational_rank([p for p in processed if dot(p, r) == 0], width=n)
-                == rank_all - 1]
-    lineality = kernel_lattice(IntMatrix.from_rows(processed, cols=n))
+                (plus if d > 0 else zero if d == 0 else minus).append((d, r, z))
+            split = {r: z for _, r, z in plus}
+            split.update((r, z | {k}) for _, r, z in zero)
+            zero_sets = list(rays.values())
+            for dp, p, zp in plus:
+                for dm, m, zm in minus:
+                    common = zp & zm
+                    # p and m are the two zero sets that always contain it
+                    if sum(common <= z for z in zero_sets) == 2:
+                        split[tuple(dp * x - dm * y for x, y in zip(m, p))] = common | {k}
+            rays = split
+        rays = {_reduce_mod(lin, r): z for r, z in rays.items()}
+    lineality = kernel_lattice(IntMatrix.from_rows(normals, cols=n))
     return lineality, tuple(sorted(rays))
 
 
@@ -135,7 +136,7 @@ class Cone:
 
     __slots__ = ("ambient_rank", "rays", "inequalities", "lineality",
                  "_dual_lineality", "_faces", "_face_support", "_hilbert",
-                 "_span_quot", "_meets", "_dim", "__weakref__")
+                 "_span_quot", "_dim", "__weakref__")
 
     def __init__(self, ambient_rank, rays, inequalities, lineality, dual_lineality):
         self.ambient_rank = ambient_rank
@@ -147,7 +148,6 @@ class Cone:
         self._face_support = None
         self._hilbert = None
         self._span_quot = None
-        self._meets = None
         self._dim = None
 
     @classmethod
@@ -219,20 +219,8 @@ class Cone:
             return self
         if other._lies_in(self):
             return other
-        # a swept meet is memoized on the operand with the smaller rays,
-        # weakly in both the partner and the meet, so an entry lives only
-        # while all three cones do
-        first, second = (self, other) if self.rays <= other.rays else (other, self)
-        if first._meets is None:
-            first._meets = weakref.WeakKeyDictionary()
-        ref = first._meets.get(second)
-        meet = ref() if ref is not None else None
-        if meet is None:
-            lin, ext = _halfspace_generators(self.inequalities + other.inequalities,
-                                             self.ambient_rank)
-            meet = Cone.from_rays(_generator_list(lin, ext), self.ambient_rank)
-            first._meets[second] = weakref.ref(meet)
-        return meet
+        return Cone.from_inequalities(self.inequalities + other.inequalities,
+                                      self.ambient_rank)
 
     def _lies_in(self, other):
         return all(dot(u, r) >= 0 for u in other.inequalities for r in self.rays)

@@ -143,6 +143,7 @@ class SystemOfFans:
                     raise ValueError("missing fan entry for charts (%s, %s)" % (a, b))
                 self._matrix[(a, b)] = fan
         self._poset = None
+        self._separated = None
 
     def fan(self, a, b=None):
         """The fan glued between charts a and b (diagonal when b omitted)."""
@@ -209,8 +210,11 @@ class OmegaPoset:
 
     (sigma, i) and (sigma, j) are identified exactly when sigma lies in the
     fan glued between i and j; transitivity of that relation is the subfan
-    axiom, but the construction uses union-find so that even slightly invalid
-    systems produce a well-defined (if unexpected) answer for diagnostics.
+    axiom, but the construction uses union-find so that a system whose
+    gluing is not transitive still produces a well-defined (if unexpected)
+    answer for diagnostics.  A cone glued between two charts must lie in
+    both charts' own fans; when it does not, ValueError names the cone and
+    the chart pair.
     The poset keeps no reference to its system, which caches it: a back
     reference would leave every dropped system on a reference cycle.
     """
@@ -236,6 +240,11 @@ class OmegaPoset:
         for i, a in enumerate(labels):
             for b in labels[i + 1:]:
                 for cone in system.fan(a, b):
+                    for c in (a, b):
+                        if (cone.rays, c) not in parent:
+                            raise ValueError(
+                                "cone %r is glued between charts %s and %s but "
+                                "missing from the fan of chart %s" % (cone, a, b, c))
                     union((cone.rays, a), (cone.rays, b))
         groups = {}
         cone_of = {}
@@ -426,8 +435,15 @@ def is_separated(system):
 
     The witness names two classes whose cones meet badly: either their
     intersection is not a common face, or it is one but the two charts are
-    not glued along it.
+    not glued along it.  The verdict is decided once per system and cached
+    on it, like the poset.
     """
+    if system._separated is None:
+        system._separated = _separation(system)
+    return system._separated
+
+
+def _separation(system):
     omega = system.omega()
     classes = omega.classes
     for x in range(len(classes)):

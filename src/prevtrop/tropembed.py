@@ -19,9 +19,10 @@ from .exactla import (IntMatrix, _integer_entry, _integer_vector,
                       kernel_lattice, solve_rational)
 from .extreal import INF, is_finite
 from .multiproj import Grading, proj_system_of_fans
-from .troppre import (FiniteLocusNotAFace, _check_chart_contains, _own_class,
-                      chart_polynomial, nonneg_point_from_chart_values,
-                      point_from_chart_values, trop_eval)
+from .troppre import (FiniteLocusNotAFace, _chart_exponent,
+                      _check_chart_contains, _own_class, chart_polynomial,
+                      nonneg_point_from_chart_values, point_from_chart_values,
+                      trop_eval)
 
 
 class NotBounded(ValueError):
@@ -219,10 +220,7 @@ class ClassicalChartPoint:
     def eval(self, exponent):
         """Value of the chart monomial with the given exponent."""
         sigma = self.chart.cone
-        s = _integer_vector(exponent, sigma.ambient_rank)
-        if any(dot(s, r) < 0 for r in sigma.rays):
-            raise ValueError("exponent %r lies outside the chart monoid"
-                             % list(s))
+        s = _chart_exponent(sigma, exponent)
         if any(dot(s, r) != 0 for r in self.zero_face.rays):
             return _ZERO
         parts = hilbert_basis(sigma).decompose(s)

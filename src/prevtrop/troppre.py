@@ -115,6 +115,15 @@ def _own_class(system, cls, what):
     return cls
 
 
+def _chart_exponent(sigma, exponent):
+    """The exponent as a tuple of ints, checked to lie in the chart monoid
+    of the cone sigma (the lattice points of its dual)."""
+    s = _integer_vector(exponent, sigma.ambient_rank)
+    if any(dot(s, r) < 0 for r in sigma.rays):
+        raise ValueError("exponent %r lies outside the chart monoid" % list(s))
+    return s
+
+
 # ---------------------------------------------------------------------------
 # strata inventories
 # ---------------------------------------------------------------------------
@@ -300,10 +309,7 @@ def chart_polynomial(system, chart, terms):
     sigma = chart.cone
     table = {}
     for exponent, val in terms:
-        s = _integer_vector(exponent, sigma.ambient_rank)
-        if any(dot(s, r) < 0 for r in sigma.rays):
-            raise ValueError("exponent %r lies outside the chart monoid"
-                             % list(s))
+        s = _chart_exponent(sigma, exponent)
         if s in table:
             raise ValueError("duplicate exponent %r" % list(s))
         table[s] = _extended(val)

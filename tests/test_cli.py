@@ -64,6 +64,22 @@ def test_validate_passes_and_fails_by_exit_code(tmp_path, capsys):
     assert not report["ok"] and report["issues"]
 
 
+def test_subfan_violation_exits_two_without_traceback(tmp_path, capsys):
+    # the cone [1] is glued between charts 1 and 2 but chart 1 lacks it
+    path = write_doc(tmp_path, "subfan.json",
+                     {"schema": 1, "kind": "system_of_fans",
+                      "ambient_rank": 1, "indices": ["1", "2"],
+                      "fans": {"1,1": [[]], "2,2": [[[1]]], "1,2": [[[1]]]}})
+    for command in ("omega", "separated"):
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 2 and out == ""
+        assert err == ("error: cone Cone[(1,)] is glued between charts 1 "
+                       "and 2 but missing from the fan of chart 1\n")
+    code, out, _ = run_cli(capsys, "validate", path)
+    assert code == 2
+    assert [i["kind"] for i in json.loads(out)["issues"]] == ["subfan"]
+
+
 def test_malformed_documents_exit_one(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert run_cli(capsys, "validate", missing)[0] == 1

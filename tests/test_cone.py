@@ -17,12 +17,19 @@ from prevtrop.cone import (
     Cone,
     _generator_list,
     _halfspace_generators,
+    _reduce_mod,
     dot,
     hilbert_basis,
     lattice_quotient,
     primitive,
 )
-from prevtrop.exactla import AbelianGroup, IntMatrix
+from prevtrop.exactla import (
+    AbelianGroup,
+    IntMatrix,
+    _echelon,
+    kernel_lattice,
+    rational_rank,
+)
 from prevtrop.multiproj import Grading, proj_system_of_fans
 from prevtrop.sysfan import is_separated, validate_system
 
@@ -86,6 +93,54 @@ def _independent_primitive_pairs(bound):
         for r2 in vecs[i + 1:]:
             if r1[0] * r2[1] - r1[1] * r2[0] != 0:
                 yield r1, r2
+
+
+def oracle_halfspace_generators(normals, n):
+    """The double description sweep with a rank test for extremality.
+
+    After each normal every candidate ray is kept iff its tight processed
+    normals have rank exactly rank(all processed normals) - 1.  The library
+    sweep decides the same with zero sets and no rank computation.
+    """
+    normals = sorted({primitive(a) for a in normals if any(a)})
+    lin = [(j, tuple(1 if k == j else 0 for k in range(n))) for j in range(n)]
+    rays = []
+    processed = []
+    for a in normals:
+        hit = next(((pc, l) for pc, l in lin if dot(a, l) != 0), None)
+        if hit is not None:
+            pc0, l0 = hit
+            if dot(a, l0) < 0:
+                l0 = tuple(-x for x in l0)
+            d0 = dot(a, l0)
+            others = [l for pc, l in lin if pc != pc0]
+            lin = _echelon(
+                [tuple(d0 * x - dot(a, l) * y for x, y in zip(l, l0)) for l in others], n)
+            rays = [tuple(d0 * x - dot(a, r) * y for x, y in zip(r, l0)) for r in rays]
+            rays.append(l0)
+        else:
+            plus, zero, minus = [], [], []
+            for r in rays:
+                d = dot(a, r)
+                (plus if d > 0 else zero if d == 0 else minus).append((d, r))
+            rays = [r for _, r in plus + zero]
+            for dp, p in plus:
+                for dm, m in minus:
+                    rays.append(tuple(dp * x - dm * y for x, y in zip(m, p)))
+        processed.append(a)
+        seen = set()
+        cleaned = []
+        for r in rays:
+            r = _reduce_mod(lin, r)
+            if any(r) and r not in seen:
+                seen.add(r)
+                cleaned.append(r)
+        rank_all = rational_rank(processed, width=n)
+        rays = [r for r in cleaned
+                if rational_rank([p for p in processed if dot(p, r) == 0], width=n)
+                == rank_all - 1]
+    lineality = kernel_lattice(IntMatrix.from_rows(processed, cols=n))
+    return lineality, tuple(sorted(rays))
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +225,46 @@ def test_duality_involution_random_higher_rank(rng):
             assert all(dot(u, r) >= 0 for u in c.inequalities)
         for u in d.rays:
             assert all(dot(u, r) >= 0 for r in c.rays)
+
+
+def _random_normals(rng):
+    n = rng.randint(1, 5)
+    bound = rng.choice([1, 2, 3])
+    normals = [tuple(rng.randint(-bound, bound) for _ in range(n))
+               for _ in range(rng.randint(0, 9))]
+    if normals and rng.random() < 0.3:
+        # a hyperplane, so the cone loses dimension
+        normals.append(tuple(-x for x in rng.choice(normals)))
+    if normals and rng.random() < 0.3:
+        # a repeated normal, as is or scaled
+        normals.append(tuple(rng.choice([1, 2]) * x for x in rng.choice(normals)))
+    return normals, n
+
+
+def test_sweep_matches_the_rank_test_oracle(rng):
+    non_pointed = non_simplicial = 0
+    for _ in range(2000):
+        normals, n = _random_normals(rng)
+        lin, rays = _halfspace_generators(normals, n)
+        ref_lin, ref_rays = oracle_halfspace_generators(normals, n)
+        assert (lin.basis_rows(), rays) == (ref_lin.basis_rows(), ref_rays)
+        non_pointed += lin.rank > 0
+        non_simplicial += len(rays) > n - lin.rank
+    assert non_pointed > 500 and non_simplicial > 100
+
+
+def test_sweep_computes_no_rank(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rank computed inside the sweep")
+
+    monkeypatch.setattr(cone_module, "rational_rank", refuse)
+    # the cone over a square: two of its four rays are not adjacent
+    lin, rays = _halfspace_generators(
+        [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)], 3)
+    assert lin.rank == 0
+    assert rays == ((-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1))
+    lin, rays = _halfspace_generators([(1, 1, 0), (-1, -1, 0), (1, 0, 1)], 3)
+    assert list(lin.basis_rows()) == [(1, -1, -1)] and rays == ((0, 0, 1),)
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,18 @@ def test_subfan_violation_names_the_triple():
     assert ("1", "2", "3") in triples
 
 
+def test_glued_cone_missing_from_a_chart_fan_is_named():
+    # the subfan violation validate_system reports as ("1", "2", "1")
+    r = Cone.from_rays([(1,)], 1)
+    s = SystemOfFans(1, ["1", "2"], {
+        ("1", "1"): [Cone.from_rays([], 1)], ("2", "2"): [r], ("1", "2"): [r],
+    })
+    assert [i.where for i in validate_system(s)] == [("1", "2", "1")]
+    with pytest.raises(ValueError, match=r"Cone\[\(1,\)\] is glued between "
+                                         r"charts 1 and 2 .* chart 1$"):
+        s.omega()
+
+
 def test_missing_entry_rejected():
     with pytest.raises(ValueError):
         SystemOfFans(1, ["1", "2"], {
@@ -431,6 +443,33 @@ def test_support_full():
 def test_support_requires_separated_input():
     with pytest.raises(ValueError):
         support_is_full(systems.line_two_origins())
+
+
+def test_separation_is_decided_once_per_system(monkeypatch):
+    calls = []
+    intersect = Cone.intersect
+
+    def counting(self, other):
+        calls.append(1)
+        return intersect(self, other)
+
+    monkeypatch.setattr(Cone, "intersect", counting)
+    separated = _projective(3)
+    first = is_separated(separated)
+    assert first[0] and calls
+    del calls[:]
+    assert is_separated(separated) is first
+    assert support_is_full(separated)
+    assert calls == []
+
+    doubled = product(systems.line_two_origins(), _projective(1))
+    first = is_separated(doubled)
+    assert not first[0] and calls
+    del calls[:]
+    assert is_separated(doubled) is first
+    with pytest.raises(ValueError):
+        support_is_full(doubled)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
