@@ -14,7 +14,7 @@ import sys
 from .extreal import format_extended, parse_extended
 from .multiproj import (EmptyProj, grading_from_data, grading_to_data,
                         proj_system_of_fans)
-from .sysfan import (is_separated, product, support_is_full,
+from .sysfan import (DocumentError, is_separated, product, support_is_full,
                      system_from_data, system_to_data, validate_system)
 from .troppre import (chart_entries_from_data, chart_polynomial,
                       chart_values_from_data, class_from_data,
@@ -30,10 +30,6 @@ from .tropembed import (classical_point, forget_refinement,
 from .tropembed import trop_point as classical_trop
 
 SCHEMA = 1
-
-
-class DocumentError(Exception):
-    """Malformed input: unreadable file, bad JSON, or wrong document kind."""
 
 
 def _read_document(path, kinds):

@@ -29,10 +29,10 @@ from prevtrop.exactla import (
     Lattice,
     _echelon,
     _integer_vector,
+    _rational_entry,
     invert_unimodular,
     kernel_lattice,
     primitive,
-    rational_rank,
     smith_normal_form,
     solve_rational,
 )
@@ -136,7 +136,7 @@ class Cone:
 
     __slots__ = ("ambient_rank", "rays", "inequalities", "lineality",
                  "_dual_lineality", "_faces", "_face_support", "_hilbert",
-                 "_span_quot", "_dim", "__weakref__")
+                 "_span_quot", "__weakref__")
 
     def __init__(self, ambient_rank, rays, inequalities, lineality, dual_lineality):
         self.ambient_rank = ambient_rank
@@ -148,7 +148,6 @@ class Cone:
         self._face_support = None
         self._hilbert = None
         self._span_quot = None
-        self._dim = None
 
     @classmethod
     def from_rays(cls, rays, ambient_rank):
@@ -198,9 +197,8 @@ class Cone:
 
     @property
     def dim(self):
-        if self._dim is None:
-            self._dim = rational_rank(self.rays, width=self.ambient_rank)
-        return self._dim
+        # the dual lineality is sigma^perp cap M, of rank n - dim sigma
+        return self.ambient_rank - self._dual_lineality.rank
 
     def is_pointed(self):
         return self.lineality.rank == 0
@@ -232,7 +230,7 @@ class Cone:
         where "interior" means relative interior and face is the smallest face
         containing the vector.
         """
-        vector = tuple(Fraction(x) for x in vector)
+        vector = tuple(_rational_entry(x) for x in vector)
         if len(vector) != self.ambient_rank:
             raise ValueError("vector length mismatch")
         tight = []
@@ -268,15 +266,15 @@ class Cone:
                             fresh.append(c)
                 frontier = fresh
             subsets.remove(full)
+            faces = {s: Cone.from_rays(sorted(s), self.ambient_rank) for s in subsets}
             # only proper faces are cached: caching the cone itself would put
             # every cone with known faces on a reference cycle
-            proper = [Cone.from_rays(sorted(s), self.ambient_rank) for s in subsets]
-            proper.sort(key=lambda c: (c.dim, c.rays))
-            self._faces = tuple(proper)
+            self._faces = tuple(sorted(faces.values(), key=lambda c: (c.dim, c.rays)))
+            faces[full] = self
+            # an inequality vanishes on the face on rays s iff s is in its tight set
             self._face_support = {
-                f.rays: tuple(u for u in self.inequalities
-                              if all(dot(u, r) == 0 for r in f.rays))
-                for f in proper + [self]}
+                f.rays: tuple(u for u, t in zip(self.inequalities, tight_sets) if s <= t)
+                for s, f in faces.items()}
         return self._faces + (self,)
 
     def face_support(self, face):
@@ -309,7 +307,7 @@ class Cone:
         """Quotient of the ambient lattice by the saturated span of a face."""
         if not self.has_face(face):
             raise ValueError("quotient face must be a face of the cone")
-        return lattice_quotient(face.rays, self.ambient_rank)
+        return face.span_quotient()
 
     def span_quotient(self):
         """Quotient of the ambient lattice by this cone's own span, cached."""

@@ -385,6 +385,14 @@ def _integer_entry(x):
     raise ValueError("vector entry %r is not an integer" % (x,))
 
 
+def _rational_entry(x):
+    """x as a Fraction; only ints and Fractions are accepted, so a float or a
+    bool is refused instead of being converted."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return Fraction(x)
+    raise ValueError("entry %r is not an int or a Fraction" % (x,))
+
+
 def _integer_vector(v, n):
     """v as a tuple of ints of length n; no entry is ever rounded."""
     v = tuple(v)

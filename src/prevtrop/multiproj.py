@@ -20,9 +20,8 @@ from prevtrop.exactla import (
     _integer_vector,
     cokernel_is_finite,
     kernel_lattice,
-    rational_rank,
 )
-from prevtrop.sysfan import SystemOfFans
+from prevtrop.sysfan import SystemOfFans, _json_rows, _json_typed
 
 
 class EmptyProj(Exception):
@@ -144,15 +143,11 @@ class ChartPoset:
         self.subsets = tuple(sorted(relevant, key=lambda s: (len(s), sorted(s))))
         self._relevant = frozenset(relevant)
         self.minimal = tuple(sorted(minimal, key=lambda s: (len(s), sorted(s))))
-        self._cones = {}
-        for subset in self.subsets:
-            vectors = [self.q.column(i - 1)
-                       for i in range(1, n + 1) if i not in subset]
-            if rational_rank(vectors, width=self.kernel.rank) != len(vectors):
-                raise AssertionError(
-                    "relevant subset %r yields dependent chart rays; the "
-                    "simpliciality guarantee failed" % (sorted(subset),))
-            self._cones[subset] = Cone.from_rays(vectors, self.kernel.rank)
+        self._cones = {
+            subset: Cone.from_rays([self.q.column(i - 1)
+                                    for i in range(1, n + 1) if i not in subset],
+                                   self.kernel.rank)
+            for subset in self.subsets}
 
     def __iter__(self):
         return iter(self.subsets)
@@ -239,9 +234,10 @@ def grading_to_data(grading):
 
 
 def grading_from_data(data):
+    torsion = _json_typed(data.get("torsion", []), list, "torsion")
     group = AbelianGroup(_integer_entry(data["free_rank"]),
-                         tuple(_integer_entry(m) for m in data.get("torsion", ())))
-    degrees = list(data["degrees"])
+                         tuple(_integer_entry(m) for m in torsion))
+    degrees = _json_rows(data["degrees"], "degrees")
     if _integer_entry(data["n"]) != len(degrees):
         raise ValueError("variable count does not match the degree list")
     return Grading(group, degrees)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cone import Cone, dot, hilbert_basis
-from .exactla import _integer_entry, _integer_vector, solve_rational
+from .exactla import _integer_entry, _integer_vector, _rational_entry, solve_rational
 from .extreal import INF, format_extended, is_finite, parse_extended
 from .sysfan import OmegaClass
 
@@ -31,11 +31,11 @@ def _extended(value):
     """Normalise a user-supplied value to Fraction or INF."""
     if value is INF:
         return INF
-    return Fraction(value)
+    return _rational_entry(value)
 
 
 def _vector(entries, rank, what):
-    out = tuple(Fraction(x) for x in entries)
+    out = tuple(_rational_entry(x) for x in entries)
     if len(out) != rank:
         raise ValueError("%s must have %d coordinates, got %d"
                          % (what, rank, len(out)))
@@ -95,14 +95,15 @@ def nonneg_point(system, chart, face, coords):
         raise ValueError("the infinite locus must be a face of the chart cone")
     quot = face.span_quotient()
     coords = _vector(coords, quot.rank, "coordinates")
-    shadows = {f.rays: Cone.from_rays([quot.push(r) for r in f.rays],
-                                      quot.rank)
-               for f in sigma.faces() if f.has_face(face)}
-    where, spot = shadows[sigma.rays].contains(coords)
+    pushed = [(r, quot.push(r)) for r in sigma.rays]
+    where, spot = Cone.from_rays([p for _, p in pushed], quot.rank).contains(coords)
     if where == "outside":
         raise ValueError("coordinates lie outside the image of the chart cone")
-    carrier = next(f for f in sigma.faces()
-                   if f.rays in shadows and shadows[f.rays] == spot)
+    # the faces of sigma containing face match the faces of its image one to
+    # one (star construction), so the carrier is the preimage of spot
+    carrier = Cone.from_rays([r for r, p in pushed
+                              if all(dot(u, p) >= 0 for u in spot.inequalities)],
+                             sigma.ambient_rank)
     chart = system.omega().class_of(carrier, chart.representative)
     return NonNegTropPoint(chart, face, coords)
 

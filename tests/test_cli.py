@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from prevtrop.cli import main
 from prevtrop.sysfan import system_to_data, system_from_data
 
@@ -94,6 +96,29 @@ def test_malformed_documents_exit_one(tmp_path, capsys):
                             {"kind": "grading", "n": 1, "free_rank": 1,
                              "degrees": [[1]]})
     assert run_cli(capsys, "validate", unversioned)[0] == 1
+
+
+_GRADING = grading_doc([(1,), (1,)])
+_SYSTEM = {"schema": 1, "kind": "system_of_fans", "ambient_rank": 1,
+           "indices": ["1", "2"],
+           "fans": {"1,1": [[[1]]], "2,2": [[[-1]]], "1,2": [[]]}}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("proj", dict(_GRADING, degrees=5), "degrees must be a JSON array"),
+    ("validate", dict(_GRADING, degrees=5), "degrees must be a JSON array"),
+    ("proj", dict(_GRADING, degrees=[[1], 1]), "degrees[1] must be a JSON array"),
+    ("proj", dict(_GRADING, torsion=5), "torsion must be a JSON array"),
+    ("omega", dict(_SYSTEM, fans=[1]), "fans must be a JSON object"),
+    ("omega", dict(_SYSTEM, fans={"1,1": [5], "2,2": [], "1,2": []}),
+     'fans["1,1"][0] must be a JSON array'),
+    ("omega", dict(_SYSTEM, fans={"1,1": 5, "2,2": [], "1,2": []}),
+     'fans["1,1"] must be a JSON array'),
+    ("omega", dict(_SYSTEM, indices="12"), "indices must be a JSON array"),
+])
+def test_wrong_json_types_exit_one(tmp_path, capsys, command, doc, message):
+    code, out, err = run_cli(capsys, command, write_doc(tmp_path, "doc.json", doc))
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
 
 
 def test_proj_reproduces_the_doubled_line(tmp_path, capsys):

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from prevtrop import cone as cone_module
+from prevtrop import exactla
 from prevtrop.cone import (
     Cone,
     _generator_list,
@@ -257,7 +258,8 @@ def test_sweep_computes_no_rank(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("rank computed inside the sweep")
 
-    monkeypatch.setattr(cone_module, "rational_rank", refuse)
+    assert not hasattr(cone_module, "rational_rank")
+    monkeypatch.setattr(exactla, "rational_rank", refuse)
     # the cone over a square: two of its four rays are not adjacent
     lin, rays = _halfspace_generators(
         [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)], 3)
@@ -315,6 +317,44 @@ def test_simpliciality():
     assert not Cone.from_rays(
         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3).is_simplicial()
     assert not Cone.from_inequalities([(0, 1)], 2).is_simplicial()
+
+
+def _random_cones_with_faces(rng, count):
+    """Seeded cones of rank 1-5, non-pointed ones included, each with its
+    faces."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        c = Cone.from_rays(_random_rays(rng, n), n)
+        out.append((c, c.faces()))
+    return out
+
+
+def test_face_supports_match_the_dot_product_definition(rng):
+    non_pointed = faces = 0
+    for c, cone_faces in _random_cones_with_faces(rng, 200):
+        non_pointed += not c.is_pointed()
+        for f in cone_faces:
+            assert c.face_support(f) == tuple(
+                u for u in c.inequalities if all(dot(u, r) == 0 for r in f.rays))
+            faces += 1
+    assert non_pointed > 50 and faces > 900
+
+
+def test_dim_is_the_rank_of_the_rays_and_computes_no_rank(rng, monkeypatch):
+    cones = []
+    for c, cone_faces in _random_cones_with_faces(rng, 200):
+        cones += cone_faces + tuple(f.dual() for f in cone_faces)
+    ranks = [rational_rank(c.rays, width=c.ambient_rank) for c in cones]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rank computed for a cone's dimension")
+
+    monkeypatch.setattr(exactla, "rational_rank", refuse)
+    monkeypatch.setattr(exactla, "_echelon", refuse)
+    monkeypatch.setattr(cone_module, "_echelon", refuse)
+    assert [c.dim for c in cones] == ranks
+    assert len(set(ranks)) == 6
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from prevtrop.cone import Cone
-from prevtrop.exactla import AbelianGroup
+from prevtrop.exactla import AbelianGroup, rational_rank
 from prevtrop.multiproj import (
     ChartPoset,
     EmptyProj,
@@ -29,6 +29,7 @@ from prevtrop.multiproj import (
 from prevtrop.sysfan import Fan, is_separated, support_is_full, validate_system
 
 import systems
+from conftest import fresh_rng
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +258,44 @@ def test_chart_cones_simplicial():
         poset = relevant_subsets(g)
         for f in poset.subsets:
             assert poset.cone_of(f).is_simplicial()
+
+
+def check_chart_rays_independent(poset):
+    """Reference: the check ChartPoset used to run on every construction.
+    For every relevant subset the complement's columns of q are independent,
+    so every chart cone is simplicial."""
+    n = poset.grading.n
+    for subset in poset.subsets:
+        vectors = [poset.q.column(i - 1) for i in range(1, n + 1)
+                   if i not in subset]
+        assert rational_rank(vectors, width=poset.kernel.rank) == len(vectors), \
+            (poset.grading, sorted(subset))
+    return len(poset.subsets)
+
+
+def test_chart_rays_are_independent_for_every_grading():
+    # imported here: test_acceptance imports this module
+    from test_acceptance import grading_family
+
+    rng = fresh_rng(8)
+    # independence survives a permutation of the variables
+    family = {(group, tuple(sorted(degrees)))
+              for group, degrees in grading_family(rng)}
+    for free_rank, torsion in [(1, ()), (2, ()), (1, (2,)), (1, (2, 3)),
+                               (2, (4,))]:
+        group = AbelianGroup(free_rank, torsion)
+        for _ in range(30):
+            degrees = [tuple(rng.randint(-3, 3) for _ in range(free_rank))
+                       + tuple(rng.randrange(m) for m in torsion)
+                       for _ in range(rng.randint(3, 5))]
+            family.add((group, tuple(degrees)))
+    subsets = mixed = 0
+    for group, degrees in sorted(family, key=repr):
+        subsets += check_chart_rays_independent(
+            ChartPoset(Grading(group, list(degrees))))
+        free = [d[0] for d in degrees if group.free_rank]
+        mixed += min(free, default=0) < 0 < max(free, default=0)
+    assert subsets > 20000 and mixed > 1000
 
 
 def test_variable_limit():

@@ -268,6 +268,67 @@ def test_class_order_matches_all_pairs():
         assert omega.order_pairs() == all_pairs_order(omega)
 
 
+def check_partial_order(omega):
+    """Reference: the check OmegaPoset used to run on every construction."""
+    leq = omega.order_pairs()
+    ids = [c.class_id for c in omega.classes]
+    assert all((a, a) in leq for a in ids), "order not reflexive"
+    assert not any(a != b and (b, a) in leq for a, b in leq), \
+        "order not antisymmetric"
+    assert all((a, c) in leq for a, b in leq for c in ids if (b, c) in leq), \
+        "order not transitive"
+
+
+def _random_glued_system(rng):
+    """A seeded rank-2 system, often invalid, whose omega() constructs.
+
+    Chart cones come from a small ray pool, so cones of one chart may
+    overlap badly and charts share cones; each pair of charts is glued
+    along a random set of their common cones, so gluing need not be
+    transitive.
+    """
+    pool = [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (1, 2), (-1, 1)]
+    labels = [str(k) for k in range(rng.randint(1, 4))]
+    charts = {l: Fan([rng.sample(pool, rng.randint(0, 2))
+                      for _ in range(rng.randint(1, 3))], 2)
+              for l in labels}
+    entries = {(l, l): charts[l] for l in labels}
+    for i, a in enumerate(labels):
+        for b in labels[i + 1:]:
+            common = [c for c in charts[a] if c in charts[b]]
+            entries[(a, b)] = rng.sample(common, rng.randint(0, len(common)))
+    return SystemOfFans(2, labels, entries)
+
+
+def test_class_order_is_a_partial_order():
+    rng = fresh_rng(6)
+    fixtures = [systems.affine_line(), systems.affine_plane(),
+                systems.line_two_origins(), systems.projective_line_two_charts(),
+                systems.projective_line_fan(), systems.quadrant_fan_system(),
+                systems.point_system()]
+    fixtures += [_projective(n) for n in range(1, 5)]
+    fixtures += [product(systems.line_two_origins(), _projective(1)),
+                 product(_projective(1), systems.quadrant_fan_system()),
+                 product(systems.line_two_origins(), systems.line_two_origins())]
+    gradings = 0
+    while gradings < 20:
+        free_rank = rng.choice([1, 2])
+        group = AbelianGroup(free_rank, rng.choice([(), (2,), (3,)]))
+        degrees = [tuple(rng.randint(-2, 2) for _ in range(group.ngens))
+                   for _ in range(rng.choice([3, 4]))]
+        try:
+            fixtures.append(proj_system_of_fans(Grading(group, degrees)).system)
+        except EmptyProj:
+            continue
+        gradings += 1
+    invalid = [_random_glued_system(rng) for _ in range(200)]
+    for system in fixtures + invalid:
+        check_partial_order(system.omega())
+    kinds = [{issue.kind for issue in validate_system(s)} for s in invalid]
+    assert sum("fan" in k for k in kinds) > 30
+    assert sum("subfan" in k for k in kinds) > 30
+
+
 def test_empty_index_set():
     omega = SystemOfFans(1, [], {}).omega()
     assert len(omega) == 0

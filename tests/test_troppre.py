@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from prevtrop.cone import Cone, hilbert_basis
-from prevtrop.exactla import IntMatrix
+from prevtrop.exactla import AbelianGroup, IntMatrix
 from prevtrop.extreal import INF
+from prevtrop.multiproj import Grading, proj_system_of_fans
 from prevtrop.sysfan import SystemOfFans, morphism_from_lattice_map, product
 from prevtrop.troppre import (
     FiniteLocusNotAFace, RelationViolation, chart_polynomial,
@@ -197,6 +198,94 @@ def test_nonneg_point_rejects_bad_data():
         nonneg_point(system, chart, zero, (-1, 2))
     with pytest.raises(ValueError):
         nonneg_point(system, chart, Cone.from_rays([(1, 1)], 2), (1,))
+
+
+def shadow_search_class(system, chart, face, coords):
+    """Reference: the canonical chart as nonneg_point used to find it, by
+    building the image of every face of the chart cone that contains the
+    infinite locus; None when the coordinates lie outside."""
+    sigma = chart.cone
+    quot = face.span_quotient()
+    shadows = {f.rays: Cone.from_rays([quot.push(r) for r in f.rays],
+                                      quot.rank)
+               for f in sigma.faces() if f.has_face(face)}
+    where, spot = shadows[sigma.rays].contains(coords)
+    if where == "outside":
+        return None
+    carrier = next(f for f in sigma.faces()
+                   if f.rays in shadows and shadows[f.rays] == spot)
+    return system.omega().class_of(carrier, chart.representative)
+
+
+def _carrier_test_systems(rng):
+    gradings = [(1, [(1,), (1,), (1,)]), (1, [(1,), (2,), (5,)]),
+                (1, [(1,), (-1,), (2,)]), (1, [(1,), (1,), (-1,), (-1,)]),
+                (2, [(1, 0), (0, 1), (1, 1), (1, 2)])]
+    out = [proj_system_of_fans(Grading(AbelianGroup(r), d)).system
+           for r, d in gradings]
+    out += [line_two_origins(), quadrant_fan_system(),
+            product(projective_line_two_charts(), line_two_origins())]
+    while len(out) < 40:
+        n = rng.choice([2, 3, 4])
+        rays = [tuple(rng.randint(-2, 2) for _ in range(n))
+                for _ in range(rng.randint(1, 5))]
+        out.append(SystemOfFans(n, ["1"], {("1", "1"): [rays]}))
+    return out
+
+
+def test_nonneg_point_matches_the_per_face_shadow_search():
+    rng = fresh_rng(7)
+    carriers = outside = 0
+    for system in _carrier_test_systems(rng):
+        for chart in system.omega():
+            sigma = chart.cone
+            for face in sigma.faces():
+                quot = face.span_quotient()
+                for _ in range(3):
+                    # a nonnegative combination of some rays, sometimes moved
+                    coords = [Fraction(0)] * quot.rank
+                    for r in rng.sample(sigma.rays, rng.randint(0, len(sigma.rays))):
+                        weight = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+                        coords = [c + weight * x for c, x in zip(coords, quot.push(r))]
+                    if coords and rng.random() < 0.2:
+                        coords[rng.randrange(len(coords))] -= 1
+                    expected = shadow_search_class(system, chart, face, coords)
+                    if expected is None:
+                        with pytest.raises(ValueError):
+                            nonneg_point(system, chart, face, coords)
+                        outside += 1
+                        continue
+                    point = nonneg_point(system, chart, face, coords)
+                    assert (point.chart, point.face, point.coords) \
+                        == (expected, face, tuple(coords))
+                    carriers += expected != chart
+    assert carriers > 600 and outside > 200
+
+
+def test_rational_inputs_refuse_floats_and_bools():
+    system = proj_system_of_fans(
+        Grading(AbelianGroup(1), [(1,), (1,), (1,)])).system
+    dense = next(cls for cls, dim in strata(system) if dim == 2)
+    for coords in ([0.1, True], [1, 0.5], [False, 1]):
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            trop_point(system, dense, coords)
+    assert trop_point(system, dense, [1, Fraction(1, 2)]).coords \
+        == (Fraction(1), Fraction(1, 2))
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        quadrant().contains((0.5, 1))
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        quadrant().contains((True, 1))
+    plane = affine_plane()
+    chart = plane_chart(plane)
+    for value in (0.5, True):
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            point_from_chart_values(plane, chart, {(1, 0): value, (0, 1): INF})
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            nonneg_point(plane, chart, Cone.from_rays([], 2), (value, 1))
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            chart_polynomial(plane, chart, [((1, 0), value)])
+    assert point_from_chart_values(
+        plane, chart, {(1, 0): 2, (0, 1): INF}).coords == (Fraction(2),)
 
 
 def test_nonneg_values_build_canonical_points():
