@@ -14,8 +14,9 @@ import sys
 from .extreal import format_extended, parse_extended
 from .multiproj import (EmptyProj, grading_from_data, grading_to_data,
                         proj_system_of_fans)
-from .sysfan import (DocumentError, is_separated, product, support_is_full,
-                     system_from_data, system_to_data, validate_system)
+from .sysfan import (DocumentError, _json_field, is_separated, product,
+                     support_is_full, system_from_data, system_to_data,
+                     validate_system)
 from .troppre import (chart_entries_from_data, chart_polynomial,
                       chart_values_from_data, class_from_data,
                       compare_to_trop, nonneg_point_from_chart_values,
@@ -178,15 +179,12 @@ def cmd_nonneg(args):
 
 def cmd_kapranov(args):
     data = _read_document(args.poly, {"polynomial"})
-    if "system" not in data or "chart" not in data:
-        raise DocumentError("%s: a chart polynomial needs embedded "
-                            "\"system\" and \"chart\" entries" % args.poly)
-    system = system_from_data(data["system"])
-    chart = class_from_data(system, data["chart"])
+    system = system_from_data(_json_field(data, "system", dict))
+    chart = class_from_data(system, _json_field(data, "chart"))
     poly = chart_polynomial(system, chart,
                             [(tuple(term["exp"]),
                               parse_extended(str(term["val"])))
-                             for term in data["terms"]])
+                             for term in _json_field(data, "terms", list)])
     point = trop_point_from_data(
         system, _read_document(args.point, {"trop_point"}))
     achieving = [{"exp": list(s), "value": format_extended(v)}

@@ -101,7 +101,11 @@ def _halfspace_generators(normals, n):
                         split[tuple(dp * x - dm * y for x, y in zip(m, p))] = common | {k}
             rays = split
         rays = {_reduce_mod(lin, r): z for r, z in rays.items()}
-    lineality = kernel_lattice(IntMatrix.from_rows(normals, cols=n))
+    # lin spans the kernel of the normals, so an empty lin is a zero kernel
+    if lin:
+        lineality = kernel_lattice(IntMatrix.from_rows(normals, cols=n))
+    else:
+        lineality = Lattice(n, IntMatrix.from_rows([], cols=n))
     return lineality, tuple(sorted(rays))
 
 

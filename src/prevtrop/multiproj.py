@@ -20,8 +20,9 @@ from prevtrop.exactla import (
     _integer_vector,
     cokernel_is_finite,
     kernel_lattice,
+    rational_rank,
 )
-from prevtrop.sysfan import SystemOfFans, _json_rows, _json_typed
+from prevtrop.sysfan import SystemOfFans, _json_field, _json_rows, _json_typed
 
 
 class EmptyProj(Exception):
@@ -99,10 +100,14 @@ def relevance_index(grading, subset):
 def is_relevant_subset(grading, subset):
     """Whether the degrees of the subset generate finite index in the group.
 
-    A monomial is relevant exactly when its support is, so this predicate
-    also decides membership of monomials in the irrelevant ideal.
+    The torsion part is finite, so this holds iff the free parts of the
+    degrees have rank free_rank.  A monomial is relevant exactly when its
+    support is, so this predicate also decides membership of monomials in
+    the irrelevant ideal.
     """
-    return relevance_index(grading, subset) is not None
+    subset = _check_subset(grading, subset)
+    r = grading.group.free_rank
+    return rational_rank([grading.degrees[i - 1][:r] for i in subset], r) == r
 
 
 def monomial_in_irrelevant_ideal(grading, exponents):
@@ -118,7 +123,8 @@ class ChartPoset:
 
     minimal lists the inclusion-minimal relevant subsets: the affine charts.
     cone_of maps each relevant subset H to sigma_H, the cone on the images of
-    the complement's coordinate vectors in the dual of the degree kernel.
+    the complement's coordinate vectors in the dual of the degree kernel;
+    each cone is built on first request.
     """
 
     def __init__(self, grading):
@@ -143,11 +149,7 @@ class ChartPoset:
         self.subsets = tuple(sorted(relevant, key=lambda s: (len(s), sorted(s))))
         self._relevant = frozenset(relevant)
         self.minimal = tuple(sorted(minimal, key=lambda s: (len(s), sorted(s))))
-        self._cones = {
-            subset: Cone.from_rays([self.q.column(i - 1)
-                                    for i in range(1, n + 1) if i not in subset],
-                                   self.kernel.rank)
-            for subset in self.subsets}
+        self._cones = {}
 
     def __iter__(self):
         return iter(self.subsets)
@@ -159,7 +161,17 @@ class ChartPoset:
         return _check_subset(self.grading, subset) in self._relevant
 
     def cone_of(self, subset):
-        return self._cones[_check_subset(self.grading, subset)]
+        """sigma_H, built on first request; KeyError when H is not relevant."""
+        subset = _check_subset(self.grading, subset)
+        cone = self._cones.get(subset)
+        if cone is None:
+            if subset not in self._relevant:
+                raise KeyError(subset)
+            cone = self._cones[subset] = Cone.from_rays(
+                [self.q.column(i - 1)
+                 for i in range(1, self.grading.n + 1) if i not in subset],
+                self.kernel.rank)
+        return cone
 
     def leq(self, a, b):
         """Reverse inclusion: a precedes b when a contains b."""
@@ -235,9 +247,9 @@ def grading_to_data(grading):
 
 def grading_from_data(data):
     torsion = _json_typed(data.get("torsion", []), list, "torsion")
-    group = AbelianGroup(_integer_entry(data["free_rank"]),
+    group = AbelianGroup(_integer_entry(_json_field(data, "free_rank")),
                          tuple(_integer_entry(m) for m in torsion))
-    degrees = _json_rows(data["degrees"], "degrees")
-    if _integer_entry(data["n"]) != len(degrees):
+    degrees = _json_rows(_json_field(data, "degrees"), "degrees")
+    if _integer_entry(_json_field(data, "n")) != len(degrees):
         raise ValueError("variable count does not match the degree list")
     return Grading(group, degrees)

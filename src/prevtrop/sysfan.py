@@ -419,9 +419,10 @@ def product(system_a, system_b, separator="|"):
 
 
 def is_separated(system):
-    """Pairwise gluing check over chart classes; (True, None) or (False, witness).
+    """Gluing check over pairs of chart classes; (True, None) or (False, witness).
 
-    The witness names two classes whose cones meet badly: either their
+    The verdict is decided on pairs of maximal classes; the witness names the
+    first two classes in class order whose cones meet badly: either their
     intersection is not a common face, or it is one but the two charts are
     not glued along it.  The verdict is decided once per system and cached
     on it, like the poset.
@@ -432,20 +433,42 @@ def is_separated(system):
 
 
 def _separation(system):
+    """The maximal classes' opens cover the space (a <= b puts a's open
+    inside b's), and a space is separated iff every two opens of one affine
+    cover are, so pairs of maximal classes decide the verdict.  That needs
+    every two charts of a class to be glued along its cone, which the subfan
+    axiom gives; without it the union-find classes can join charts that are
+    not glued.  Any other system runs the ordered scan over all pairs, which
+    alone picks the witness: the first bad pair in class order."""
     omega = system.omega()
     classes = omega.classes
+    below = {a for a, b in omega.order_pairs() if a != b}
+    maximal = [c for c in classes if c.class_id not in below]
+    glued = all(c.cone in system.fan(i, k)
+                for c in classes for x, i in enumerate(c.members)
+                for k in c.members[x + 1:])
+    if glued and all(_pair_failure(system, a, b) is None
+                     for x, a in enumerate(maximal) for b in maximal[x + 1:]):
+        return True, None
     for x in range(len(classes)):
         for y in range(x + 1, len(classes)):
-            a, b = classes[x], classes[y]
-            meet = a.cone.intersect(b.cone)
-            if not (a.cone.has_face(meet) and b.cone.has_face(meet)):
-                return False, (a, b, meet, "intersection is not a common face")
-            i, j = a.representative, b.representative
-            if meet not in system.fan(i, j):
-                return False, (a, b, meet,
-                               "charts %s and %s are not glued along the "
-                               "intersection" % (i, j))
+            failure = _pair_failure(system, classes[x], classes[y])
+            if failure is not None:
+                return False, failure
     return True, None
+
+
+def _pair_failure(system, a, b):
+    """The witness (a, b, meet, reason) when classes a and b meet badly,
+    else None."""
+    meet = a.cone.intersect(b.cone)
+    if not (a.cone.has_face(meet) and b.cone.has_face(meet)):
+        return a, b, meet, "intersection is not a common face"
+    i, j = a.representative, b.representative
+    if meet not in system.fan(i, j):
+        return (a, b, meet, "charts %s and %s are not glued along the "
+                            "intersection" % (i, j))
+    return None
 
 
 def support_is_full(system):
@@ -488,8 +511,8 @@ def system_to_data(system):
 
 
 class DocumentError(ValueError):
-    """Malformed input: a field of the wrong JSON type, an unreadable file,
-    bad JSON, or a wrong document kind."""
+    """Malformed input: a missing field or one of the wrong JSON type, an
+    unreadable file, bad JSON, or a wrong document kind."""
 
 
 def _json_typed(value, kind, what):
@@ -501,6 +524,16 @@ def _json_typed(value, kind, what):
     return value
 
 
+def _json_field(data, key, kind=None):
+    """data[key] of a JSON object, checked by _json_typed when a kind is
+    given; a missing field is malformed input."""
+    try:
+        value = data[key]
+    except KeyError:
+        raise DocumentError('missing field "%s"' % key) from None
+    return value if kind is None else _json_typed(value, kind, key)
+
+
 def _json_rows(value, what):
     """A JSON array of arrays, as a list of tuples."""
     for k, row in enumerate(_json_typed(value, list, what)):
@@ -510,10 +543,10 @@ def _json_rows(value, what):
 
 
 def system_from_data(data):
-    labels = [str(l) for l in _json_typed(data["indices"], list, "indices")]
-    n = _integer_entry(data["ambient_rank"])
+    labels = [str(l) for l in _json_field(data, "indices", list)]
+    n = _integer_entry(_json_field(data, "ambient_rank"))
     entries = {}
-    for key, cones in _json_typed(data["fans"], dict, "fans").items():
+    for key, cones in _json_field(data, "fans", dict).items():
         a, _, b = key.partition(",")
         if not _:
             raise ValueError("fan key %r is not 'i,j'" % (key,))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .cone import Cone, dot, hilbert_basis
 from .exactla import _integer_entry, _integer_vector, _rational_entry, solve_rational
 from .extreal import INF, format_extended, is_finite, parse_extended
-from .sysfan import OmegaClass
+from .sysfan import OmegaClass, _json_field
 
 
 class FiniteLocusNotAFace(ValueError):
@@ -390,8 +390,8 @@ def class_from_data(system, value):
 
 
 def trop_point_from_data(system, data):
-    stratum = class_from_data(system, data["class"])
-    coords = [parse_extended(str(c)) for c in data["coords"]]
+    stratum = class_from_data(system, _json_field(data, "class"))
+    coords = [parse_extended(str(c)) for c in _json_field(data, "coords", list)]
     if any(not is_finite(c) for c in coords):
         raise ValueError("tropical coordinates must be finite")
     return trop_point(system, stratum, coords)
@@ -406,10 +406,10 @@ def nonneg_point_to_data(point):
 def chart_entries_from_data(system, data):
     """Decode the chart and the generator keys of a {"chart": id, "values":
     {generator index: payload}} document; payloads are returned undecoded."""
-    chart = class_from_data(system, data["chart"])
+    chart = class_from_data(system, _json_field(data, "chart"))
     gens = hilbert_basis(chart.cone).generators
     return chart, [(gens[_index(key, len(gens), "chart generator")], payload)
-                   for key, payload in data["values"].items()]
+                   for key, payload in _json_field(data, "values", dict).items()]
 
 
 def chart_values_from_data(system, data):

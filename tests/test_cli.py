@@ -102,6 +102,20 @@ _GRADING = grading_doc([(1,), (1,)])
 _SYSTEM = {"schema": 1, "kind": "system_of_fans", "ambient_rank": 1,
            "indices": ["1", "2"],
            "fans": {"1,1": [[[1]]], "2,2": [[[-1]]], "1,2": [[]]}}
+_VALUES = {"schema": 1, "kind": "chart_values", "chart": 0,
+           "values": {"0": "0", "1": "0"}}
+_POLY = {"schema": 1, "kind": "polynomial", "system": _SYSTEM, "chart": 0,
+         "terms": [{"exp": [0], "val": "0"}]}
+_TROP_POINT = {"schema": 1, "kind": "trop_point", "class": 0, "coords": ["0"]}
+# commands that read a second document after the one under test
+_COMPANION = {"trop": _SYSTEM, "nonneg": _SYSTEM, "kapranov": _TROP_POINT}
+
+
+def run_on_doc(tmp_path, capsys, command, doc):
+    argv = [command, write_doc(tmp_path, "doc.json", doc)]
+    if command in _COMPANION:
+        argv.append(write_doc(tmp_path, "other.json", _COMPANION[command]))
+    return run_cli(capsys, *argv)
 
 
 @pytest.mark.parametrize("command, doc, message", [
@@ -115,9 +129,46 @@ _SYSTEM = {"schema": 1, "kind": "system_of_fans", "ambient_rank": 1,
     ("omega", dict(_SYSTEM, fans={"1,1": 5, "2,2": [], "1,2": []}),
      'fans["1,1"] must be a JSON array'),
     ("omega", dict(_SYSTEM, indices="12"), "indices must be a JSON array"),
+    ("trop", dict(_VALUES, values=5), "values must be a JSON object"),
+    ("kapranov", dict(_POLY, system=5), "system must be a JSON object"),
+    ("kapranov", dict(_POLY, terms=5), "terms must be a JSON array"),
 ])
 def test_wrong_json_types_exit_one(tmp_path, capsys, command, doc, message):
-    code, out, err = run_cli(capsys, command, write_doc(tmp_path, "doc.json", doc))
+    code, out, err = run_on_doc(tmp_path, capsys, command, doc)
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("proj", _without(_GRADING, "degrees"), "degrees"),
+    ("validate", _without(_GRADING, "free_rank"), "free_rank"),
+    ("proj", _without(_GRADING, "n"), "n"),
+    ("omega", _without(_SYSTEM, "ambient_rank"), "ambient_rank"),
+    ("separated", _without(_SYSTEM, "indices"), "indices"),
+    ("validate", _without(_SYSTEM, "fans"), "fans"),
+    ("trop", _without(_VALUES, "values"), "values"),
+    ("nonneg", _without(_VALUES, "chart"), "chart"),
+    ("kapranov", _without(_POLY, "system"), "system"),
+    ("kapranov", _without(_POLY, "chart"), "chart"),
+    ("kapranov", _without(_POLY, "terms"), "terms"),
+])
+def test_missing_fields_exit_one(tmp_path, capsys, command, doc, field):
+    code, out, err = run_on_doc(tmp_path, capsys, command, doc)
+    assert (code, out, err) == (1, "", 'error: missing field "%s"\n' % field)
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_without(_TROP_POINT, "coords"), 'missing field "coords"'),
+    (_without(_TROP_POINT, "class"), 'missing field "class"'),
+    (dict(_TROP_POINT, coords=5), "coords must be a JSON array"),
+])
+def test_bad_trop_point_exits_one(tmp_path, capsys, doc, message):
+    poly = write_doc(tmp_path, "poly.json", _POLY)
+    point = write_doc(tmp_path, "point.json", doc)
+    code, out, err = run_cli(capsys, "kapranov", poly, point)
     assert (code, out, err) == (1, "", "error: %s\n" % message)
 
 

@@ -254,6 +254,30 @@ def test_sweep_matches_the_rank_test_oracle(rng):
     assert non_pointed > 500 and non_simplicial > 100
 
 
+def test_sweeps_with_zero_lineality_compute_no_kernel(monkeypatch, rng):
+    # lin spans the kernel of the normals, so an empty lin is a zero kernel:
+    # a pointed full-dimensional cone computes no kernel in either sweep
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return kernel_lattice(matrix)
+
+    monkeypatch.setattr(cone_module, "kernel_lattice", counting)
+    solid = other = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(rng.randint(1, n + 3))]
+        del calls[:]
+        c = Cone._build(gens, n)
+        expected = (c.lineality.rank > 0) + (c.dim < n)
+        assert len(calls) == expected, (gens, n)
+        solid += expected == 0
+        other += expected > 0
+    assert solid > 50 and other > 50
+
+
 def test_sweep_computes_no_rank(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("rank computed inside the sweep")

@@ -204,6 +204,50 @@ def test_relevance_matches_oracle_random(rng):
                     assert sup in relevant
 
 
+def test_relevance_by_rank_matches_the_index(rng):
+    # the torsion part is finite, so relevance is a rank condition on the
+    # free parts; relevance_index keeps the Smith form and is the oracle
+    groups = [AbelianGroup(0), AbelianGroup(0, (2, 4)), AbelianGroup(1),
+              AbelianGroup(1, (2,)), AbelianGroup(1, (3, 6)), AbelianGroup(2),
+              AbelianGroup(2, (2,))]
+    outcomes = set()
+    for _ in range(150):
+        group = rng.choice(groups)
+        n = rng.randint(1, 4)
+        # zero degrees are common: each free entry is 0 half of the time
+        degrees = [tuple(rng.choice([0, 0, rng.randint(-3, 3)])
+                         for _ in range(group.free_rank))
+                   + tuple(rng.randrange(m) for m in group.torsion)
+                   for _ in range(n)]
+        g = Grading(group, degrees)
+        for f in _all_subsets(n):
+            relevant = is_relevant_subset(g, f)
+            assert relevant == (relevance_index(g, f) is not None), (g, f)
+            outcomes.add((group.free_rank, relevant))
+    assert outcomes == {(0, True), (1, True), (1, False), (2, True), (2, False)}
+
+
+def test_chart_poset_builds_cones_on_request(monkeypatch):
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("cone built before it was asked for")
+
+    grading = Grading(AbelianGroup(1), [(1,), (2,), (-1,), (3,)])
+    monkeypatch.setattr(Cone, "from_rays", classmethod(refuse))
+    poset = ChartPoset(grading)
+    monkeypatch.undo()
+    assert len(poset.subsets) > 8
+    for f in poset.subsets:
+        expected = Cone.from_rays([poset.q.column(i - 1) for i in range(1, 5)
+                                   if i not in f], poset.kernel.rank)
+        assert poset.cone_of(f) is expected
+        assert poset.cone_of(sorted(f)) is expected
+    irrelevant = [f for f in _all_subsets(4) if not poset.is_relevant(f)]
+    assert irrelevant
+    for f in irrelevant:
+        with pytest.raises(KeyError):
+            poset.cone_of(f)
+
+
 def test_monomial_membership():
     assert monomial_in_irrelevant_ideal(g_point(), (1, 1))
     assert not monomial_in_irrelevant_ideal(g_point(), (5, 0))

@@ -492,6 +492,96 @@ def test_equal_cones_in_distinct_classes_force_nonseparation():
             assert not is_separated(s)[0]
 
 
+def reference_pair_failure(system, a, b):
+    meet = a.cone.intersect(b.cone)
+    if not (a.cone.has_face(meet) and b.cone.has_face(meet)):
+        return a, b, meet, "intersection is not a common face"
+    i, j = a.representative, b.representative
+    if meet not in system.fan(i, j):
+        return (a, b, meet,
+                "charts %s and %s are not glued along the intersection" % (i, j))
+    return None
+
+
+def full_scan_separation(system):
+    """Reference: the ordered scan over every pair of classes, which decided
+    the verdict before the cover of maximal classes did."""
+    classes = system.omega().classes
+    for x in range(len(classes)):
+        for y in range(x + 1, len(classes)):
+            failure = reference_pair_failure(system, classes[x], classes[y])
+            if failure is not None:
+                return False, failure
+    return True, None
+
+
+def maximal_pairs_pass(system):
+    """The cover test alone: every two maximal classes meet well."""
+    omega = system.omega()
+    top = [c for c in omega.classes
+           if not any(omega.leq(c, d) for d in omega.classes if d != c)]
+    return all(reference_pair_failure(system, a, b) is None
+               for x, a in enumerate(top) for b in top[x + 1:])
+
+
+def _random_proj_system(rng):
+    """A seeded Proj system with mixed signs, torsion or a Z^2 grading."""
+    while True:
+        free_rank = rng.choice([1, 1, 2])
+        group = AbelianGroup(free_rank, rng.choice([(), (), (2,), (3,)]))
+        degrees = [tuple(rng.randint(-2, 3) for _ in range(free_rank))
+                   + tuple(rng.randrange(m) for m in group.torsion)
+                   for _ in range(rng.choice([3, 4]))]
+        try:
+            return proj_system_of_fans(Grading(group, degrees)).system
+        except EmptyProj:
+            continue
+
+
+def test_separation_on_maximal_classes_matches_the_full_scan():
+    rng = fresh_rng(9)
+    fixtures = [systems.affine_line(), systems.affine_plane(),
+                systems.line_two_origins(), systems.projective_line_two_charts(),
+                systems.projective_line_fan(), systems.quadrant_fan_system(),
+                systems.point_system()]
+    fixtures += [_projective(n) for n in range(1, 5)]
+    fixtures += [_random_proj_system(rng) for _ in range(60)]
+    fixtures += [product(_random_proj_system(rng), _random_proj_system(rng))
+                 for _ in range(6)]
+    fixtures += [product(systems.line_two_origins(), _projective(1)),
+                 product(_projective(1), systems.quadrant_fan_system())]
+    invalid = [_random_glued_system(rng) for _ in range(1000)]
+    verdicts = []
+    for system in fixtures + invalid:
+        expected = full_scan_separation(system)
+        assert is_separated(system) == expected
+        verdicts.append(expected[0])
+    assert 15 < sum(verdicts[:len(fixtures)]) < len(fixtures) - 15
+    assert 100 < sum(verdicts[len(fixtures):]) < len(invalid) - 100
+    # systems whose gluing is not transitive can pass on maximal classes
+    # alone and still fail the scan: the cover must not decide them
+    fooled = [s for s in invalid
+              if not is_separated(s)[0] and maximal_pairs_pass(s)]
+    assert len(fooled) > 3
+    assert all(validate_system(s) for s in fooled)
+
+
+def test_separation_of_projective_space_meets_maximal_classes_only(monkeypatch):
+    calls = []
+    intersect = Cone.intersect
+
+    def counting(self, other):
+        calls.append(1)
+        return intersect(self, other)
+
+    system = _projective(4)
+    system.omega()
+    monkeypatch.setattr(Cone, "intersect", counting)
+    assert is_separated(system) == (True, None)
+    # P^4 has 5 maximal classes, the 5 charts, and 10 pairs of them
+    assert len(calls) <= 10
+
+
 def test_support_full():
     assert support_is_full(systems.projective_line_two_charts())
     assert support_is_full(systems.projective_line_fan())

@@ -1,0 +1,145 @@
+"""Ladder benchmark: the Proj pipeline on P^4 to P^8 and on a product.
+
+Each rung runs proj -> omega -> validate -> separated -> support in a fresh
+interpreter and records, per stage, the in-process wall time and three work
+counters: Cone.intersect calls, kernel_lattice calls and Cone.from_rays
+calls.  Times are raw perf_counter seconds, not corrected for host speed.
+Run from the root of a checkout:
+
+    python3 tools/ladder.py --label change
+    python3 tools/ladder.py --label parent --src OTHER/src --max-n 6
+
+Results are merged into BENCH_ladder.json under the label, so runs of two
+checkouts sit side by side.
+"""
+
+import argparse
+import json
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+STAGES = ("proj", "omega", "validate", "separated", "support")
+PRODUCT = "doubled line x P1"
+
+
+def _install_counters(counts):
+    """Wrap the three counted entry points; counts[name] += 1 per call."""
+    from prevtrop import cone as cone_module
+    from prevtrop import exactla
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    cone = cone_module.Cone
+    cone.intersect = counted("intersect", cone.intersect)
+    cone.from_rays = classmethod(counted("from_rays", cone.from_rays.__func__))
+    raw = exactla.kernel_lattice
+    wrapped = counted("kernel_lattice", raw)
+    for name, module in list(sys.modules.items()):
+        if name == "prevtrop" or name.startswith("prevtrop."):
+            for key, value in list(vars(module).items()):
+                if value is raw:
+                    setattr(module, key, wrapped)
+
+
+def run_rung(rung):
+    """One rung in this process: a dict of per-stage seconds and counts."""
+    from prevtrop.exactla import AbelianGroup
+    from prevtrop.multiproj import Grading, proj_system_of_fans
+    from prevtrop.sysfan import (is_separated, product, support_is_full,
+                                 validate_system)
+
+    counts = {"intersect": 0, "kernel_lattice": 0, "from_rays": 0}
+    _install_counters(counts)
+    stages = {}
+    state = {}
+
+    def build():
+        if rung == PRODUCT:
+            line = proj_system_of_fans(Grading(AbelianGroup(1), [(1,), (-1,)]))
+            p1 = proj_system_of_fans(Grading(AbelianGroup(1), [(1,), (1,)]))
+            state["system"] = product(line.system, p1.system)
+        else:
+            n = int(rung[1:])
+            grading = Grading(AbelianGroup(1), [(1,)] * (n + 1))
+            state["system"] = proj_system_of_fans(grading).system
+
+    def omega():
+        state["system"].omega()
+
+    def validate():
+        state["issues"] = len(validate_system(state["system"]))
+
+    def separated():
+        state["separated"] = is_separated(state["system"])[0]
+
+    def support():
+        if state["separated"]:
+            state["support"] = support_is_full(state["system"])
+
+    steps = {"proj": build, "omega": omega, "validate": validate,
+             "separated": separated, "support": support}
+    for stage in STAGES:
+        before = dict(counts)
+        start = time.perf_counter()
+        steps[stage]()
+        elapsed = time.perf_counter() - start
+        stages[stage] = {"s": round(elapsed, 4)}
+        stages[stage].update({k: counts[k] - before[k] for k in counts})
+    return {"classes": len(state["system"].omega()),
+            "issues": state["issues"],
+            "separated": state["separated"],
+            "support_is_full": state.get("support"),
+            "total_s": round(sum(s["s"] for s in stages.values()), 4),
+            "stages": stages}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", default="change",
+                        help="key of this run in the output file")
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="the src directory of the checkout to measure")
+    parser.add_argument("--max-n", type=int, default=8,
+                        help="largest n of the P^n rungs")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_ladder.json"))
+    parser.add_argument("--rung", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    if args.rung:
+        print(json.dumps(run_rung(args.rung)))
+        return
+    rungs = ["P%d" % n for n in range(4, args.max_n + 1)] + [PRODUCT]
+    results = {}
+    for rung in rungs:
+        child = subprocess.run(
+            [sys.executable, __file__, "--rung", rung, "--src", args.src],
+            check=True, capture_output=True, text=True)
+        results[rung] = json.loads(child.stdout.splitlines()[-1])
+        print("%-18s %8.3fs  separated %.3fs  %s" % (
+            rung, results[rung]["total_s"],
+            results[rung]["stages"]["separated"]["s"],
+            {k: results[rung]["stages"]["separated"][k]
+             for k in ("intersect", "kernel_lattice", "from_rays")}))
+    out = Path(args.out)
+    document = json.loads(out.read_text()) if out.exists() else {
+        "about": "tools/ladder.py: per-stage in-process walls (raw seconds) "
+                 "and work counters of proj -> omega -> validate -> "
+                 "separated -> support, one fresh interpreter per rung.",
+        "runs": {}}
+    document["runs"][args.label] = {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "rungs": results}
+    out.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()
