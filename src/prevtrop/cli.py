@@ -14,9 +14,9 @@ import sys
 from .extreal import format_extended, parse_extended
 from .multiproj import (EmptyProj, grading_from_data, grading_to_data,
                         proj_system_of_fans)
-from .sysfan import (DocumentError, _json_field, is_separated, product,
-                     support_is_full, system_from_data, system_to_data,
-                     validate_system)
+from .sysfan import (DocumentError, _json_field, _json_objects, is_separated,
+                     product, support_is_full, system_from_data,
+                     system_to_data, validate_system)
 from .troppre import (chart_entries_from_data, chart_polynomial,
                       chart_values_from_data, class_from_data,
                       compare_to_trop, nonneg_point_from_chart_values,
@@ -182,9 +182,10 @@ def cmd_kapranov(args):
     system = system_from_data(_json_field(data, "system", dict))
     chart = class_from_data(system, _json_field(data, "chart"))
     poly = chart_polynomial(system, chart,
-                            [(tuple(term["exp"]),
-                              parse_extended(str(term["val"])))
-                             for term in _json_field(data, "terms", list)])
+                            [(tuple(_json_field(term, "exp", list)),
+                              parse_extended(str(_json_field(term, "val"))))
+                             for term in _json_objects(_json_field(data, "terms"),
+                                                       "terms")])
     point = trop_point_from_data(
         system, _read_document(args.point, {"trop_point"}))
     achieving = [{"exp": list(s), "value": format_extended(v)}

@@ -19,9 +19,9 @@ cone leaves it as soon as nothing else references it.
 
 from __future__ import annotations
 
-import math
+import itertools
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from prevtrop.exactla import (
@@ -395,8 +395,7 @@ class AffineSemigroup:
     cone: Cone
     generators: tuple
     units: tuple
-    _lifts: tuple
-    _images: tuple
+    _lift_of: dict = field(compare=False)   # Hilbert basis image -> lift
     _proj: IntMatrix
     _img_normals: tuple
 
@@ -432,7 +431,7 @@ class AffineSemigroup:
         out = {}
         residual = list(target)
         for g_img, mult in counts.items():
-            lift = self._lifts[self._images.index(g_img)]
+            lift = self._lift_of[g_img]
             out[lift] = out.get(lift, 0) + mult
             for i in range(len(residual)):
                 residual[i] -= mult * lift[i]
@@ -465,7 +464,7 @@ class AffineSemigroup:
         if v in memo:
             return memo[v]
         memo[v] = None
-        for g in self._images:
+        for g in self._lift_of:
             rem = tuple(a - b for a, b in zip(v, g))
             if all(dot(rem, u) >= 0 for u in self._img_normals):
                 sub = self._decompose_image(rem, memo)
@@ -480,12 +479,16 @@ class AffineSemigroup:
 def hilbert_basis(cone):
     """Minimal generator set of sigma^v cap M as an AffineSemigroup.
 
-    Units (a plus/minus lattice basis of sigma^perp) are split off first; the
-    pointed quotient is handled by enumerating lattice points below the
-    zonotope bound for the primitive extremal rays and striking reducibles.
-    The basis is computed once per cone.  The cone keeps only the semigroup's
-    other fields, since a semigroup refers to its cone and keeping it whole
-    would make a reference cycle.
+    Units (a plus/minus lattice basis of sigma^perp) are split off first.  In
+    the pointed quotient every irreducible element lies in some simplicial
+    subcone spanned by independent extremal rays (Caratheodory), and there it
+    is a ray or a lattice point of the subcone's half-open fundamental
+    parallelepiped.  Those points are enumerated from the Smith normal form
+    of each ray subset, and a degree-sorted sieve strikes the reducibles
+    (Bruns-Ichim, "Normaliz: algorithms for affine monoids and rational
+    cones", J. Algebra 324, 2010).  The basis is computed once per cone.  The
+    cone keeps only the semigroup's other fields, since a semigroup refers to
+    its cone and keeping it whole would make a reference cycle.
     """
     if cone._hilbert is None:
         cone._hilbert = _hilbert_fields(cone)
@@ -512,51 +515,52 @@ def _hilbert_fields(cone):
     ext = [u for u in cone.inequalities if u not in pairs]
     img_rays = sorted({primitive(proj.apply(r)) for r in ext})
     if not img_rays:
-        return tuple(sorted(units)), tuple(sorted(units)), (), (), proj, ()
+        return tuple(sorted(units)), tuple(sorted(units)), {}, proj, ()
     # H-description of the image cone: it is always pointed (its lineality
     # maps to zero), though it can be lower dimensional when the input cone is
     # not pointed; the plus/minus normal pairs then pin down its span.
     img_lin, img_normals_ext = _halfspace_generators(img_rays, k)
     img_normals = _generator_list(img_lin, img_normals_ext)
-    w = tuple(sum(u[j] for u in img_normals) for j in range(k))
-    weights = [dot(w, r) for r in img_rays]
-    total = sum(weights)
-    lo, hi = [], []
-    for j in range(k):
-        lo_j = hi_j = Fraction(0)
-        for r, wr in zip(img_rays, weights):
-            lam = Fraction(total, wr)
-            lo_j += lam * min(r[j], 0)
-            hi_j += lam * max(r[j], 0)
-        lo.append(math.floor(lo_j))
-        hi.append(math.ceil(hi_j))
-    candidates = []
-    for point in _box_points(lo, hi):
-        if not any(point):
-            continue
-        if dot(w, point) > total:
-            continue
-        if all(dot(point, u) >= 0 for u in img_normals):
-            candidates.append(point)
-    cand_set = set(candidates)
-    basis_img = []
-    for x in candidates:
-        reducible = any(tuple(a - b for a, b in zip(x, y)) in cand_set for y in candidates)
-        if not reducible:
-            basis_img.append(x)
-    basis_img.sort()
+    candidates = set(img_rays)
+    for subset in itertools.combinations(img_rays, k - img_lin.rank):
+        candidates.update(_parallelepiped_points(subset, k))
+    # every candidate lies in the span, so x - y is in the image cone iff the
+    # extremal normals are no smaller on x than on y; their sum is the degree
+    # w.x, w the sum of all normals, and a proper summand has lower degree
+    heights = {x: tuple(dot(u, x) for u in img_normals_ext) for x in candidates}
+    kept = {}
+    for x in sorted(candidates, key=lambda x: (sum(heights[x]), x)):
+        h = heights[x]
+        if not any(all(a >= b for a, b in zip(h, g)) for g in kept.values()):
+            kept[x] = h
+    basis_img = sorted(kept)
     if quot is None:
         lifts = list(basis_img)
     else:
         lifts = [tuple(quot.section.apply(h)) for h in basis_img]
-    return (tuple(sorted(units + lifts)), tuple(sorted(units)), tuple(lifts),
-            tuple(basis_img), proj, tuple(img_normals))
+    return (tuple(sorted(units + lifts)), tuple(sorted(units)),
+            dict(zip(basis_img, lifts)), proj, tuple(img_normals))
 
 
-def _box_points(lo, hi):
-    if not lo:
-        yield ()
-        return
-    for head in range(lo[0], hi[0] + 1):
-        for tail in _box_points(lo[1:], hi[1:]):
-            yield (head,) + tail
+def _parallelepiped_points(rays, k):
+    """Nonzero lattice points sum t_i r_i, 0 <= t_i < 1, of independent rays.
+
+    There is one per nonzero class of (Z^k cap span) / Z<rays>.  With the
+    Smith form D = P R Q of the ray matrix R, the class group is the direct
+    sum of the cyclic groups generated by (row i of P R) / d_i, whose ray
+    coefficients are P[i] / d_i; all coefficients are kept as integer
+    numerators over the top invariant factor.  Dependent rays give no points.
+    """
+    m = len(rays)
+    d, p, _ = smith_normal_form(IntMatrix.from_rows(rays, cols=k))
+    top = d[m - 1, m - 1]
+    if top == 0:
+        return []
+    numerators = [(0,) * m]
+    for i in range(m):
+        order = d[i, i]
+        step = [p[i, j] * (top // order) for j in range(m)]
+        numerators = [tuple((a + c * s) % top for a, s in zip(num, step))
+                      for num in numerators for c in range(order)]
+    return [tuple(sum(c * r[j] for c, r in zip(num, rays)) // top for j in range(k))
+            for num in numerators[1:]]

@@ -542,6 +542,13 @@ def _json_rows(value, what):
     return [tuple(row) for row in value]
 
 
+def _json_objects(value, what):
+    """A JSON array of objects, as a list."""
+    for k, item in enumerate(_json_typed(value, list, what)):
+        _json_typed(item, dict, "%s[%d]" % (what, k))
+    return value
+
+
 def system_from_data(data):
     labels = [str(l) for l in _json_field(data, "indices", list)]
     n = _integer_entry(_json_field(data, "ambient_rank"))

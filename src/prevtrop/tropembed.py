@@ -19,6 +19,7 @@ from .exactla import (IntMatrix, _integer_entry, _integer_vector,
                       kernel_lattice, solve_rational)
 from .extreal import INF, is_finite
 from .multiproj import Grading, proj_system_of_fans
+from .sysfan import DocumentError, _json_field, _json_objects, _json_typed
 from .troppre import (FiniteLocusNotAFace, _chart_exponent,
                       _check_chart_contains, _own_class, chart_polynomial,
                       nonneg_point_from_chart_values, point_from_chart_values,
@@ -614,9 +615,12 @@ def valued_scalar_to_data(value):
             "den": [[str(c), k] for k, c in enumerate(value.den) if c]}
 
 
-def _poly_from_sparse(entries):
+def _poly_from_sparse(entries, what):
     coeffs = {}
-    for pair in entries:
+    for k, pair in enumerate(_json_typed(entries, list, what)):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise DocumentError("%s[%d] must be a JSON array [coefficient, power]"
+                                % (what, k))
         text, power = pair
         power = _integer_entry(power)
         if power < 0:
@@ -629,8 +633,9 @@ def _poly_from_sparse(entries):
 def valued_scalar_from_data(data):
     if isinstance(data, (str, int)):
         return ValuedScalar.of(Fraction(str(data)))
-    den = _poly_from_sparse(data.get("den", [["1", 0]]))
-    return ValuedScalar(_poly_from_sparse(data["num"]), den)
+    data = _json_typed(data, dict, "value")
+    den = _poly_from_sparse(data.get("den", [["1", 0]]), "den")
+    return ValuedScalar(_poly_from_sparse(_json_field(data, "num"), "num"), den)
 
 
 def hypersurface_to_data(hyp):
@@ -639,6 +644,7 @@ def hypersurface_to_data(hyp):
 
 
 def hypersurface_from_data(grading, data):
-    terms = [(tuple(term["exp"]), valued_scalar_from_data(term["coeff"]))
-             for term in data["terms"]]
+    terms = [(tuple(_json_field(term, "exp", list)),
+              valued_scalar_from_data(_json_field(term, "coeff")))
+             for term in _json_objects(_json_field(data, "terms"), "terms")]
     return hypersurface(grading, terms)

@@ -132,6 +132,9 @@ def run_on_doc(tmp_path, capsys, command, doc):
     ("trop", dict(_VALUES, values=5), "values must be a JSON object"),
     ("kapranov", dict(_POLY, system=5), "system must be a JSON object"),
     ("kapranov", dict(_POLY, terms=5), "terms must be a JSON array"),
+    ("kapranov", dict(_POLY, terms=[5]), "terms[0] must be a JSON object"),
+    ("kapranov", dict(_POLY, terms=[{"exp": 5, "val": "0"}]),
+     "exp must be a JSON array"),
 ])
 def test_wrong_json_types_exit_one(tmp_path, capsys, command, doc, message):
     code, out, err = run_on_doc(tmp_path, capsys, command, doc)
@@ -154,6 +157,7 @@ def _without(doc, key):
     ("kapranov", _without(_POLY, "system"), "system"),
     ("kapranov", _without(_POLY, "chart"), "chart"),
     ("kapranov", _without(_POLY, "terms"), "terms"),
+    ("kapranov", dict(_POLY, terms=[{"val": "0"}]), "exp"),
 ])
 def test_missing_fields_exit_one(tmp_path, capsys, command, doc, field):
     code, out, err = run_on_doc(tmp_path, capsys, command, doc)
@@ -170,6 +174,26 @@ def test_bad_trop_point_exits_one(tmp_path, capsys, doc, message):
     point = write_doc(tmp_path, "point.json", doc)
     code, out, err = run_cli(capsys, "kapranov", poly, point)
     assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+_LINE_SYSTEM = system_doc(projective_line_two_charts())
+
+
+@pytest.mark.parametrize("value, message", [
+    ({"num": 5}, "num must be a JSON array"),
+    ({"num": [5]}, "num[0] must be a JSON array [coefficient, power]"),
+    ({"num": [["1", 0]], "den": 5}, "den must be a JSON array"),
+    ({"den": [["1", 0]]}, 'missing field "num"'),
+    ([1], "value must be a JSON object"),
+])
+def test_bad_classical_values_exit_one(tmp_path, capsys, value, message):
+    system = write_doc(tmp_path, "sys.json", _LINE_SYSTEM)
+    point = write_doc(tmp_path, "cp.json",
+                      {"schema": 1, "kind": "classical_point", "chart": 0,
+                       "values": {"0": value}})
+    for command in ("trop", "nonneg"):
+        code, out, err = run_cli(capsys, command, point, system)
+        assert (code, out, err) == (1, "", "error: %s\n" % message)
 
 
 def test_proj_reproduces_the_doubled_line(tmp_path, capsys):
@@ -287,6 +311,22 @@ def test_refine_command_runs_the_fixture(tmp_path, capsys):
     assert first["projection_matches_direct"]
     assert second["projection_matches_direct"]
     assert second["refined"]["coords"] == ["1", "0", "1"]
+
+
+@pytest.mark.parametrize("gtilde, message", [
+    ({}, 'missing field "terms"'),
+    ({"terms": [5]}, "terms[0] must be a JSON object"),
+    ({"terms": [{"coeff": "1"}]}, 'missing field "exp"'),
+    ({"terms": [{"exp": [1, 0]}]}, 'missing field "coeff"'),
+    ({"terms": [{"exp": [1, 0], "coeff": {"num": 5}}]},
+     "num must be a JSON array"),
+])
+def test_bad_gtilde_terms_exit_one(tmp_path, capsys, gtilde, message):
+    grading = write_doc(tmp_path, "g.json", grading_doc([(), ()], free_rank=0))
+    path = write_doc(tmp_path, "gt.json",
+                     dict(gtilde, schema=1, kind="polynomial"))
+    code, out, err = run_cli(capsys, "refine", grading, "--gtilde", path)
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
 
 
 def test_product_command(tmp_path, capsys):

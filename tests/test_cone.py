@@ -3,11 +3,15 @@
 Two independent oracles keep the double-description code honest in rank 2,
 where everything is checkable by elementary means: duals via rotated
 perpendiculars, Hilbert bases via lattice points of the fundamental
-parallelogram.  Higher ranks are covered by frozen examples and structural
-properties (duality involution, face closure, quotient identities).
+parallelogram.  In ranks 2 to 4 Hilbert bases are also checked against an
+enumeration of every lattice point of a zonotope bounding box.  Higher ranks
+are covered by frozen examples and structural properties (duality
+involution, face closure, quotient identities).
 """
 
 import gc
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -94,6 +98,45 @@ def _independent_primitive_pairs(bound):
         for r2 in vecs[i + 1:]:
             if r1[0] * r2[1] - r1[1] * r2[0] != 0:
                 yield r1, r2
+
+
+def oracle_hilbert_box(cone):
+    """Hilbert basis of sigma^v cap M by enumerating a zonotope box.
+
+    Units split off and the image of the dual cone in the quotient as in the
+    library; then every lattice point of the image cone below the zonotope
+    bound of its primitive rays is a candidate, and a candidate is kept iff it
+    is no sum of two other candidates.  Exponential in the rank.
+    """
+    n = cone.ambient_rank
+    unit_rows = [tuple(b) for b in cone._dual_lineality.basis_rows()]
+    units = unit_rows + [tuple(-x for x in b) for b in unit_rows]
+    quot = lattice_quotient(unit_rows, n) if unit_rows else None
+    proj = quot.proj if quot else IntMatrix.identity(n)
+    k = quot.rank if quot else n
+    img_rays = sorted({primitive(proj.apply(u)) for u in cone.inequalities
+                       if u not in units})
+    if not img_rays:
+        return tuple(sorted(units))
+    img_lin, img_ext = _halfspace_generators(img_rays, k)
+    img_normals = _generator_list(img_lin, img_ext)
+    w = tuple(sum(u[j] for u in img_normals) for j in range(k))
+    weights = [dot(w, r) for r in img_rays]
+    total = sum(weights)
+    ranges = []
+    for j in range(k):
+        lo = sum(Fraction(total, wr) * min(r[j], 0) for r, wr in zip(img_rays, weights))
+        hi = sum(Fraction(total, wr) * max(r[j], 0) for r, wr in zip(img_rays, weights))
+        ranges.append(range(math.floor(lo), math.ceil(hi) + 1))
+    candidates = [p for p in itertools.product(*ranges)
+                  if any(p) and dot(w, p) <= total
+                  and all(dot(p, u) >= 0 for u in img_normals)]
+    cand_set = set(candidates)
+    basis = [x for x in candidates
+             if not any(tuple(a - b for a, b in zip(x, y)) in cand_set
+                        for y in candidates)]
+    lifts = [tuple(quot.section.apply(h)) for h in basis] if quot else basis
+    return tuple(sorted(units + lifts))
 
 
 def oracle_halfspace_generators(normals, n):
@@ -532,6 +575,40 @@ def test_hilbert_matches_parallelogram_oracle():
         assert got == oracle_hilbert_2d(r1, r2), (r1, r2)
         count += 1
     assert count > 300
+
+
+def _hilbert_shape(c):
+    """(non-pointed, lower dimensional, non-simplicial dual) of a cone."""
+    unit_rank = c.ambient_rank - c.dim   # sigma^perp, a plus/minus pair each
+    image_rays = len(c.inequalities) - 2 * unit_rank
+    return (not c.is_pointed(), c.dim < c.ambient_rank,
+            image_rays > c.dim - c.lineality.rank)
+
+
+def test_hilbert_basis_matches_the_box_oracle(rng):
+    cones = []
+    for _ in range(300):
+        n = rng.choice([2, 3])
+        rays = [tuple(rng.randint(-2, 2) for _ in range(n))
+                for _ in range(rng.randint(1, 5))]
+        cones.append(Cone.from_rays(rays, n))
+    cones += [Cone.from_rays([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                              (a, b, c, 2)], 4)
+              for a, b, c in itertools.product(range(3), repeat=3)]
+    shapes = [0, 0, 0]
+    for c in cones:
+        assert hilbert_basis(c).generators == oracle_hilbert_box(c), c
+        shapes = [t + s for t, s in zip(shapes, _hilbert_shape(c))]
+    non_pointed, lower_dimensional, non_simplicial_dual = shapes
+    assert non_pointed and lower_dimensional and non_simplicial_dual, shapes
+
+
+def test_hilbert_basis_sizes_of_large_multiplicity():
+    weighted = Cone.from_rays([(1, 0, 0), (0, 1, 0), (1, 2, 80)], 3)
+    assert len(hilbert_basis(weighted).generators) == 44
+    rank4 = Cone.from_rays([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                            (1, 2, 3, 20)], 4)
+    assert len(hilbert_basis(rank4).generators) == 54
 
 
 def test_hilbert_generators_are_irreducible():

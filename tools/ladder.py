@@ -1,16 +1,22 @@
-"""Ladder benchmark: the Proj pipeline on P^4 to P^8 and on a product.
+"""Ladder benchmark: the Proj pipeline on P^4 to P^8 and on a product, and
+Hilbert bases of cones of growing multiplicity.
 
-Each rung runs proj -> omega -> validate -> separated -> support in a fresh
-interpreter and records, per stage, the in-process wall time and three work
-counters: Cone.intersect calls, kernel_lattice calls and Cone.from_rays
-calls.  Times are raw perf_counter seconds, not corrected for host speed.
-Run from the root of a checkout:
+Each Proj rung runs proj -> omega -> validate -> separated -> support in a
+fresh interpreter and records, per stage, the in-process wall time and three
+work counters: Cone.intersect calls, kernel_lattice calls and Cone.from_rays
+calls.  With --hilbert the rungs are instead the cones on (1,0,0), (0,1,0),
+(1,2,N) for N = 5, 10, 20, 40, 80 and on e1, e2, e3, (1,2,3,m) for m = 5,
+10, 20; each rung builds its cone in a fresh interpreter and records the wall
+of hilbert_basis and the number of generators.  Times are raw perf_counter
+seconds, not corrected for host speed.  Run from the root of a checkout:
 
     python3 tools/ladder.py --label change
     python3 tools/ladder.py --label parent --src OTHER/src --max-n 6
+    python3 tools/ladder.py --label change --hilbert
 
-Results are merged into BENCH_ladder.json under the label, so runs of two
-checkouts sit side by side.
+Results are merged into BENCH_ladder.json under the label, Proj rungs under
+"rungs" and Hilbert rungs under "hilbert_rungs", so runs of two checkouts
+sit side by side.
 """
 
 import argparse
@@ -24,6 +30,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("proj", "omega", "validate", "separated", "support")
 PRODUCT = "doubled line x P1"
+HILBERT_RUNGS = dict(
+    [("N=%d" % n, [(1, 0, 0), (0, 1, 0), (1, 2, n)]) for n in (5, 10, 20, 40, 80)]
+    + [("m=%d" % m, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, m)])
+       for m in (5, 10, 20)])
 
 
 def _install_counters(counts):
@@ -101,6 +111,18 @@ def run_rung(rung):
             "stages": stages}
 
 
+def run_hilbert_rung(rung):
+    """One Hilbert rung in this process: its wall and generator count."""
+    from prevtrop.cone import Cone, hilbert_basis
+
+    rays = HILBERT_RUNGS[rung]
+    sigma = Cone.from_rays(rays, len(rays[0]))
+    start = time.perf_counter()
+    basis = hilbert_basis(sigma)
+    elapsed = time.perf_counter() - start
+    return {"s": round(elapsed, 4), "generators": len(basis.generators)}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="change",
@@ -109,35 +131,46 @@ def main():
                         help="the src directory of the checkout to measure")
     parser.add_argument("--max-n", type=int, default=8,
                         help="largest n of the P^n rungs")
+    parser.add_argument("--hilbert", action="store_true",
+                        help="run the Hilbert basis rungs instead")
     parser.add_argument("--out", default=str(ROOT / "BENCH_ladder.json"))
     parser.add_argument("--rung", help=argparse.SUPPRESS)
     args = parser.parse_args()
     sys.path.insert(0, str(Path(args.src).resolve()))
     if args.rung:
-        print(json.dumps(run_rung(args.rung)))
+        run = run_hilbert_rung if args.hilbert else run_rung
+        print(json.dumps(run(args.rung)))
         return
-    rungs = ["P%d" % n for n in range(4, args.max_n + 1)] + [PRODUCT]
+    if args.hilbert:
+        rungs = list(HILBERT_RUNGS)
+    else:
+        rungs = ["P%d" % n for n in range(4, args.max_n + 1)] + [PRODUCT]
     results = {}
     for rung in rungs:
         child = subprocess.run(
-            [sys.executable, __file__, "--rung", rung, "--src", args.src],
+            [sys.executable, __file__, "--rung", rung, "--src", args.src]
+            + ["--hilbert"] * args.hilbert,
             check=True, capture_output=True, text=True)
-        results[rung] = json.loads(child.stdout.splitlines()[-1])
+        results[rung] = result = json.loads(child.stdout.splitlines()[-1])
+        if args.hilbert:
+            print("%-18s %8.3fs  %d generators"
+                  % (rung, result["s"], result["generators"]))
+            continue
         print("%-18s %8.3fs  separated %.3fs  %s" % (
-            rung, results[rung]["total_s"],
-            results[rung]["stages"]["separated"]["s"],
-            {k: results[rung]["stages"]["separated"][k]
+            rung, result["total_s"], result["stages"]["separated"]["s"],
+            {k: result["stages"]["separated"][k]
              for k in ("intersect", "kernel_lattice", "from_rays")}))
     out = Path(args.out)
-    document = json.loads(out.read_text()) if out.exists() else {
-        "about": "tools/ladder.py: per-stage in-process walls (raw seconds) "
-                 "and work counters of proj -> omega -> validate -> "
-                 "separated -> support, one fresh interpreter per rung.",
-        "runs": {}}
-    document["runs"][args.label] = {
+    document = json.loads(out.read_text()) if out.exists() else {"runs": {}}
+    document["about"] = (
+        "tools/ladder.py: per-stage in-process walls (raw seconds) and work "
+        "counters of proj -> omega -> validate -> separated -> support "
+        "(rungs), and walls and generator counts of hilbert_basis "
+        "(hilbert_rungs), one fresh interpreter per rung.")
+    document["runs"].setdefault(args.label, {}).update({
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "rungs": results}
+        "hilbert_rungs" if args.hilbert else "rungs": results})
     out.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
 
 
