@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .cone import dot, hilbert_basis
 from .exactla import (IntMatrix, _integer_entry, _integer_vector,
-                      kernel_lattice, solve_rational)
+                      _rational_entry, kernel_lattice, solve_rational)
 from .extreal import INF, is_finite
 from .multiproj import Grading, proj_system_of_fans
 from .sysfan import DocumentError, _json_field, _json_objects, _json_typed
@@ -41,73 +41,106 @@ class NotSeparating(ValueError):
 # ---------------------------------------------------------------------------
 # the field Q(t)
 # ---------------------------------------------------------------------------
-# Dense coefficient tuples, lowest degree first, trailing zeros stripped.
-# Fractions of polynomials are never reduced: valuations, equality and
-# arithmetic are all stable under common factors, so reduction would only
-# be an optimisation.
-
-def _poly(coeffs):
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
+# Dense integer coefficient lists, lowest degree first.  A scalar num/den is
+# kept in one normal form: no trailing zeros, no power of t dividing both
+# num and den, no integer dividing every coefficient of both, and a positive
+# leading coefficient of den; zero is () / (1,).  Common polynomial factors
+# other than t are not removed, so equality still cross-multiplies.
 
 def _padd(a, b):
-    n = max(len(a), len(b))
-    return _poly([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)
-                  for k in range(n)])
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, y in enumerate(b):
+        out[k] += y
+    return out
 
 
 def _pmul(a, b):
     if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+        return []
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly(out)
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
 
 
 def _pord(a):
     for k, c in enumerate(a):
-        if c != 0:
+        if c:
             return k
     raise ValueError("zero polynomial has no order")
+
+
+_INT = frozenset([int])
+
+
+def _cleared(num, den):
+    """Integer lists with the ratio of rational coefficient lists num/den."""
+    num = [_rational_entry(c) for c in num]
+    den = [_rational_entry(c) for c in den]
+    scale = lcm(*(c.denominator for c in num + den))
+    return ([c.numerator * (scale // c.denominator) for c in num],
+            [c.numerator * (scale // c.denominator) for c in den])
 
 
 @dataclass(frozen=True, eq=False)
 class ValuedScalar:
     """An element of Q(t) with its t-adic valuation.
 
-    num and den are coefficient tuples of polynomials in t; den is nonzero.
-    The valuation is ord_t(num) - ord_t(den), infinite only for zero.
+    num and den are integer coefficient tuples of polynomials in t, in the
+    normal form above; the constructor takes int or Fraction coefficients
+    and normalises them.  The valuation is ord_t(num) - ord_t(den), infinite
+    only for zero.
     """
 
     num: tuple
     den: tuple
 
     def __post_init__(self):
-        if not self.den:
+        num, den = list(self.num), list(self.den)
+        if not _INT.issuperset(map(type, num + den)):
+            num, den = _cleared(num, den)
+        while den and not den[-1]:
+            den.pop()
+        if not den:
             raise ZeroDivisionError("denominator must be nonzero")
+        while num and not num[-1]:
+            num.pop()
+        if not num:
+            den = [1]
+        else:
+            shift = min(_pord(num), _pord(den))
+            if shift:
+                del num[:shift], den[:shift]
+            g = gcd(*num, *den)
+            if den[-1] < 0:
+                g = -g
+            if g != 1:
+                num = [c // g for c in num]
+                den = [c // g for c in den]
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", tuple(den))
 
     @classmethod
     def of(cls, value):
         if isinstance(value, ValuedScalar):
             return value
-        return cls(_poly([value]), _poly([1]))
+        return cls((value,), (1,))
 
     @classmethod
     def t_power(cls, power, coeff=1):
         """coeff * t**power for any integer power."""
         power = _integer_entry(power)
         if power >= 0:
-            return cls(_poly([0] * power + [coeff]), _poly([1]))
-        return cls(_poly([coeff]), _poly([0] * (-power) + [1]))
+            return cls((0,) * power + (coeff,), (1,))
+        return cls((coeff,), (0,) * (-power) + (1,))
 
     @classmethod
     def from_polys(cls, num, den=(1,)):
-        return cls(_poly(num), _poly(den))
+        return cls(num, den)
 
     @property
     def is_zero(self):
@@ -128,7 +161,7 @@ class ValuedScalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return ValuedScalar(_poly([-c for c in self.num]), self.den)
+        return ValuedScalar([-c for c in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-ValuedScalar.of(other))
@@ -166,7 +199,7 @@ class ValuedScalar:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = ValuedScalar.of(other)
         if not isinstance(other, ValuedScalar):
             return NotImplemented
@@ -182,7 +215,7 @@ def scalar(value):
     return ValuedScalar.of(value)
 
 
-_ZERO = ValuedScalar(_poly([]), _poly([1]))
+_ZERO = ValuedScalar((), (1,))
 
 # ---------------------------------------------------------------------------
 # classical chart points
@@ -525,9 +558,10 @@ def refined_classical(refinement, point):
     n = refinement.old_grading.n
     gens = [e for e, _ in refinement.gtilde]
     coeffs = [c for _, c in refinement.gtilde]
+    pushforward = new.kernel.basis.transpose()
     values = {}
     for g in hilbert_basis(chart.cone).generators:
-        e = new.kernel.basis.transpose().apply(g)
+        e = pushforward.apply(g)
         a, b = e[:n], e[n]
         total = _ZERO
         for split in _compositions(b, len(gens)):
@@ -565,9 +599,10 @@ def forget_refinement(refinement, point):
     chart = old.system.omega().class_of(old.poset.cone_of(base),
                                         old.chart_label(base))
     new_rows = new.kernel.basis.transpose().row_lists()
+    pushforward = old.kernel.basis.transpose()
     values = {}
     for g in hilbert_basis(chart.cone).generators:
-        e = list(old.kernel.basis.transpose().apply(g)) + [0]
+        e = list(pushforward.apply(g)) + [0]
         lifted = _integral(solve_rational(new_rows, e))
         values[g] = trop_eval(point, lifted)
     return point_from_chart_values(old.system, chart, values)
@@ -622,17 +657,19 @@ def _poly_from_sparse(entries, what):
             raise DocumentError("%s[%d] must be a JSON array [coefficient, power]"
                                 % (what, k))
         text, power = pair
+        if not isinstance(text, (str, int)) or isinstance(text, bool):
+            raise DocumentError("%s[%d] coefficient must be a JSON string or "
+                                "integer" % (what, k))
         power = _integer_entry(power)
         if power < 0:
             raise ValueError("polynomial powers must be nonnegative")
-        coeffs[power] = coeffs.get(power, Fraction(0)) + Fraction(str(text))
-    top = max(coeffs, default=-1)
-    return _poly([coeffs.get(k, 0) for k in range(top + 1)])
+        coeffs[power] = coeffs.get(power, 0) + Fraction(text)
+    return [coeffs.get(k, 0) for k in range(max(coeffs, default=-1) + 1)]
 
 
 def valued_scalar_from_data(data):
-    if isinstance(data, (str, int)):
-        return ValuedScalar.of(Fraction(str(data)))
+    if isinstance(data, (str, int)) and not isinstance(data, bool):
+        return ValuedScalar.of(Fraction(data))
     data = _json_typed(data, dict, "value")
     den = _poly_from_sparse(data.get("den", [["1", 0]]), "den")
     return ValuedScalar(_poly_from_sparse(_json_field(data, "num"), "num"), den)

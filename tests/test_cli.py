@@ -185,6 +185,15 @@ _LINE_SYSTEM = system_doc(projective_line_two_charts())
     ({"num": [["1", 0]], "den": 5}, "den must be a JSON array"),
     ({"den": [["1", 0]]}, 'missing field "num"'),
     ([1], "value must be a JSON object"),
+    ({"num": [[1.5, 0]]},
+     "num[0] coefficient must be a JSON string or integer"),
+    ({"num": [["1", 0], [[1], 1]]},
+     "num[1] coefficient must be a JSON string or integer"),
+    ({"num": [[True, 0]]},
+     "num[0] coefficient must be a JSON string or integer"),
+    ({"num": [["1", 0]], "den": [[None, 0]]},
+     "den[0] coefficient must be a JSON string or integer"),
+    (True, "value must be a JSON object"),
 ])
 def test_bad_classical_values_exit_one(tmp_path, capsys, value, message):
     system = write_doc(tmp_path, "sys.json", _LINE_SYSTEM)

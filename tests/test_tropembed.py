@@ -1,6 +1,8 @@
 """Valued points, Kapranov membership, and embedding refinement."""
 
+import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -107,6 +109,169 @@ def test_powers_and_division():
         scalar(2) ** Fraction(1, 2)
     with pytest.raises(ValueError):
         ValuedScalar.t_power(1.5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ValuedScalar.of(0.5),
+    lambda: ValuedScalar.of(True),
+    lambda: ValuedScalar.from_polys([0.25, 1]),
+    lambda: ValuedScalar.from_polys([1], [False, 1]),
+    lambda: ValuedScalar.t_power(2, 0.5),
+    lambda: scalar(1) + 0.5,
+])
+def test_scalar_constructors_refuse_floats_and_bools(build):
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        build()
+
+
+class oracle_fraction_scalar:
+    """The unreduced Fraction arithmetic of Q(t) that ValuedScalar replaced.
+
+    num and den are Fraction coefficient tuples, lowest degree first, with
+    trailing zeros stripped and nothing else normalised.
+    """
+
+    def __init__(self, num, den=(1,)):
+        self.num = self._poly(num)
+        self.den = self._poly(den)
+        if not self.den:
+            raise ZeroDivisionError("denominator must be nonzero")
+
+    @staticmethod
+    def _poly(coeffs):
+        out = [Fraction(c) for c in coeffs]
+        while out and out[-1] == 0:
+            out.pop()
+        return tuple(out)
+
+    @classmethod
+    def _padd(cls, a, b):
+        n = max(len(a), len(b))
+        return cls._poly([(a[k] if k < len(a) else 0)
+                          + (b[k] if k < len(b) else 0) for k in range(n)])
+
+    @classmethod
+    def _pmul(cls, a, b):
+        if not a or not b:
+            return ()
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return cls._poly(out)
+
+    @property
+    def valuation(self):
+        if not self.num:
+            return INF
+        order = [next(k for k, c in enumerate(p) if c)
+                 for p in (self.num, self.den)]
+        return order[0] - order[1]
+
+    def __add__(self, other):
+        return oracle_fraction_scalar(
+            self._padd(self._pmul(self.num, other.den),
+                       self._pmul(other.num, self.den)),
+            self._pmul(self.den, other.den))
+
+    def __neg__(self):
+        return oracle_fraction_scalar([-c for c in self.num], self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return oracle_fraction_scalar(self._pmul(self.num, other.num),
+                                      self._pmul(self.den, other.den))
+
+    def __truediv__(self, other):
+        if not other.num:
+            raise ZeroDivisionError("division by the zero scalar")
+        return oracle_fraction_scalar(self._pmul(self.num, other.den),
+                                      self._pmul(self.den, other.num))
+
+    def __pow__(self, power):
+        if power < 0:
+            if not self.num:
+                raise ZeroDivisionError("negative power of zero")
+            return oracle_fraction_scalar(self.den, self.num) ** (-power)
+        out = oracle_fraction_scalar([1])
+        for _ in range(power):
+            out = out * self
+        return out
+
+
+def assert_normal_form(v):
+    """Integer coefficients, no common t power or content, den[-1] > 0."""
+    assert all(type(c) is int for c in v.num + v.den)
+    assert not v.num or v.num[-1] != 0
+    assert v.den and v.den[-1] > 0
+    if v.is_zero:
+        assert v.den == (1,)
+        return
+    low = [next(k for k, c in enumerate(p) if c) for p in (v.num, v.den)]
+    assert min(low) == 0
+    assert gcd(*v.num, *v.den) == 1
+
+
+def random_operand(rng):
+    """Coefficient lists of a random scalar: Laurent, rational or zero."""
+    if rng.random() < 0.1:
+        return [], [1]
+    coeffs = (-2, -1, 1, 3, Fraction(1, 2), Fraction(-2, 3), 0)
+    num = [rng.choice(coeffs) for _ in range(rng.randint(1, 3))]
+    den = [rng.choice(coeffs) for _ in range(rng.randint(1, 3))]
+    if not any(den):
+        den[-1] = Fraction(3, 4)
+    shift = rng.randint(-2, 2)
+    pad = [0] * abs(shift)
+    return (pad + num, den) if shift > 0 else (num, pad + den)
+
+
+SCALAR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "**": operator.pow}
+
+
+def test_scalar_arithmetic_matches_the_fraction_oracle():
+    rng = fresh_rng(97)
+    for _ in range(500):
+        num, den = random_operand(rng)
+        value = ValuedScalar.from_polys(num, den)
+        oracle = oracle_fraction_scalar(num, den)
+        for _ in range(rng.randint(1, 4)):
+            op = rng.choice(list(SCALAR_OPS))
+            if op == "**":
+                right = other = rng.randint(-2, 2)
+            elif rng.random() < 0.2:
+                right = rng.choice((0, 2, Fraction(-1, 3)))
+                other = oracle_fraction_scalar([right])
+            else:
+                num, den = random_operand(rng)
+                right = ValuedScalar.from_polys(num, den)
+                other = oracle_fraction_scalar(num, den)
+            try:
+                oracle = SCALAR_OPS[op](oracle, other)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    SCALAR_OPS[op](value, right)
+                break
+            value = SCALAR_OPS[op](value, right)
+            assert_normal_form(value)
+            assert value.valuation == oracle.valuation
+            assert (oracle_fraction_scalar._pmul(value.num, oracle.den)
+                    == oracle_fraction_scalar._pmul(oracle.num, value.den))
+
+
+def test_scalars_stay_small():
+    quotient = ValuedScalar.t_power(50) / ValuedScalar.t_power(49)
+    assert quotient == T
+    assert len(quotient.num) + len(quotient.den) == 3
+    assert_normal_form(ValuedScalar.from_polys([0, Fraction(2, 3), 4],
+                                               [0, 0, -2]))
+    assert ValuedScalar.from_polys([0, 2, 4], [0, 0, -2]).num == (-1, -2)
+    assert ValuedScalar.from_polys([0, 2, 4], [0, 0, -2]).den == (0, 1)
+    zero = T - T
+    assert (zero.num, zero.den) == ((), (1,))
 
 
 # ---------------------------------------------------------------------------

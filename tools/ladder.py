@@ -7,16 +7,22 @@ work counters: Cone.intersect calls, kernel_lattice calls and Cone.from_rays
 calls.  With --hilbert the rungs are instead the cones on (1,0,0), (0,1,0),
 (1,2,N) for N = 5, 10, 20, 40, 80 and on e1, e2, e3, (1,2,3,m) for m = 5,
 10, 20; each rung builds its cone in a fresh interpreter and records the wall
-of hilbert_basis and the number of generators.  Times are raw perf_counter
-seconds, not corrected for host speed.  Run from the root of a checkout:
+of hilbert_basis and the number of generators.  With --scalars the rungs are
+valuation scales 1, 2, 4, 8: each builds P(1,3,7) in a fresh interpreter and
+records the wall of coordinate_point + trop_point over every face of its
+last chart, at torus coordinates of valuations (scale, -2 scale), and the
+number of coefficients of the generator values (sum of len(num) + len(den)).
+Times are raw perf_counter seconds, not corrected for host speed.  Run from
+the root of a checkout:
 
     python3 tools/ladder.py --label change
     python3 tools/ladder.py --label parent --src OTHER/src --max-n 6
     python3 tools/ladder.py --label change --hilbert
+    python3 tools/ladder.py --label change --scalars
 
 Results are merged into BENCH_ladder.json under the label, Proj rungs under
-"rungs" and Hilbert rungs under "hilbert_rungs", so runs of two checkouts
-sit side by side.
+"rungs", Hilbert rungs under "hilbert_rungs" and scalar rungs under
+"scalar_rungs", so runs of two checkouts sit side by side.
 """
 
 import argparse
@@ -34,6 +40,7 @@ HILBERT_RUNGS = dict(
     [("N=%d" % n, [(1, 0, 0), (0, 1, 0), (1, 2, n)]) for n in (5, 10, 20, 40, 80)]
     + [("m=%d" % m, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, m)])
        for m in (5, 10, 20)])
+SCALAR_RUNGS = {"scale=%d" % k: k for k in (1, 2, 4, 8)}
 
 
 def _install_counters(counts):
@@ -123,6 +130,33 @@ def run_hilbert_rung(rung):
     return {"s": round(elapsed, 4), "generators": len(basis.generators)}
 
 
+def run_scalar_rung(rung):
+    """One scalar rung in this process: its wall and coefficient count."""
+    from fractions import Fraction
+
+    from prevtrop.exactla import AbelianGroup
+    from prevtrop.multiproj import Grading, proj_system_of_fans
+    from prevtrop.tropembed import ValuedScalar, coordinate_point, trop_point
+
+    scale = SCALAR_RUNGS[rung]
+    proj = proj_system_of_fans(Grading(AbelianGroup(1), [(1,), (3,), (7,)]))
+    label, subset = max(proj.chart_subsets.items())
+    chart = proj.system.omega().class_of(proj.poset.cone_of(subset), label)
+    faces = chart.cone.faces()
+    coords = [ValuedScalar.t_power(p, Fraction(1, 2))
+              + ValuedScalar.t_power(p + 1, 3)
+              for p in (scale, -2 * scale)]
+    coeffs = 0
+    start = time.perf_counter()
+    for face in faces:
+        point = coordinate_point(proj.system, chart, coords, zero_face=face)
+        trop_point(point)
+        coeffs += sum(len(v.num) + len(v.den) for v in point.values.values())
+    elapsed = time.perf_counter() - start
+    return {"s": round(elapsed, 4), "faces": len(faces),
+            "value_coeffs": coeffs}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="change",
@@ -131,30 +165,42 @@ def main():
                         help="the src directory of the checkout to measure")
     parser.add_argument("--max-n", type=int, default=8,
                         help="largest n of the P^n rungs")
-    parser.add_argument("--hilbert", action="store_true",
-                        help="run the Hilbert basis rungs instead")
+    kind = parser.add_mutually_exclusive_group()
+    kind.add_argument("--hilbert", action="store_true",
+                      help="run the Hilbert basis rungs instead")
+    kind.add_argument("--scalars", action="store_true",
+                      help="run the Q(t) scalar rungs instead")
     parser.add_argument("--out", default=str(ROOT / "BENCH_ladder.json"))
     parser.add_argument("--rung", help=argparse.SUPPRESS)
     args = parser.parse_args()
     sys.path.insert(0, str(Path(args.src).resolve()))
     if args.rung:
-        run = run_hilbert_rung if args.hilbert else run_rung
+        run = (run_hilbert_rung if args.hilbert
+               else run_scalar_rung if args.scalars else run_rung)
         print(json.dumps(run(args.rung)))
         return
     if args.hilbert:
-        rungs = list(HILBERT_RUNGS)
+        rungs, key = list(HILBERT_RUNGS), "hilbert_rungs"
+    elif args.scalars:
+        rungs, key = list(SCALAR_RUNGS), "scalar_rungs"
     else:
         rungs = ["P%d" % n for n in range(4, args.max_n + 1)] + [PRODUCT]
+        key = "rungs"
     results = {}
     for rung in rungs:
         child = subprocess.run(
             [sys.executable, __file__, "--rung", rung, "--src", args.src]
-            + ["--hilbert"] * args.hilbert,
+            + ["--hilbert"] * args.hilbert + ["--scalars"] * args.scalars,
             check=True, capture_output=True, text=True)
         results[rung] = result = json.loads(child.stdout.splitlines()[-1])
         if args.hilbert:
             print("%-18s %8.3fs  %d generators"
                   % (rung, result["s"], result["generators"]))
+            continue
+        if args.scalars:
+            print("%-18s %8.3fs  %d faces  %d value coefficients"
+                  % (rung, result["s"], result["faces"],
+                     result["value_coeffs"]))
             continue
         print("%-18s %8.3fs  separated %.3fs  %s" % (
             rung, result["total_s"], result["stages"]["separated"]["s"],
@@ -165,12 +211,14 @@ def main():
     document["about"] = (
         "tools/ladder.py: per-stage in-process walls (raw seconds) and work "
         "counters of proj -> omega -> validate -> separated -> support "
-        "(rungs), and walls and generator counts of hilbert_basis "
-        "(hilbert_rungs), one fresh interpreter per rung.")
+        "(rungs), walls and generator counts of hilbert_basis "
+        "(hilbert_rungs), and walls and value coefficient counts of "
+        "coordinate_point + trop_point on P(1,3,7) (scalar_rungs), one "
+        "fresh interpreter per rung.")
     document["runs"].setdefault(args.label, {}).update({
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "hilbert_rungs" if args.hilbert else "rungs": results})
+        key: results})
     out.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
 
 
