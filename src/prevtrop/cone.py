@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from prevtrop.exactla import (
     IntMatrix,
@@ -404,8 +403,11 @@ class AffineSemigroup:
         return self.cone.ambient_rank
 
     def __contains__(self, vector):
-        return all(dot(vector, r) >= 0 for r in self.cone.rays) \
-            and all(isinstance(x, int) or Fraction(x).denominator == 1 for x in vector)
+        vector = tuple(_rational_entry(x) for x in vector)
+        if len(vector) != self.ambient_rank:
+            raise ValueError("vector length mismatch")
+        return all(x.denominator == 1 for x in vector) \
+            and all(dot(vector, r) >= 0 for r in self.cone.rays)
 
     def relations(self):
         """Canonical basis of the integer relation lattice of the generators."""

@@ -6,7 +6,8 @@ and grading computations are tiny and dense, and exactness is non-negotiable
 because downstream cone identities are decided by equality.
 
 Hermite and Smith normal forms use unimodular integer row and column
-operations.  Every question over Q (rank, linear solves, canonical bases of
+operations, each written once: the transforms ride along as identity blocks
+beside the matrix and are split off at the end.  Every question over Q (rank, linear solves, canonical bases of
 row spaces) goes through one fraction-free elimination, _echelon: rational
 input rows are scaled to integer rows on entry, and each update is an
 integer cross multiplication divided by the content of the result.  No
@@ -35,19 +36,20 @@ class IntMatrix:
             raise ValueError("negative matrix dimensions")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match shape")
-        for e in self.entries:
-            if type(e) is not int:
-                raise TypeError("IntMatrix entries must be plain ints, got %r" % (e,))
 
     @staticmethod
     def from_rows(rows, cols=None):
         """Build from an iterable of row iterables.
 
+        The one constructor that checks its entries: each must be an int or
+        have __index__; a float or a bool raises TypeError instead of being
+        converted.
+
         Args:
           rows: iterable of rows; each row an iterable of ints.
           cols: required when rows is empty, otherwise inferred.
         """
-        data = [tuple(operator.index(x) for x in r) for r in rows]
+        data = [tuple(map(_matrix_entry, r)) for r in rows]
         if data:
             width = len(data[0])
             for r in data:
@@ -57,8 +59,7 @@ class IntMatrix:
             if cols is None:
                 raise ValueError("empty matrix needs an explicit column count")
             width = cols
-        flat = tuple(x for r in data for x in r)
-        return IntMatrix(len(data), width, flat)
+        return _matrix(data, width)
 
     @staticmethod
     def identity(n):
@@ -183,8 +184,21 @@ class AbelianGroup:
         return all(x == 0 for x in self.reduce(element))
 
 
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
+def _matrix_entry(x):
+    if isinstance(x, bool):
+        raise TypeError("IntMatrix entries must be ints, got %r" % (x,))
+    return operator.index(x)
+
+
+def _matrix(rows, cols):
+    """IntMatrix from row lists of plain ints computed here (unchecked)."""
+    return IntMatrix(len(rows), cols, tuple(x for r in rows for x in r))
+
+
+def _with_identity(rows):
+    """Each row followed by the matching row of an identity block."""
+    m = len(rows)
+    return [list(r) + [0] * i + [1] + [0] * (m - 1 - i) for i, r in enumerate(rows)]
 
 
 def _sub_row(m, i, j, q):
@@ -195,8 +209,41 @@ def _sub_row(m, i, j, q):
             mi[k] -= q * mj[k]
 
 
-def _neg_row(m, i):
-    m[i] = [-x for x in m[i]]
+def _swap_cols(m, j1, j2):
+    for row in m:
+        row[j1], row[j2] = row[j2], row[j1]
+
+
+def _hnf(h, n):
+    """Row Hermite normal form of the first n columns of the row lists h, in
+    place.  Every row operation acts on whole rows, so on [A | I] the right
+    block ends as the transform U with H = U @ A."""
+    m = len(h)
+    pr = 0
+    for col in range(n):
+        while True:
+            nz = [i for i in range(pr, m) if h[i][col] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: (abs(h[i][col]), i))
+            h[pr], h[i0] = h[i0], h[pr]
+            if h[pr][col] < 0:
+                h[pr] = [-x for x in h[pr]]
+            clean = True
+            for i in range(pr + 1, m):
+                if h[i][col]:
+                    _sub_row(h, i, pr, h[i][col] // h[pr][col])
+                    if h[i][col]:
+                        clean = False
+            if clean:
+                break
+        if pr < m and h[pr][col] > 0:
+            for i in range(pr):
+                _sub_row(h, i, pr, h[i][col] // h[pr][col])
+            pr += 1
+        if pr == m:
+            break
+    return h
 
 
 def hermite_normal_form(matrix):
@@ -211,40 +258,62 @@ def hermite_normal_form(matrix):
       [0, pivot), zero rows at the bottom.
     """
     m, n = matrix.rows, matrix.cols
-    h = matrix.row_lists()
-    u = IntMatrix.identity(m).row_lists()
-    pr = 0
-    for col in range(n):
-        while True:
-            nz = [i for i in range(pr, m) if h[i][col] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(h[i][col]), i))
-            if i0 != pr:
-                _swap_rows(h, pr, i0)
-                _swap_rows(u, pr, i0)
-            if h[pr][col] < 0:
-                _neg_row(h, pr)
-                _neg_row(u, pr)
-            clean = True
-            for i in range(pr + 1, m):
-                if h[i][col]:
-                    q = h[i][col] // h[pr][col]
-                    _sub_row(h, i, pr, q)
-                    _sub_row(u, i, pr, q)
-                    if h[i][col]:
-                        clean = False
-            if clean:
-                break
-        if pr < m and h[pr][col] > 0:
-            for i in range(pr):
-                q = h[i][col] // h[pr][col]
-                _sub_row(h, i, pr, q)
-                _sub_row(u, i, pr, q)
-            pr += 1
-        if pr == m:
+    hu = _hnf(_with_identity(matrix.row_lists()), n)
+    return _matrix([r[:n] for r in hu], n), _matrix([r[n:] for r in hu], m)
+
+
+def _smith(w, m, n):
+    """Smith normal form of the top-left m x n block of the row lists w, in
+    place.  Row operations act on whole rows among the first m, and column
+    operations on the first n entries of every row, so the block
+    [[A, I_m], [I_n]] ends as [[D, P], [Q]] with D = P @ A @ Q."""
+    t = 0
+    while t < min(m, n):
+        # locate a nonzero entry in the remaining submatrix
+        pos = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = abs(w[i][j])
+                if v and (best is None or v < best):
+                    best, pos = v, (i, j)
+        if pos is None:
             break
-    return IntMatrix.from_rows(h, cols=n), IntMatrix.from_rows(u, cols=m)
+        i0, j0 = pos
+        w[t], w[i0] = w[i0], w[t]
+        if j0 != t:
+            _swap_cols(w, t, j0)
+        while True:
+            # clear the pivot column
+            dirty = False
+            for i in range(t + 1, m):
+                if w[i][t]:
+                    _sub_row(w, i, t, w[i][t] // w[t][t])
+                    if w[i][t]:
+                        w[t], w[i] = w[i], w[t]
+                        dirty = True
+            # clear the pivot row
+            for j in range(t + 1, n):
+                if w[t][j]:
+                    q = w[t][j] // w[t][t]
+                    for row in w:
+                        row[j] -= q * row[t]
+                    if w[t][j]:
+                        _swap_cols(w, t, j)
+                        dirty = True
+            if not dirty and all(w[i][t] == 0 for i in range(t + 1, m)) \
+                    and all(w[t][j] == 0 for j in range(t + 1, n)):
+                break
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
+        # enforce divisibility of the remaining block by the pivot
+        stray = next((i for i in range(t + 1, m)
+                      if any(w[i][j] % w[t][t] for j in range(t + 1, n))), None)
+        if stray is not None:
+            _sub_row(w, t, stray, -1)   # row_t += row_stray
+            continue
+        t += 1
+    return w
 
 
 def smith_normal_form(matrix):
@@ -254,85 +323,10 @@ def smith_normal_form(matrix):
     with non-negative entries d_1 | d_2 | ... (zeros trailing).
     """
     m, n = matrix.rows, matrix.cols
-    d = matrix.row_lists()
-    p = IntMatrix.identity(m).row_lists()
-    # track Q by columns: store Q^T as rows for convenience
-    qt = IntMatrix.identity(n).row_lists()
-
-    def col_swap(j1, j2):
-        for row in d:
-            row[j1], row[j2] = row[j2], row[j1]
-        _swap_rows(qt, j1, j2)
-
-    def col_sub(j1, j2, q):
-        # column j1 -= q * column j2
-        if q:
-            for row in d:
-                row[j1] -= q * row[j2]
-            _sub_row(qt, j1, j2, q)
-
-    t = 0
-    while True:
-        # locate a nonzero entry in the remaining submatrix
-        pos = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(d[i][j])
-                if v and (best is None or v < best):
-                    best, pos = v, (i, j)
-        if pos is None:
-            break
-        i0, j0 = pos
-        if i0 != t:
-            _swap_rows(d, t, i0)
-            _swap_rows(p, t, i0)
-        if j0 != t:
-            col_swap(t, j0)
-        while True:
-            # clear the pivot column
-            dirty = False
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    _sub_row(d, i, t, q)
-                    _sub_row(p, i, t, q)
-                    if d[i][t]:
-                        _swap_rows(d, t, i)
-                        _swap_rows(p, t, i)
-                        dirty = True
-            # clear the pivot row
-            for j in range(t + 1, n):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    col_sub(j, t, q)
-                    if d[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-            if not dirty and all(d[i][t] == 0 for i in range(t + 1, m)) \
-                    and all(d[t][j] == 0 for j in range(t + 1, n)):
-                break
-        if d[t][t] < 0:
-            _neg_row(d, t)
-            _neg_row(p, t)
-        # enforce divisibility of the remaining block by the pivot
-        stray = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if d[i][j] % d[t][t] != 0:
-                    stray = i
-                    break
-            if stray is not None:
-                break
-        if stray is not None:
-            _sub_row(d, t, stray, -1)   # row_t += row_stray
-            _sub_row(p, t, stray, -1)
-            continue
-        t += 1
-        if t == min(m, n):
-            break
-    q_mat = IntMatrix.from_rows(qt, cols=n).transpose()
-    return IntMatrix.from_rows(d, cols=n), IntMatrix.from_rows(p, cols=m), q_mat
+    # [[A, I_m], [I_n]]: the bottom rows are n empty rows followed by I_n
+    w = _smith(_with_identity(matrix.row_lists()) + _with_identity([()] * n), m, n)
+    return (_matrix([r[:n] for r in w[:m]], n), _matrix([r[n:] for r in w[:m]], m),
+            _matrix(w[m:], n))
 
 
 def invert_unimodular(u):
@@ -342,12 +336,15 @@ def invert_unimodular(u):
     the inverse; any other HNF means the matrix is singular or has
     determinant other than +-1.
     """
-    if u.cols != u.rows:
+    n = u.rows
+    if u.cols != n:
         raise ValueError("not square")
-    h, v = hermite_normal_form(u)
-    if h != IntMatrix.identity(u.rows):
+    hv = _hnf(_with_identity(u.row_lists()), n)
+    # an echelon square matrix with unit diagonal and reduced entries above
+    # its pivots is the identity
+    if any(hv[i][i] != 1 for i in range(n)):
         raise ValueError("matrix is not unimodular")
-    return v
+    return _matrix([r[n:] for r in hv], n)
 
 
 def kernel_lattice(matrix):
@@ -356,13 +353,12 @@ def kernel_lattice(matrix):
     The returned basis rows always span a direct summand of Z^cols: they are
     rows of a unimodular matrix by construction, then HNF-normalized.
     """
-    h, u = hermite_normal_form(matrix.transpose())
-    zero_rows = [i for i in range(h.rows) if all(x == 0 for x in h.row(i))]
-    basis = [u.row(i) for i in zero_rows]
+    m, n = matrix.rows, matrix.cols
+    hu = _hnf(_with_identity([matrix.column(j) for j in range(n)]), m)
+    basis = [r[m:] for r in hu if not any(r[:m])]
     if basis:
-        hh, _ = hermite_normal_form(IntMatrix.from_rows(basis, cols=matrix.cols))
-        basis = [hh.row(i) for i in range(hh.rows) if any(hh.row(i))]
-    return Lattice(matrix.cols, IntMatrix.from_rows(basis, cols=matrix.cols))
+        basis = [r for r in _hnf(basis, n) if any(r)]
+    return Lattice(n, _matrix(basis, n))
 
 
 def primitive(v):
@@ -500,14 +496,12 @@ def cokernel_is_finite(matrix, target):
         raise ValueError("column length does not match the target group")
     if k == 0:
         return True, 1
-    cols = [list(matrix.column(j)) for j in range(matrix.cols)]
-    for idx, m in enumerate(target.torsion):
-        rel = [0] * k
-        rel[target.free_rank + idx] = m
-        cols.append(rel)
-    stacked = IntMatrix.from_rows(cols, cols=k).transpose()
-    d, _, _ = smith_normal_form(stacked)
-    diag = [d[i, i] for i in range(min(d.rows, d.cols))]
+    f = target.free_rank
+    n = matrix.cols + len(target.torsion)
+    d = _smith([list(matrix.row(i)) + [t if i == f + idx else 0
+                                       for idx, t in enumerate(target.torsion)]
+                for i in range(k)], k, n)
+    diag = [d[i][i] for i in range(min(k, n))]
     if len(diag) < k or any(x == 0 for x in diag):
         return False, None
     index = 1

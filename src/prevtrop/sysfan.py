@@ -550,7 +550,10 @@ def _json_objects(value, what):
 
 
 def system_from_data(data):
-    labels = [str(l) for l in _json_field(data, "indices", list)]
+    labels = _json_field(data, "indices", list)
+    for k, label in enumerate(labels):
+        if not isinstance(label, str):
+            raise DocumentError("indices[%d] must be a JSON string" % k)
     n = _integer_entry(_json_field(data, "ambient_rank"))
     entries = {}
     for key, cones in _json_field(data, "fans", dict).items():

@@ -135,6 +135,12 @@ def run_on_doc(tmp_path, capsys, command, doc):
     ("kapranov", dict(_POLY, terms=[5]), "terms[0] must be a JSON object"),
     ("kapranov", dict(_POLY, terms=[{"exp": 5, "val": "0"}]),
      "exp must be a JSON array"),
+    ("omega", dict(_SYSTEM, indices=[None], fans={"None,None": [[[1]]]}),
+     "indices[0] must be a JSON string"),
+    ("omega", dict(_SYSTEM, indices=[["0"]], fans={"['0'],['0']": [[[1]]]}),
+     "indices[0] must be a JSON string"),
+    ("separated", dict(_SYSTEM, indices=["1", 2]),
+     "indices[1] must be a JSON string"),
 ])
 def test_wrong_json_types_exit_one(tmp_path, capsys, command, doc, message):
     code, out, err = run_on_doc(tmp_path, capsys, command, doc)

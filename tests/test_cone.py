@@ -727,6 +727,15 @@ def test_membership_predicate():
     assert (1, 1) in hb
     assert (0, 1) in hb
     assert (-1, 1) not in hb
+    quad = hilbert_basis(Cone.from_rays([(1, 0), (0, 1)], 2))
+    assert (Fraction(1), 0) in quad
+    assert (Fraction(1, 2), 0) not in quad
+    for bad in [(1,), (1, 0, 5)]:
+        with pytest.raises(ValueError, match="length mismatch"):
+            bad in quad
+    for bad in [(1.0, 0), (True, 0)]:
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            bad in quad
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,153 @@ def oracle_invariant_factors(rows, ncols):
     return factors
 
 
+def _oracle_sub_row(m, i, j, q):
+    if q:
+        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
+
+
+def _oracle_swap_rows(m, i, j):
+    m[i], m[j] = m[j], m[i]
+
+
+def _oracle_neg_row(m, i):
+    m[i] = [-x for x in m[i]]
+
+
+def _oracle_identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def oracle_paired_hnf(rows, ncols):
+    """Row HNF with its transform kept as a separate matrix: every row
+    operation is written twice, once for H and once for U.  The operation
+    sequence is the package's, so (H, U) must agree entry for entry."""
+    h = [list(r) for r in rows]
+    m = len(h)
+    u = _oracle_identity(m)
+    pr = 0
+    for col in range(ncols):
+        while True:
+            nz = [i for i in range(pr, m) if h[i][col] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: (abs(h[i][col]), i))
+            if i0 != pr:
+                _oracle_swap_rows(h, pr, i0)
+                _oracle_swap_rows(u, pr, i0)
+            if h[pr][col] < 0:
+                _oracle_neg_row(h, pr)
+                _oracle_neg_row(u, pr)
+            clean = True
+            for i in range(pr + 1, m):
+                if h[i][col]:
+                    q = h[i][col] // h[pr][col]
+                    _oracle_sub_row(h, i, pr, q)
+                    _oracle_sub_row(u, i, pr, q)
+                    if h[i][col]:
+                        clean = False
+            if clean:
+                break
+        if pr < m and h[pr][col] > 0:
+            for i in range(pr):
+                q = h[i][col] // h[pr][col]
+                _oracle_sub_row(h, i, pr, q)
+                _oracle_sub_row(u, i, pr, q)
+            pr += 1
+        if pr == m:
+            break
+    return h, u
+
+
+def oracle_paired_snf(rows, ncols):
+    """Smith normal form with P and Q kept as separate matrices (Q as its
+    transpose, by rows): every operation is written twice.  The operation
+    sequence is the package's, so (D, P, Q) must agree entry for entry."""
+    d = [list(r) for r in rows]
+    m, n = len(d), ncols
+    p = _oracle_identity(m)
+    qt = _oracle_identity(n)
+
+    def col_swap(j1, j2):
+        for row in d:
+            row[j1], row[j2] = row[j2], row[j1]
+        _oracle_swap_rows(qt, j1, j2)
+
+    def col_sub(j1, j2, q):
+        if q:
+            for row in d:
+                row[j1] -= q * row[j2]
+            _oracle_sub_row(qt, j1, j2, q)
+
+    t = 0
+    while True:
+        pos = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = abs(d[i][j])
+                if v and (best is None or v < best):
+                    best, pos = v, (i, j)
+        if pos is None:
+            break
+        i0, j0 = pos
+        if i0 != t:
+            _oracle_swap_rows(d, t, i0)
+            _oracle_swap_rows(p, t, i0)
+        if j0 != t:
+            col_swap(t, j0)
+        while True:
+            dirty = False
+            for i in range(t + 1, m):
+                if d[i][t]:
+                    q = d[i][t] // d[t][t]
+                    _oracle_sub_row(d, i, t, q)
+                    _oracle_sub_row(p, i, t, q)
+                    if d[i][t]:
+                        _oracle_swap_rows(d, t, i)
+                        _oracle_swap_rows(p, t, i)
+                        dirty = True
+            for j in range(t + 1, n):
+                if d[t][j]:
+                    q = d[t][j] // d[t][t]
+                    col_sub(j, t, q)
+                    if d[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+            if not dirty and all(d[i][t] == 0 for i in range(t + 1, m)) \
+                    and all(d[t][j] == 0 for j in range(t + 1, n)):
+                break
+        if d[t][t] < 0:
+            _oracle_neg_row(d, t)
+            _oracle_neg_row(p, t)
+        stray = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if d[i][j] % d[t][t] != 0:
+                    stray = i
+                    break
+            if stray is not None:
+                break
+        if stray is not None:
+            _oracle_sub_row(d, t, stray, -1)
+            _oracle_sub_row(p, t, stray, -1)
+            continue
+        t += 1
+        if t == min(m, n):
+            break
+    return d, p, [list(c) for c in zip(*qt)]
+
+
+def oracle_paired_kernel(rows, ncols):
+    """Kernel basis rows from oracle_paired_hnf: the transform rows that
+    send the transpose to zero, HNF-normalized."""
+    h, u = oracle_paired_hnf([[r[j] for r in rows] for j in range(ncols)], len(rows))
+    basis = [ur for hr, ur in zip(h, u) if not any(hr)]
+    if basis:
+        basis = [r for r in oracle_paired_hnf(basis, ncols)[0] if any(r)]
+    return basis
+
+
 def random_matrix(rng, max_dim=4, bound=9):
     m = rng.randint(1, max_dim)
     n = rng.randint(1, max_dim)
@@ -107,6 +254,7 @@ def random_matrix(rng, max_dim=4, bound=9):
 
 def test_matrix_construction_rejects_junk():
     pytest.raises(TypeError, lambda: IntMatrix.from_rows([[1.5]]))
+    pytest.raises(TypeError, lambda: IntMatrix.from_rows([[True, 2]]))
     pytest.raises(ValueError, lambda: IntMatrix.from_rows([[1, 2], [3]]))
     pytest.raises(ValueError, lambda: IntMatrix.from_rows([]))
     assert IntMatrix.from_rows([], cols=3).rows == 0
@@ -222,6 +370,23 @@ def test_snf_matches_sympy_spot_checks():
         mine = sorted(x for x in (d[i, i] for i in range(min(d.rows, d.cols))) if x)
         theirs = sorted(abs(int(x)) for x in sd if int(x) != 0)
         assert mine == theirs
+
+
+def test_normal_forms_match_the_paired_transform_oracle():
+    # sizes stop at 5x5: from 6x6 on, SNF's transforms can grow past 64 bits
+    # and one matrix can take seconds (ROADMAP item 3)
+    rng = fresh_rng(12)
+    for trial in range(2100):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        if trial % 3 == 0 and m >= 2:
+            rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[-2])]
+        a = IntMatrix.from_rows(rows, cols=n)
+        h, u = hermite_normal_form(a)
+        assert (h.row_lists(), u.row_lists()) == oracle_paired_hnf(rows, n)
+        d, p, q = smith_normal_form(a)
+        assert (d.row_lists(), p.row_lists(), q.row_lists()) == oracle_paired_snf(rows, n)
+        assert kernel_lattice(a).basis.row_lists() == oracle_paired_kernel(rows, n)
 
 
 # ---------------------------------------------------------------------------
