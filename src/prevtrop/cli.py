@@ -5,30 +5,17 @@ Every input and output is a JSON document carrying "schema": 1 and a
 modules.  Reports go to standard output with sorted keys, diagnostics to
 standard error.  Exit codes: 0 for success, 1 for malformed input, 2 for
 semantic violations.
+
+Each subcommand imports the layers it uses when it runs, so a call that
+needs no classical point or refinement never loads the Q(t) arithmetic of
+tropembed.
 """
 
 import argparse
 import json
 import sys
 
-from .extreal import format_extended, parse_extended
-from .multiproj import (EmptyProj, grading_from_data, grading_to_data,
-                        proj_system_of_fans)
-from .sysfan import (DocumentError, _json_field, _json_objects, is_separated,
-                     product, support_is_full, system_from_data,
-                     system_to_data, validate_system)
-from .troppre import (chart_entries_from_data, chart_polynomial,
-                      chart_values_from_data, class_from_data,
-                      compare_to_trop, nonneg_point_from_chart_values,
-                      nonneg_point_to_data, nonneg_strata,
-                      point_from_chart_values, strata,
-                      trop_point_from_data, trop_point_to_data)
-from .tropembed import (classical_point, forget_refinement,
-                        hypersurface_from_data, kapranov_membership,
-                        kapranov_minimizers, nonneg_trop_point,
-                        refine_embedding, refined_trop,
-                        valued_scalar_from_data)
-from .tropembed import trop_point as classical_trop
+from .sysfan import DocumentError
 
 SCHEMA = 1
 
@@ -64,11 +51,14 @@ def _report(command, **payload):
 
 
 def _load_system(path):
+    from .sysfan import system_from_data
     return system_from_data(_read_document(path, {"system_of_fans"}))
 
 
 def _classical_from_data(system, data):
     """Decode {"chart": id, "values": {generator index: scalar}}."""
+    from .tropembed import classical_point, valued_scalar_from_data
+    from .troppre import chart_entries_from_data
     chart, entries = chart_entries_from_data(system, data)
     return classical_point(system, chart,
                            {g: valued_scalar_from_data(payload)
@@ -77,7 +67,9 @@ def _classical_from_data(system, data):
 
 def _point_for(system, data):
     """A classical or canonicalised tropical point from a point document."""
+    from .troppre import chart_values_from_data, point_from_chart_values
     if data["kind"] == "classical_point":
+        from .tropembed import trop_point as classical_trop
         return classical_trop(_classical_from_data(system, data))
     chart, values = chart_values_from_data(system, data)
     return point_from_chart_values(system, chart, values)
@@ -88,8 +80,10 @@ def _point_for(system, data):
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args):
+    from .sysfan import system_from_data, validate_system
     data = _read_document(args.file, {"system_of_fans", "grading"})
     if data["kind"] == "grading":
+        from .multiproj import grading_from_data
         grading = grading_from_data(data)
         _emit(_report("validate", ok=True, issues=[],
                       variables=grading.n,
@@ -105,6 +99,7 @@ def cmd_validate(args):
 
 
 def cmd_omega(args):
+    from .troppre import nonneg_strata, strata
     system = _load_system(args.file)
     omega = system.omega()
     classes = [{"id": cls.class_id,
@@ -124,6 +119,7 @@ def cmd_omega(args):
 
 
 def cmd_separated(args):
+    from .sysfan import is_separated, support_is_full
     system = _load_system(args.file)
     ok, witness = is_separated(system)
     payload = {"separated": ok}
@@ -140,6 +136,8 @@ def cmd_separated(args):
 
 
 def cmd_proj(args):
+    from .multiproj import grading_from_data, proj_system_of_fans
+    from .sysfan import system_to_data
     grading = grading_from_data(_read_document(args.file, {"grading"}))
     proj = proj_system_of_fans(grading)
     document = {"schema": SCHEMA, "kind": "system_of_fans"}
@@ -151,6 +149,7 @@ def cmd_proj(args):
 
 
 def cmd_trop(args):
+    from .troppre import trop_point_to_data
     system = _load_system(args.system)
     data = _read_document(args.point, {"classical_point", "chart_values"})
     point = _point_for(system, data)
@@ -161,9 +160,13 @@ def cmd_trop(args):
 
 
 def cmd_nonneg(args):
+    from .troppre import (chart_values_from_data, compare_to_trop,
+                          nonneg_point_from_chart_values,
+                          nonneg_point_to_data, trop_point_to_data)
     system = _load_system(args.system)
     data = _read_document(args.point, {"classical_point", "chart_values"})
     if data["kind"] == "classical_point":
+        from .tropembed import nonneg_trop_point
         point = nonneg_trop_point(_classical_from_data(system, data))
     else:
         chart, values = chart_values_from_data(system, data)
@@ -178,6 +181,10 @@ def cmd_nonneg(args):
 
 
 def cmd_kapranov(args):
+    from .extreal import format_extended, parse_extended
+    from .sysfan import _json_field, _json_objects, system_from_data
+    from .tropembed import kapranov_membership, kapranov_minimizers
+    from .troppre import chart_polynomial, class_from_data, trop_point_from_data
     data = _read_document(args.poly, {"polynomial"})
     system = system_from_data(_json_field(data, "system", dict))
     chart = class_from_data(system, _json_field(data, "chart"))
@@ -197,6 +204,11 @@ def cmd_kapranov(args):
 
 
 def cmd_refine(args):
+    from .multiproj import grading_from_data, grading_to_data
+    from .tropembed import (forget_refinement, hypersurface_from_data,
+                            refine_embedding, refined_trop)
+    from .tropembed import trop_point as classical_trop
+    from .troppre import trop_point_to_data
     grading = grading_from_data(_read_document(args.grading, {"grading"}))
     gtilde = hypersurface_from_data(
         grading, _read_document(args.gtilde, {"polynomial"}))
@@ -224,6 +236,7 @@ def cmd_refine(args):
 
 
 def cmd_product(args):
+    from .sysfan import product, system_to_data
     left = _load_system(args.left)
     right = _load_system(args.right)
     combined = product(left, right, separator=args.separator)
@@ -306,7 +319,7 @@ def main(argv=None):
     except DocumentError as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
-    except (ValueError, KeyError, EmptyProj, ZeroDivisionError) as err:
+    except (ValueError, KeyError, ZeroDivisionError) as err:
         message = err.args[0] if err.args else err
         print("error: %s" % (message,), file=sys.stderr)
         return 2

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass, field
 
 from prevtrop.exactla import (
     IntMatrix,
     Lattice,
+    _Value,
     _echelon,
     _integer_vector,
     _rational_entry,
@@ -54,6 +54,12 @@ def _reduce_mod(base, v):
     return primitive(v)
 
 
+def _project(v, l0, d0, a):
+    """d0 * v - <a, v> * l0, the image of v along l0 where <a, l0> = d0."""
+    dv = dot(a, v)
+    return tuple(d0 * x - dv * y for x, y in zip(v, l0))
+
+
 def _halfspace_generators(normals, n):
     """Generator description of the cone {x : <a, x> >= 0 for a in normals}.
 
@@ -75,14 +81,11 @@ def _halfspace_generators(normals, n):
             if dot(a, l0) < 0:
                 l0 = tuple(-x for x in l0)
             d0 = dot(a, l0)
-            others = [l for pc, l in lin if pc != pc0]
-            lin = _echelon(
-                [tuple(d0 * x - dot(a, l) * y for x, y in zip(l, l0)) for l in others], n)
+            lin = _echelon([_project(l, l0, d0, a) for pc, l in lin if pc != pc0], n)
             # projecting along l0 maps the old quotient by the lineality
             # isomorphically onto the new one, so extremal rays stay extremal;
             # every earlier normal vanishes on l0
-            rays = {tuple(d0 * x - dot(a, r) * y for x, y in zip(r, l0)): z | {k}
-                    for r, z in rays.items()}
+            rays = {_project(r, l0, d0, a): z | {k} for r, z in rays.items()}
             rays[l0] = frozenset(range(k))
         else:
             plus, zero, minus = [], [], []
@@ -319,18 +322,23 @@ class Cone:
         return self._span_quot
 
 
-@dataclass(frozen=True)
-class LatticeQuotient:
+class LatticeQuotient(_Value):
     """Z^ambient -> Z^(ambient-k) with kernel exactly the saturated sublattice.
 
     proj rows give the projection; dual covectors vanishing on the sublattice
     descend through section columns (dual of a splitting of proj).
     """
 
-    ambient: int
-    sub: Lattice
-    proj: IntMatrix
-    section: IntMatrix
+    __slots__ = ("ambient", "sub", "proj", "section")
+
+    def __init__(self, ambient, sub, proj, section):
+        self.ambient = ambient
+        self.sub = sub
+        self.proj = proj
+        self.section = section
+
+    def _key(self):
+        return self.ambient, self.sub, self.proj, self.section
 
     @property
     def rank(self):
@@ -381,8 +389,7 @@ def lattice_quotient(spanning_vectors, ambient_rank):
 # dual monoids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AffineSemigroup:
+class AffineSemigroup(_Value):
     """The monoid of dual lattice points of a cone, sigma^v cap M.
 
     generators is the canonical minimal generating set: the Hilbert basis of
@@ -391,12 +398,21 @@ class AffineSemigroup:
     dimensional.
     """
 
-    cone: Cone
-    generators: tuple
-    units: tuple
-    _lift_of: dict = field(compare=False)   # Hilbert basis image -> lift
-    _proj: IntMatrix
-    _img_normals: tuple
+    __slots__ = ("cone", "generators", "units", "_lift_of", "_proj",
+                 "_img_normals")
+
+    def __init__(self, cone, generators, units, _lift_of, _proj, _img_normals):
+        self.cone = cone
+        self.generators = generators
+        self.units = units
+        self._lift_of = _lift_of    # Hilbert basis image -> lift
+        self._proj = _proj
+        self._img_normals = _img_normals
+
+    def _key(self):
+        # _lift_of is an unhashable dict and stays out
+        return (self.cone, self.generators, self.units, self._proj,
+                self._img_normals)
 
     @property
     def ambient_rank(self):

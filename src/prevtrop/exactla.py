@@ -19,23 +19,41 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class _Value:
+    """Base of the slotted value classes: two values are equal when they
+    have the same class and equal _key(), and hash as their _key().
+    Instances are never mutated."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class IntMatrix(_Value):
     """Immutable dense integer matrix (row-major entries)."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows, cols, entries):
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    def _key(self):
+        return self.rows, self.cols, self.entries
 
     @staticmethod
     def from_rows(rows, cols=None):
@@ -47,7 +65,8 @@ class IntMatrix:
 
         Args:
           rows: iterable of rows; each row an iterable of ints.
-          cols: required when rows is empty, otherwise inferred.
+          cols: required when rows is empty, otherwise inferred; when given
+            with rows, every row must have this width.
         """
         data = [tuple(map(_matrix_entry, r)) for r in rows]
         if data:
@@ -55,6 +74,9 @@ class IntMatrix:
             for r in data:
                 if len(r) != width:
                     raise ValueError("ragged rows")
+            if cols is not None and cols != width:
+                raise ValueError("rows have width %d, expected %d"
+                                 % (width, cols))
         else:
             if cols is None:
                 raise ValueError("empty matrix needs an explicit column count")
@@ -133,16 +155,19 @@ class IntMatrix:
         return self.rows == self.cols and self.determinant() in (1, -1)
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(_Value):
     """A saturated sublattice of Z^ambient given by basis rows."""
 
-    ambient: int
-    basis: IntMatrix
+    __slots__ = ("ambient", "basis")
 
-    def __post_init__(self):
-        if self.basis.cols != self.ambient:
+    def __init__(self, ambient, basis):
+        if basis.cols != ambient:
             raise ValueError("basis width does not match ambient rank")
+        self.ambient = ambient
+        self.basis = basis
+
+    def _key(self):
+        return self.ambient, self.basis
 
     @property
     def rank(self):
@@ -152,23 +177,30 @@ class Lattice:
         return [self.basis.row(i) for i in range(self.basis.rows)]
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(_Value):
     """Finitely generated abelian group Z^free_rank + sum Z/m_k.
 
     Elements are int tuples of length free_rank + len(torsion); torsion
     coordinates are read modulo the corresponding invariant factor.
     """
 
-    free_rank: int
-    torsion: tuple = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank, torsion=()):
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        for m in self.torsion:
+        for m in torsion:
             if type(m) is not int or m < 2:
                 raise ValueError("torsion invariant factors must be ints >= 2")
+        self.free_rank = free_rank
+        self.torsion = torsion
+
+    def _key(self):
+        return self.free_rank, self.torsion
+
+    def __repr__(self):
+        return "AbelianGroup(free_rank=%r, torsion=%r)" % (self.free_rank,
+                                                           self.torsion)
 
     @property
     def ngens(self):

@@ -25,7 +25,7 @@ from prevtrop.exactla import (
 from prevtrop.sysfan import SystemOfFans, _json_field, _json_rows, _json_typed
 
 
-class EmptyProj(Exception):
+class EmptyProj(ValueError):
     """Raised when no variable subset is relevant: the glued space is empty."""
 
 

@@ -10,19 +10,22 @@ with reverse inclusion on chart sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from prevtrop.cone import Cone
-from prevtrop.exactla import IntMatrix, _integer_entry
+from prevtrop.exactla import _Value, _integer_entry
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(_Value):
     """One named axiom violation; validation returns lists of these."""
 
-    kind: str          # "fan", "symmetry", "subfan", "pointed", ...
-    where: tuple       # chart labels (and a chart triple for subfan checks)
-    detail: str
+    __slots__ = ("kind", "where", "detail")
+
+    def __init__(self, kind, where, detail):
+        self.kind = kind        # "fan", "symmetry", "subfan", "pointed", ...
+        self.where = where      # chart labels (a chart triple for subfan)
+        self.detail = detail
+
+    def _key(self):
+        return self.kind, self.where, self.detail
 
     def __str__(self):
         return "%s at %s: %s" % (self.kind, "/".join(map(str, self.where)),
@@ -189,13 +192,18 @@ def validate_system(system):
     return issues
 
 
-@dataclass(frozen=True)
-class OmegaClass:
+class OmegaClass(_Value):
     """A chart class: a cone plus every chart containing it compatibly."""
 
-    class_id: int
-    cone: Cone
-    members: tuple      # chart labels, in system label order
+    __slots__ = ("class_id", "cone", "members")
+
+    def __init__(self, class_id, cone, members):
+        self.class_id = class_id
+        self.cone = cone
+        self.members = members      # chart labels, in system label order
+
+    def _key(self):
+        return self.class_id, self.cone, self.members
 
     @property
     def representative(self):
@@ -301,14 +309,21 @@ class OmegaPoset:
 # morphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SysFanMorphism:
+class SysFanMorphism(_Value):
     """A lattice map together with a map of chart classes."""
 
-    source: SystemOfFans
-    target: SystemOfFans
-    lattice_map: IntMatrix        # target_rank x source_rank
-    class_map: dict               # source class_id -> target class_id
+    __slots__ = ("source", "target", "lattice_map", "class_map")
+
+    def __init__(self, source, target, lattice_map, class_map):
+        self.source = source
+        self.target = target
+        self.lattice_map = lattice_map  # target_rank x source_rank
+        self.class_map = class_map      # source class_id -> target class_id
+
+    def _key(self):
+        return self.source, self.target, self.lattice_map, self.class_map
+
+    __hash__ = None     # class_map is a dict
 
     def image_class(self, cls):
         tgt_id = self.class_map[cls.class_id if isinstance(cls, OmegaClass)

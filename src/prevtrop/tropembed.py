@@ -10,7 +10,6 @@ indistinguishable points get separated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
@@ -86,7 +85,6 @@ def _cleared(num, den):
             [c.numerator * (scale // c.denominator) for c in den])
 
 
-@dataclass(frozen=True, eq=False)
 class ValuedScalar:
     """An element of Q(t) with its t-adic valuation.
 
@@ -96,11 +94,10 @@ class ValuedScalar:
     only for zero.
     """
 
-    num: tuple
-    den: tuple
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        num, den = list(self.num), list(self.den)
+    def __init__(self, num, den):
+        num, den = list(num), list(den)
         if not _INT.issuperset(map(type, num + den)):
             num, den = _cleared(num, den)
         while den and not den[-1]:
@@ -121,8 +118,8 @@ class ValuedScalar:
             if g != 1:
                 num = [c // g for c in num]
                 den = [c // g for c in den]
-        object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", tuple(den))
+        self.num = tuple(num)
+        self.den = tuple(den)
 
     @classmethod
     def of(cls, value):
@@ -402,12 +399,15 @@ def kapranov_membership(poly, point):
 # hypersurfaces in a graded ambient
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class EmbeddedHypersurface:
-    """A nonzero polynomial with valued coefficients in a graded ring."""
+    """A nonzero polynomial with valued coefficients in a graded ring,
+    compared by identity."""
 
-    grading: Grading
-    terms: tuple
+    __slots__ = ("grading", "terms")
+
+    def __init__(self, grading, terms):
+        self.grading = grading
+        self.terms = terms
 
 
 def hypersurface(grading, terms):
@@ -475,23 +475,27 @@ def evaluate_polynomial(proj, point, terms):
 # embedding refinement
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class Refinement:
     """A new homogeneous coordinate x standing for a chosen polynomial.
 
     The new grading extends the old one by deg(x) = deg(gtilde); clearing
     records the monomial multiplier that made the underlying function a
     polynomial, so the function itself is the pullback of x divided by that
-    monomial.
+    monomial.  Compared by identity.
     """
 
-    old_grading: Grading
-    new_grading: Grading
-    old_proj: object
-    new_proj: object
-    gtilde: tuple
-    clearing: tuple
-    x_degree: tuple
+    __slots__ = ("old_grading", "new_grading", "old_proj", "new_proj",
+                 "gtilde", "clearing", "x_degree")
+
+    def __init__(self, old_grading, new_grading, old_proj, new_proj, gtilde,
+                 clearing, x_degree):
+        self.old_grading = old_grading
+        self.new_grading = new_grading
+        self.old_proj = old_proj
+        self.new_proj = new_proj
+        self.gtilde = gtilde
+        self.clearing = clearing
+        self.x_degree = x_degree
 
 
 def refine_embedding(grading, terms, clearing=None):

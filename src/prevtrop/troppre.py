@@ -10,13 +10,13 @@ containment questions go through the exact cone machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cone import Cone, dot, hilbert_basis
-from .exactla import _integer_entry, _integer_vector, _rational_entry, solve_rational
+from .exactla import (_Value, _integer_entry, _integer_vector, _rational_entry,
+                      solve_rational)
 from .extreal import INF, format_extended, is_finite, parse_extended
-from .sysfan import OmegaClass, _json_field
+from .sysfan import _json_field
 
 
 class FiniteLocusNotAFace(ValueError):
@@ -46,8 +46,7 @@ def _vector(entries, rank, what):
 # points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TropPoint:
+class TropPoint(_Value):
     """A point of the tropical space: a stratum class plus coordinates.
 
     Coordinates live in the quotient of the ambient lattice by the span of
@@ -55,12 +54,17 @@ class TropPoint:
     they are always finite.
     """
 
-    stratum: OmegaClass
-    coords: tuple
+    __slots__ = ("stratum", "coords")
+
+    def __init__(self, stratum, coords):
+        self.stratum = stratum
+        self.coords = coords
+
+    def _key(self):
+        return self.stratum, self.coords
 
 
-@dataclass(frozen=True)
-class NonNegTropPoint:
+class NonNegTropPoint(_Value):
     """A point of the nonnegative part, in canonical (smallest-chart) form.
 
     ``face`` is the locus where chart values are infinite; ``coords`` give
@@ -69,9 +73,15 @@ class NonNegTropPoint:
     chart minimal makes equality of points plain field equality.
     """
 
-    chart: OmegaClass
-    face: Cone
-    coords: tuple
+    __slots__ = ("chart", "face", "coords")
+
+    def __init__(self, chart, face, coords):
+        self.chart = chart
+        self.face = face
+        self.coords = coords
+
+    def _key(self):
+        return self.chart, self.face, self.coords
 
 
 def trop_point(system, stratum, coords):
@@ -291,8 +301,7 @@ def nonneg_preimage(system, point):
 # polynomials with valued coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValuatedChartPolynomial:
+class ValuatedChartPolynomial(_Value):
     """A chart polynomial remembered only through coefficient valuations.
 
     Terms pair an exponent from the chart's dual monoid with the valuation
@@ -300,8 +309,14 @@ class ValuatedChartPolynomial:
     distinct and sorted.
     """
 
-    chart: OmegaClass
-    terms: tuple
+    __slots__ = ("chart", "terms")
+
+    def __init__(self, chart, terms):
+        self.chart = chart
+        self.terms = terms
+
+    def _key(self):
+        return self.chart, self.terms
 
 
 def chart_polynomial(system, chart, terms):

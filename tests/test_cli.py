@@ -1,6 +1,10 @@
 """End-to-end checks of the JSON command line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -351,6 +355,35 @@ def test_product_command(tmp_path, capsys):
     combined = system_from_data(json.loads(out))
     assert combined.ambient_rank == 2
     assert len(combined.labels) == 4
+
+
+def test_commands_without_classical_points_do_not_load_tropembed(tmp_path):
+    # a fresh interpreter, since this one has imported every module already
+    doubled = write_doc(tmp_path, "d.json", system_doc(line_two_origins()))
+    grading = write_doc(tmp_path, "g.json", grading_doc([(1,), (1,)]))
+    plane = write_doc(tmp_path, "p.json", system_doc(affine_plane()))
+    values = write_doc(tmp_path, "v.json",
+                       {"schema": 1, "kind": "chart_values", "chart": 2,
+                        "values": {"0": "3/2", "1": "inf"}})
+    calls = [["validate", doubled], ["validate", grading], ["omega", doubled],
+             ["separated", doubled], ["proj", grading],
+             ["product", doubled, doubled], ["trop", values, plane],
+             ["nonneg", values, plane, "--compare"]]
+    script = ("import json, sys\n"
+              "from prevtrop.cli import main\n"
+              "codes = [main(argv) for argv in %r]\n"
+              "print(json.dumps([codes, sorted(sys.modules)]), file=sys.stderr)"
+              % (calls,))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", script], env=env,
+                           capture_output=True, text=True, check=True,
+                           timeout=120)
+    codes, modules = json.loads(child.stderr.splitlines()[-1])
+    assert codes == [0] * len(calls)
+    assert "prevtrop.sysfan" in modules and "prevtrop.multiproj" in modules
+    assert "prevtrop.tropembed" not in modules
 
 
 def test_fractional_ray_entries_exit_two(tmp_path, capsys):

@@ -260,6 +260,15 @@ def test_matrix_construction_rejects_junk():
     assert IntMatrix.from_rows([], cols=3).rows == 0
 
 
+def test_from_rows_checks_an_explicit_width():
+    with pytest.raises(ValueError, match="width 2, expected 3"):
+        IntMatrix.from_rows([[1, 2]], cols=3)
+    with pytest.raises(ValueError, match="width 0, expected 1"):
+        IntMatrix.from_rows([[]], cols=1)
+    m = IntMatrix.from_rows([[1, 2], [3, 4]], cols=2)
+    assert (m.rows, m.cols, m.entries) == (2, 2, (1, 2, 3, 4))
+
+
 def test_matmul_and_transpose():
     a = IntMatrix.from_rows([[1, 2], [3, 4]])
     b = IntMatrix.from_rows([[0, 1], [1, 0]])

@@ -40,3 +40,21 @@ def test_library_applies_int_only_to_strings():
                   for name, line in _int_calls(tree, None)
                   if (path.name, name) not in parsers]
     assert found == []
+
+
+def test_library_does_not_import_dataclasses():
+    # importing dataclasses pulls in inspect, ast, dis and tokenize, a large
+    # share of a command line call's start-up; value classes are slotted
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "dataclasses" in names:
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []

@@ -12,6 +12,10 @@ valuation scales 1, 2, 4, 8: each builds P(1,3,7) in a fresh interpreter and
 records the wall of coordinate_point + trop_point over every face of its
 last chart, at torus coordinates of valuations (scale, -2 scale), and the
 number of coefficients of the generator values (sum of len(num) + len(den)).
+With --startup the rungs are a bare `python -c pass` and one
+`python -m prevtrop.cli <command>` per subcommand on small documents (P^1,
+the affine plane and points on it), each run in fresh processes, rounds
+interleaved, and record the median wall of each in milliseconds.
 Times are raw perf_counter seconds, not corrected for host speed.  Run from
 the root of a checkout:
 
@@ -19,17 +23,22 @@ the root of a checkout:
     python3 tools/ladder.py --label parent --src OTHER/src --max-n 6
     python3 tools/ladder.py --label change --hilbert
     python3 tools/ladder.py --label change --scalars
+    python3 tools/ladder.py --label change --startup
 
 Results are merged into BENCH_ladder.json under the label, Proj rungs under
-"rungs", Hilbert rungs under "hilbert_rungs" and scalar rungs under
-"scalar_rungs", so runs of two checkouts sit side by side.
+"rungs", Hilbert rungs under "hilbert_rungs", scalar rungs under
+"scalar_rungs" and start-up rungs under "startup_rungs", so runs of two
+checkouts sit side by side.
 """
 
 import argparse
 import json
+import os
 import platform
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -41,6 +50,7 @@ HILBERT_RUNGS = dict(
     + [("m=%d" % m, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, m)])
        for m in (5, 10, 20)])
 SCALAR_RUNGS = {"scale=%d" % k: k for k in (1, 2, 4, 8)}
+STARTUP_ROUNDS = 15
 
 
 def _install_counters(counts):
@@ -157,6 +167,84 @@ def run_scalar_rung(rung):
             "value_coeffs": coeffs}
 
 
+def startup_commands(directory):
+    """Write small documents into directory; the argv of one call of every
+    subcommand on them.  Uses the library on sys.path."""
+    from prevtrop.cone import Cone, hilbert_basis
+    from prevtrop.exactla import AbelianGroup
+    from prevtrop.multiproj import Grading, grading_to_data, proj_system_of_fans
+    from prevtrop.sysfan import system_to_data
+
+    def write(name, kind, payload):
+        path = os.path.join(directory, name)
+        document = {"schema": 1, "kind": kind}
+        document.update(payload)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle, sort_keys=True)
+        return path
+
+    line = Grading(AbelianGroup(1), [(1,), (1,)])
+    plane = Grading(AbelianGroup(0), [(), ()])
+    line_grading = write("p1-grading.json", "grading", grading_to_data(line))
+    plane_grading = write("plane-grading.json", "grading",
+                          grading_to_data(plane))
+    line_system = write("p1.json", "system_of_fans",
+                        system_to_data(proj_system_of_fans(line).system))
+    proj = proj_system_of_fans(plane)
+    plane_data = system_to_data(proj.system)
+    plane_system = write("plane.json", "system_of_fans", plane_data)
+    omega = proj.system.omega()
+    chart = omega.class_of(proj.poset.cone_of(frozenset()), "1")
+    dense = omega.class_of(Cone.from_rays([], 2), "1")
+    # every generator takes the value t + 1
+    one_plus_t = {"num": [["1", 0], ["1", 1]], "den": [["1", 0]]}
+    point = write("point.json", "classical_point", {
+        "chart": chart.class_id,
+        "values": {str(k): one_plus_t
+                   for k in range(len(hilbert_basis(chart.cone).generators))}})
+    poly = write("poly.json", "polynomial", {
+        "system": plane_data, "chart": chart.class_id,
+        "terms": [{"exp": [1, 0], "val": "0"}, {"exp": [0, 1], "val": "0"},
+                  {"exp": [0, 0], "val": "0"}]})
+    trop = write("trop.json", "trop_point", {"class": dense.class_id,
+                                             "coords": ["0", "0"]})
+    gtilde = write("gtilde.json", "polynomial", {"terms": [
+        {"exp": [1, 0], "coeff": "1"}, {"exp": [0, 1], "coeff": "1"},
+        {"exp": [0, 0], "coeff": "1"}]})
+    return {"validate": ["validate", line_system],
+            "omega": ["omega", line_system],
+            "separated": ["separated", line_system],
+            "proj": ["proj", line_grading],
+            "trop": ["trop", point, plane_system],
+            "nonneg": ["nonneg", point, plane_system, "--compare"],
+            "kapranov": ["kapranov", poly, trop],
+            "refine": ["refine", plane_grading, "--gtilde", gtilde,
+                       "--point", point],
+            "product": ["product", line_system, line_system]}
+
+
+def run_startup(src):
+    """Median milliseconds of a bare interpreter and of one call of every
+    subcommand, over interleaved rounds of fresh processes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                      env.get("PYTHONPATH")]))
+    with tempfile.TemporaryDirectory() as directory:
+        argvs = {"python -c pass": ["-c", "pass"]}
+        argvs.update((name, ["-m", "prevtrop.cli"] + argv)
+                     for name, argv in startup_commands(directory).items())
+        samples = {name: [] for name in argvs}
+        for _ in range(STARTUP_ROUNDS):
+            for name, argv in argvs.items():
+                start = time.perf_counter()
+                subprocess.run([sys.executable] + argv, env=env, check=True,
+                               stdout=subprocess.DEVNULL)
+                samples[name].append(time.perf_counter() - start)
+    return {name: {"ms": round(1000 * statistics.median(times), 1),
+                   "runs": len(times)}
+            for name, times in samples.items()}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="change",
@@ -170,6 +258,8 @@ def main():
                       help="run the Hilbert basis rungs instead")
     kind.add_argument("--scalars", action="store_true",
                       help="run the Q(t) scalar rungs instead")
+    kind.add_argument("--startup", action="store_true",
+                      help="time command line start-up per subcommand instead")
     parser.add_argument("--out", default=str(ROOT / "BENCH_ladder.json"))
     parser.add_argument("--rung", help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -179,14 +269,19 @@ def main():
                else run_scalar_rung if args.scalars else run_rung)
         print(json.dumps(run(args.rung)))
         return
-    if args.hilbert:
+    results = {}
+    if args.startup:
+        rungs, key = [], "startup_rungs"
+        results = run_startup(str(Path(args.src).resolve()))
+        for rung, result in results.items():
+            print("%-18s %8.1fms" % (rung, result["ms"]))
+    elif args.hilbert:
         rungs, key = list(HILBERT_RUNGS), "hilbert_rungs"
     elif args.scalars:
         rungs, key = list(SCALAR_RUNGS), "scalar_rungs"
     else:
         rungs = ["P%d" % n for n in range(4, args.max_n + 1)] + [PRODUCT]
         key = "rungs"
-    results = {}
     for rung in rungs:
         child = subprocess.run(
             [sys.executable, __file__, "--rung", rung, "--src", args.src]
@@ -214,7 +309,9 @@ def main():
         "(rungs), walls and generator counts of hilbert_basis "
         "(hilbert_rungs), and walls and value coefficient counts of "
         "coordinate_point + trop_point on P(1,3,7) (scalar_rungs), one "
-        "fresh interpreter per rung.")
+        "fresh interpreter per rung; median milliseconds of a bare "
+        "interpreter and of one prevtrop.cli call per subcommand, in "
+        "interleaved rounds of fresh processes (startup_rungs).")
     document["runs"].setdefault(args.label, {}).update({
         "python": platform.python_version(),
         "machine": platform.machine(),
