@@ -6,16 +6,17 @@ modules.  Reports go to standard output with sorted keys, diagnostics to
 standard error.  Exit codes: 0 for success, 1 for malformed input, 2 for
 semantic violations.
 
-Each subcommand imports the layers it uses when it runs, so a call that
-needs no classical point or refinement never loads the Q(t) arithmetic of
-tropembed.
+Each subcommand imports the layers it uses when it runs, after reading its
+first document: a call that needs no classical point or refinement never
+loads the Q(t) arithmetic of tropembed, and an unreadable or malformed
+first document is reported without loading the geometry at all.
 """
 
 import argparse
 import json
 import sys
 
-from .sysfan import DocumentError
+from .jsondoc import DocumentError
 
 SCHEMA = 1
 
@@ -51,8 +52,9 @@ def _report(command, **payload):
 
 
 def _load_system(path):
+    data = _read_document(path, {"system_of_fans"})
     from .sysfan import system_from_data
-    return system_from_data(_read_document(path, {"system_of_fans"}))
+    return system_from_data(data)
 
 
 def _classical_from_data(system, data):
@@ -80,8 +82,8 @@ def _point_for(system, data):
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args):
-    from .sysfan import system_from_data, validate_system
     data = _read_document(args.file, {"system_of_fans", "grading"})
+    from .sysfan import system_from_data, validate_system
     if data["kind"] == "grading":
         from .multiproj import grading_from_data
         grading = grading_from_data(data)
@@ -99,8 +101,8 @@ def cmd_validate(args):
 
 
 def cmd_omega(args):
-    from .troppre import nonneg_strata, strata
     system = _load_system(args.file)
+    from .troppre import nonneg_strata, strata
     omega = system.omega()
     classes = [{"id": cls.class_id,
                 "rays": [list(r) for r in cls.cone.rays],
@@ -119,8 +121,8 @@ def cmd_omega(args):
 
 
 def cmd_separated(args):
-    from .sysfan import is_separated, support_is_full
     system = _load_system(args.file)
+    from .sysfan import is_separated, support_is_full
     ok, witness = is_separated(system)
     payload = {"separated": ok}
     if ok:
@@ -136,9 +138,10 @@ def cmd_separated(args):
 
 
 def cmd_proj(args):
+    data = _read_document(args.file, {"grading"})
     from .multiproj import grading_from_data, proj_system_of_fans
     from .sysfan import system_to_data
-    grading = grading_from_data(_read_document(args.file, {"grading"}))
+    grading = grading_from_data(data)
     proj = proj_system_of_fans(grading)
     document = {"schema": SCHEMA, "kind": "system_of_fans"}
     document.update(system_to_data(proj.system))
@@ -149,9 +152,9 @@ def cmd_proj(args):
 
 
 def cmd_trop(args):
-    from .troppre import trop_point_to_data
     system = _load_system(args.system)
     data = _read_document(args.point, {"classical_point", "chart_values"})
+    from .troppre import trop_point_to_data
     point = _point_for(system, data)
     document = {"schema": SCHEMA, "kind": "trop_point"}
     document.update(trop_point_to_data(point))
@@ -160,11 +163,11 @@ def cmd_trop(args):
 
 
 def cmd_nonneg(args):
+    system = _load_system(args.system)
+    data = _read_document(args.point, {"classical_point", "chart_values"})
     from .troppre import (chart_values_from_data, compare_to_trop,
                           nonneg_point_from_chart_values,
                           nonneg_point_to_data, trop_point_to_data)
-    system = _load_system(args.system)
-    data = _read_document(args.point, {"classical_point", "chart_values"})
     if data["kind"] == "classical_point":
         from .tropembed import nonneg_trop_point
         point = nonneg_trop_point(_classical_from_data(system, data))
@@ -181,11 +184,12 @@ def cmd_nonneg(args):
 
 
 def cmd_kapranov(args):
+    data = _read_document(args.poly, {"polynomial"})
     from .extreal import format_extended, parse_extended
-    from .sysfan import _json_field, _json_objects, system_from_data
+    from .jsondoc import _json_field, _json_objects
+    from .sysfan import system_from_data
     from .tropembed import kapranov_membership, kapranov_minimizers
     from .troppre import chart_polynomial, class_from_data, trop_point_from_data
-    data = _read_document(args.poly, {"polynomial"})
     system = system_from_data(_json_field(data, "system", dict))
     chart = class_from_data(system, _json_field(data, "chart"))
     poly = chart_polynomial(system, chart,
@@ -204,12 +208,13 @@ def cmd_kapranov(args):
 
 
 def cmd_refine(args):
+    data = _read_document(args.grading, {"grading"})
     from .multiproj import grading_from_data, grading_to_data
     from .tropembed import (forget_refinement, hypersurface_from_data,
                             refine_embedding, refined_trop)
     from .tropembed import trop_point as classical_trop
     from .troppre import trop_point_to_data
-    grading = grading_from_data(_read_document(args.grading, {"grading"}))
+    grading = grading_from_data(data)
     gtilde = hypersurface_from_data(
         grading, _read_document(args.gtilde, {"polynomial"}))
     clearing = None
@@ -236,9 +241,9 @@ def cmd_refine(args):
 
 
 def cmd_product(args):
-    from .sysfan import product, system_to_data
     left = _load_system(args.left)
     right = _load_system(args.right)
+    from .sysfan import product, system_to_data
     combined = product(left, right, separator=args.separator)
     document = {"schema": SCHEMA, "kind": "system_of_fans"}
     document.update(system_to_data(combined))

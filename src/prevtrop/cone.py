@@ -3,11 +3,13 @@
 A cone carries both a canonical generator list (primitive extremal rays, plus
 a plus/minus lattice basis of its lineality space when it is not pointed) and
 a canonical inequality list, which is by duality the generator list of the
-dual cone.  Both are computed by an incremental double description sweep over
-exact integers, with a combinatorial extremality test; there is no floating
-point anywhere.  Sizes are desk scale: ambient rank stays in single digits
-and generator counts in the tens, so the algorithms favour clarity over
-asymptotics.
+dual cone.  A cone on linearly independent generators is simplicial: its
+inequalities are the dual basis on its span, read off one elimination, and
+a plus/minus basis of the kernel of its generators.  Every other cone gets
+both lists from an incremental double description sweep over exact
+integers, with a combinatorial extremality test.  There is no floating point anywhere.  Sizes
+are desk scale: ambient rank stays in single digits and generator counts in
+the tens, so the algorithms favour clarity over asymptotics.
 
 Cones are shared and immutable.  Cone.from_rays, Cone.from_inequalities,
 Cone.dual, Cone.intersect and faces() return the one live Cone object for
@@ -20,6 +22,7 @@ cone leaves it as soon as nothing else references it.
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 
 from prevtrop.exactla import (
@@ -159,7 +162,12 @@ class Cone:
     def from_rays(cls, rays, ambient_rank):
         """The cone generated by integer vectors (ints or integral Fractions)."""
         vectors = (_integer_vector(r, ambient_rank) for r in rays)
-        gens = tuple(sorted({primitive(r) for r in vectors if any(r)}))
+        return cls._shared(tuple(sorted({primitive(r) for r in vectors if any(r)})),
+                           ambient_rank)
+
+    @classmethod
+    def _shared(cls, gens, ambient_rank):
+        """The live cone on sorted primitive generators, built on a miss."""
         key = (ambient_rank, gens)
         cone = _CONES.get(key)
         if cone is None:
@@ -181,11 +189,35 @@ class Cone:
 
     @classmethod
     def _build(cls, rays, ambient_rank):
-        """A new cone on integer generators by two sweeps, bypassing the table."""
-        dual_lin, dual_ext = _halfspace_generators(rays, ambient_rank)
-        ineqs = _generator_list(dual_lin, dual_ext)
-        lin, ext = _halfspace_generators(ineqs, ambient_rank)
-        return cls(ambient_rank, _generator_list(lin, ext), ineqs, lin, dual_lin)
+        """A new cone on integer generators, bypassing the table.
+
+        One echelon of [R | I_k] tests the canonical generators R for
+        independence; a non-simplicial cone takes two sweeps instead.  Each
+        kept row is (p, [E | M]) with E = M R, and E vanishes on the other
+        pivot columns, so the dual basis vector u_i (<u_i, r_j> = delta_ij,
+        zero off the pivot columns) is M[i] / E[p] at each pivot p.
+        """
+        n = ambient_rank
+        rays = tuple(sorted({primitive(r) for r in rays if any(r)}))
+        k = len(rays)
+        rows = _echelon([r + (0,) * i + (1,) + (0,) * (k - i - 1)
+                         for i, r in enumerate(rays)], n)
+        if len(rows) < k:
+            dual_lin, dual_ext = _halfspace_generators(rays, n)
+            ineqs = _generator_list(dual_lin, dual_ext)
+            lin, ext = _halfspace_generators(ineqs, n)
+            return cls(n, _generator_list(lin, ext), ineqs, lin, dual_lin)
+        zero = Lattice(n, IntMatrix.from_rows([], cols=n))
+        dual_lin = zero if k == n else kernel_lattice(IntMatrix.from_rows(rays, cols=n))
+        base = _echelon(dual_lin.basis_rows(), n)
+        den = math.lcm(*(row[p] for p, row in rows))
+        dual_ext = []
+        for i in range(n, n + k):
+            u = [0] * n
+            for p, row in rows:
+                u[p] = row[i] * (den // row[p])
+            dual_ext.append(_reduce_mod(base, u))
+        return cls(n, rays, _generator_list(dual_lin, dual_ext), zero, dual_lin)
 
     # -- identity ----------------------------------------------------------
 
@@ -272,7 +304,9 @@ class Cone:
                             fresh.append(c)
                 frontier = fresh
             subsets.remove(full)
-            faces = {s: Cone.from_rays(sorted(s), self.ambient_rank) for s in subsets}
+            # a sorted subset of canonical rays is already canonical
+            faces = {s: Cone._shared(tuple(sorted(s)), self.ambient_rank)
+                     for s in subsets}
             # only proper faces are cached: caching the cone itself would put
             # every cone with known faces on a reference cycle
             self._faces = tuple(sorted(faces.values(), key=lambda c: (c.dim, c.rays)))
@@ -299,9 +333,9 @@ class Cone:
     def face_orthogonal_to(self, covectors):
         """The face cut out by covectors that are nonnegative on the cone:
         the cone on the rays where all of them vanish."""
-        return Cone.from_rays([r for r in self.rays
-                               if all(dot(u, r) == 0 for u in covectors)],
-                              self.ambient_rank)
+        return Cone._shared(tuple(r for r in self.rays
+                                  if all(dot(u, r) == 0 for u in covectors)),
+                            self.ambient_rank)
 
     def facets(self):
         d = self.dim

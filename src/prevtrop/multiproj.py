@@ -22,7 +22,8 @@ from prevtrop.exactla import (
     kernel_lattice,
     rational_rank,
 )
-from prevtrop.sysfan import SystemOfFans, _json_field, _json_rows, _json_typed
+from prevtrop.jsondoc import _json_field, _json_rows, _json_typed
+from prevtrop.sysfan import SystemOfFans
 
 
 class EmptyProj(ValueError):

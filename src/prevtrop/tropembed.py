@@ -17,8 +17,8 @@ from .cone import dot, hilbert_basis
 from .exactla import (IntMatrix, _integer_entry, _integer_vector,
                       _rational_entry, kernel_lattice, solve_rational)
 from .extreal import INF, is_finite
+from .jsondoc import DocumentError, _json_field, _json_objects, _json_typed
 from .multiproj import Grading, proj_system_of_fans
-from .sysfan import DocumentError, _json_field, _json_objects, _json_typed
 from .troppre import (FiniteLocusNotAFace, _chart_exponent,
                       _check_chart_contains, _own_class, chart_polynomial,
                       nonneg_point_from_chart_values, point_from_chart_values,
@@ -426,14 +426,6 @@ def hypersurface(grading, terms):
     return EmbeddedHypersurface(grading, tuple(sorted(table.items())))
 
 
-def _integral(solution):
-    """Round an exact rational solution known to be integral."""
-    if solution is None or any(c.denominator != 1 for c in solution):
-        raise ArithmeticError("expected an integral solution, got %r"
-                              % (solution,))
-    return tuple(c.numerator for c in solution)
-
-
 def _character(proj, exponent):
     """The chart character with the given variable exponents.
 
@@ -602,13 +594,10 @@ def forget_refinement(refinement, point):
     base = next(f for f in old.poset.minimal if f <= subset)
     chart = old.system.omega().class_of(old.poset.cone_of(base),
                                         old.chart_label(base))
-    new_rows = new.kernel.basis.transpose().row_lists()
     pushforward = old.kernel.basis.transpose()
     values = {}
     for g in hilbert_basis(chart.cone).generators:
-        e = list(pushforward.apply(g)) + [0]
-        lifted = _integral(solve_rational(new_rows, e))
-        values[g] = trop_eval(point, lifted)
+        values[g] = trop_eval(point, _character(new, pushforward.apply(g) + (0,)))
     return point_from_chart_values(old.system, chart, values)
 
 

@@ -16,7 +16,7 @@ from .cone import Cone, dot, hilbert_basis
 from .exactla import (_Value, _integer_entry, _integer_vector, _rational_entry,
                       solve_rational)
 from .extreal import INF, format_extended, is_finite, parse_extended
-from .sysfan import _json_field
+from .jsondoc import _json_field
 
 
 class FiniteLocusNotAFace(ValueError):

@@ -386,6 +386,33 @@ def test_commands_without_classical_points_do_not_load_tropembed(tmp_path):
     assert "prevtrop.tropembed" not in modules
 
 
+def test_malformed_documents_exit_one_without_loading_the_geometry(tmp_path):
+    # a fresh interpreter, since this one has imported every module already
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("not json")
+    schema = write_doc(tmp_path, "s.json", {"schema": 2, "kind": "grading"})
+    kind = write_doc(tmp_path, "k.json", {"schema": 1, "kind": "report"})
+    calls = [["validate", str(garbage)], ["proj", str(tmp_path / "missing.json")],
+             ["omega", schema], ["proj", kind]]
+    script = ("import json, sys\n"
+              "from prevtrop.cli import main\n"
+              "codes = [main(argv) for argv in %r]\n"
+              "print(json.dumps([codes, sorted(sys.modules)]), file=sys.stderr)"
+              % (calls,))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", script], env=env,
+                           capture_output=True, text=True, check=True,
+                           timeout=120)
+    lines = child.stderr.splitlines()
+    codes, modules = json.loads(lines[-1])
+    assert codes == [1] * len(calls)
+    assert all(line.startswith("error: ") for line in lines[:-1])
+    for name in ("prevtrop.sysfan", "prevtrop.cone", "prevtrop.exactla"):
+        assert name not in modules
+
+
 def test_fractional_ray_entries_exit_two(tmp_path, capsys):
     doc = {"schema": 1, "kind": "system_of_fans", "ambient_rank": 2,
            "indices": ["1"], "fans": {"1,1": [[[1, 0.5]]]}}

@@ -336,6 +336,54 @@ def test_sweep_computes_no_rank(monkeypatch):
     assert list(lin.basis_rows()) == [(1, -1, -1)] and rays == ((0, 0, 1),)
 
 
+def _random_simplicial_generators(rng):
+    """Linearly independent generators in a random ambient rank, sometimes
+    followed by a positive multiple of one of them (repeated or not
+    primitive)."""
+    n = rng.randint(1, 5)
+    k = rng.randint(0, n)
+    while True:
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
+        if rational_rank(gens, n) == k:
+            break
+    if gens and rng.random() < 0.4:
+        factor = rng.choice([1, 2, 3])
+        gens.append(tuple(factor * x for x in rng.choice(gens)))
+    return gens, n
+
+
+def test_simplicial_builds_match_two_sweeps(rng):
+    full = lower = raw = 0
+    for _ in range(1500):
+        gens, n = _random_simplicial_generators(rng)
+        c = Cone._build(gens, n)
+        dual_lin, dual_ext = _halfspace_generators(gens, n)
+        ineqs = _generator_list(dual_lin, dual_ext)
+        lin, ext = _halfspace_generators(ineqs, n)
+        assert (c.rays, c.inequalities, c.lineality, c._dual_lineality) \
+            == (_generator_list(lin, ext), ineqs, lin, dual_lin), (gens, n)
+        assert c.is_simplicial()
+        full += len(c.rays) == n
+        lower += len(c.rays) < n
+        raw += len(set(gens)) < len(gens) or any(primitive(g) != g for g in gens)
+    assert full > 100 and lower > 100 and raw > 100
+
+
+def test_simplicial_cones_are_never_swept(monkeypatch, rng):
+    def refuse(*args):
+        raise AssertionError("simplicial cone swept")
+
+    monkeypatch.setattr(cone_module, "_halfspace_generators", refuse)
+    for _ in range(300):
+        gens, n = _random_simplicial_generators(rng)
+        Cone._build(gens, n)
+        c = Cone.from_rays(gens, n)
+        c.faces()
+        c.face_orthogonal_to(c.inequalities[:1])
+    with pytest.raises(AssertionError, match="simplicial cone swept"):
+        Cone._build([(1, 0), (0, 1), (1, 1)], 2)
+
+
 # ---------------------------------------------------------------------------
 # faces
 # ---------------------------------------------------------------------------
@@ -384,6 +432,26 @@ def test_simpliciality():
     assert not Cone.from_rays(
         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3).is_simplicial()
     assert not Cone.from_inequalities([(0, 1)], 2).is_simplicial()
+
+
+def test_faces_of_simplicial_cones_are_their_ray_subsets(rng):
+    full = lower = 0
+    for _ in range(300):
+        gens, n = _random_simplicial_generators(rng)
+        c = Cone.from_rays(gens, n)
+        subsets = [s for i in range(len(c.rays) + 1)
+                   for s in itertools.combinations(c.rays, i)]
+        assert len(subsets) == 2 ** len(c.rays)
+        assert sorted(f.rays for f in c.faces()) == sorted(subsets)
+        for s in subsets:
+            f = Cone.from_rays(s, n)
+            assert f.rays == s and c.has_face(f)
+            assert any(f is g for g in c.faces())
+            assert c.face_support(f) == tuple(
+                u for u in c.inequalities if all(dot(u, r) == 0 for r in s))
+        full += len(c.rays) == n
+        lower += len(c.rays) < n
+    assert full > 30 and lower > 30
 
 
 def _random_cones_with_faces(rng, count):

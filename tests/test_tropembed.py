@@ -716,12 +716,3 @@ def test_polynomial_evaluation_matches_hand_expansion():
     terms = [((2, 1), ONE), ((0, 0), -T)]
     direct = T * T * (ONE + T) - T
     assert evaluate_polynomial(proj, p, terms) == direct
-
-
-def test_integral_rejects_non_integral_solutions():
-    from prevtrop.tropembed import _integral
-    assert _integral((Fraction(4, 2), Fraction(-3))) == (2, -3)
-    with pytest.raises(ArithmeticError, match="integral solution"):
-        _integral((Fraction(1), Fraction(1, 2)))
-    with pytest.raises(ArithmeticError, match="integral solution"):
-        _integral(None)

@@ -2,11 +2,13 @@
 Hilbert bases of cones of growing multiplicity.
 
 Each Proj rung runs proj -> omega -> validate -> separated -> support in a
-fresh interpreter and records, per stage, the in-process wall time and three
-work counters: Cone.intersect calls, kernel_lattice calls and Cone.from_rays
-calls.  With --hilbert the rungs are instead the cones on (1,0,0), (0,1,0),
-(1,2,N) for N = 5, 10, 20, 40, 80 and on e1, e2, e3, (1,2,3,m) for m = 5,
-10, 20; each rung builds its cone in a fresh interpreter and records the wall
+fresh interpreter and records, per stage, the in-process wall time and five
+work counters: Cone.intersect calls, kernel_lattice calls, double description
+sweeps (_halfspace_generators calls), and new cones built (Cone._build
+calls), split into simplicial builds, which run no sweep, and swept builds.
+With --hilbert the rungs are instead the cones on (1,0,0), (0,1,0), (1,2,N)
+for N = 5, 10, 20, 40, 80 and on e1, e2, e3, (1,2,3,m) for m = 5, 10, 20;
+each rung builds its cone in a fresh interpreter and records the wall
 of hilbert_basis and the number of generators.  With --scalars the rungs are
 valuation scales 1, 2, 4, 8: each builds P(1,3,7) in a fresh interpreter and
 records the wall of coordinate_point + trop_point over every face of its
@@ -51,10 +53,13 @@ HILBERT_RUNGS = dict(
        for m in (5, 10, 20)])
 SCALAR_RUNGS = {"scale=%d" % k: k for k in (1, 2, 4, 8)}
 STARTUP_ROUNDS = 15
+COUNTERS = ("intersect", "kernel_lattice", "sweeps", "simplicial_builds",
+            "swept_builds")
 
 
 def _install_counters(counts):
-    """Wrap the three counted entry points; counts[name] += 1 per call."""
+    """Wrap the counted entry points; counts[name] += 1 per call.  A
+    Cone._build call counts as simplicial when it runs no sweep."""
     from prevtrop import cone as cone_module
     from prevtrop import exactla
 
@@ -64,16 +69,25 @@ def _install_counters(counts):
             return fn(*args, **kwargs)
         return wrapper
 
+    def build(cls, *args):
+        sweeps = counts["sweeps"]
+        result = raw_build(cls, *args)
+        counts["swept_builds" if counts["sweeps"] > sweeps
+               else "simplicial_builds"] += 1
+        return result
+
     cone = cone_module.Cone
     cone.intersect = counted("intersect", cone.intersect)
-    cone.from_rays = classmethod(counted("from_rays", cone.from_rays.__func__))
-    raw = exactla.kernel_lattice
-    wrapped = counted("kernel_lattice", raw)
-    for name, module in list(sys.modules.items()):
-        if name == "prevtrop" or name.startswith("prevtrop."):
-            for key, value in list(vars(module).items()):
-                if value is raw:
-                    setattr(module, key, wrapped)
+    raw_build = cone._build.__func__
+    cone._build = classmethod(build)
+    for raw, counter in ((exactla.kernel_lattice, "kernel_lattice"),
+                         (cone_module._halfspace_generators, "sweeps")):
+        wrapped = counted(counter, raw)
+        for name, module in list(sys.modules.items()):
+            if name == "prevtrop" or name.startswith("prevtrop."):
+                for key, value in list(vars(module).items()):
+                    if value is raw:
+                        setattr(module, key, wrapped)
 
 
 def run_rung(rung):
@@ -83,7 +97,7 @@ def run_rung(rung):
     from prevtrop.sysfan import (is_separated, product, support_is_full,
                                  validate_system)
 
-    counts = {"intersect": 0, "kernel_lattice": 0, "from_rays": 0}
+    counts = dict.fromkeys(COUNTERS, 0)
     _install_counters(counts)
     stages = {}
     state = {}
@@ -299,8 +313,7 @@ def main():
             continue
         print("%-18s %8.3fs  separated %.3fs  %s" % (
             rung, result["total_s"], result["stages"]["separated"]["s"],
-            {k: result["stages"]["separated"][k]
-             for k in ("intersect", "kernel_lattice", "from_rays")}))
+            {k: result["stages"]["separated"][k] for k in COUNTERS}))
     out = Path(args.out)
     document = json.loads(out.read_text()) if out.exists() else {"runs": {}}
     document["about"] = (
