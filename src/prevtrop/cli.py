@@ -219,7 +219,13 @@ def cmd_refine(args):
         grading, _read_document(args.gtilde, {"polynomial"}))
     clearing = None
     if args.clearing is not None:
-        clearing = [int(x) for x in args.clearing.split(",")]
+        clearing = []
+        for piece in args.clearing.split(","):
+            try:
+                clearing.append(int(piece))
+            except ValueError:
+                raise ValueError("--clearing entry %r is not an integer"
+                                 % piece) from None
     refinement = refine_embedding(grading, gtilde.terms, clearing)
     points = []
     for path in args.point:

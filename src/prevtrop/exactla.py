@@ -122,7 +122,7 @@ class IntMatrix(_Value):
         """Matrix times integer/rational column vector, returned as a tuple."""
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(self.row(i)[k] * vector[k] for k in range(self.cols))
+        return tuple(sum(a * x for a, x in zip(self.row(i), vector))
                      for i in range(self.rows))
 
     def determinant(self):
@@ -211,9 +211,6 @@ class AbelianGroup(_Value):
         free = element[:self.free_rank]
         tors = tuple(x % m for x, m in zip(element[self.free_rank:], self.torsion))
         return free + tors
-
-    def is_zero(self, element):
-        return all(x == 0 for x in self.reduce(element))
 
 
 def _matrix_entry(x):

@@ -10,6 +10,7 @@ the chart of their union.
 
 from __future__ import annotations
 
+import weakref
 from itertools import combinations
 
 from prevtrop.cone import Cone
@@ -19,6 +20,7 @@ from prevtrop.exactla import (
     _integer_entry,
     _integer_vector,
     cokernel_is_finite,
+    hermite_normal_form,
     kernel_lattice,
     rational_rank,
 )
@@ -184,7 +186,8 @@ def relevant_subsets(grading):
 
 
 class ProjSystem:
-    """The glued chart system of a grading, with its construction data."""
+    """The glued chart system of a grading, with its construction data;
+    shared by every caller with an equal grading, so never mutate one."""
 
     def __init__(self, grading, poset, system, chart_subsets):
         self.grading = grading
@@ -193,6 +196,25 @@ class ProjSystem:
         self.chart_subsets = chart_subsets      # label -> frozenset
         self.q = poset.q
         self.kernel = poset.kernel
+        self._characters = None
+
+    def character(self, exponent):
+        """The chart character s with q^T s = exponent, or ValueError when
+        the monomial does not descend to the chart torus.  q spans a direct
+        summand of Z^n, so the HNF of q^T is [I_r; 0] and the top r rows of
+        its transform, built on first use, are an integer left inverse."""
+        exponent = _integer_vector(exponent, self.grading.n)
+        if self._characters is None:
+            qt = self.q.transpose()
+            u = hermite_normal_form(qt)[1]
+            r = self.q.rows
+            self._characters = IntMatrix(r, u.cols, u.entries[:r * u.cols]), qt
+        left_inverse, qt = self._characters
+        s = left_inverse.apply(exponent)
+        if qt.apply(s) != exponent:
+            raise ValueError("monomial %r does not descend to the chart torus"
+                             % list(exponent))
+        return s
 
     @property
     def ambient_rank(self):
@@ -212,14 +234,22 @@ def _label_for(subset):
     return "*".join("T%d" % i for i in sorted(subset))
 
 
+# One live ProjSystem per grading; entries vanish with the system.
+_PROJS = weakref.WeakValueDictionary()
+
+
 def proj_system_of_fans(grading):
-    """Build the chart system of the grading.
+    """The chart system of the grading: the live one if an equal grading
+    has one, else a new one.
 
     Charts are the minimal relevant subsets F with cone sigma_F; the fan
     between charts F and G consists of the faces of sigma_{F union G},
     mirroring D_+(T^F) cap D_+(T^G) = D_+(T^{F union G}).  Raises EmptyProj
     when nothing is relevant.
     """
+    proj = _PROJS.get(grading)
+    if proj is not None:
+        return proj
     poset = relevant_subsets(grading)
     if not poset.subsets:
         raise EmptyProj("no relevant variable subsets")
@@ -232,7 +262,8 @@ def proj_system_of_fans(grading):
             union = f | g
             entries[(_label_for(f), _label_for(g))] = [poset.cone_of(union)]
     system = SystemOfFans(poset.kernel.rank, labels, entries)
-    return ProjSystem(grading, poset, system, chart_subsets)
+    proj = _PROJS[grading] = ProjSystem(grading, poset, system, chart_subsets)
+    return proj
 
 
 # ---------------------------------------------------------------------------

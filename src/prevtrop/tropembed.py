@@ -15,7 +15,7 @@ from math import factorial, gcd, lcm
 
 from .cone import dot, hilbert_basis
 from .exactla import (IntMatrix, _integer_entry, _integer_vector,
-                      _rational_entry, kernel_lattice, solve_rational)
+                      _rational_entry, kernel_lattice)
 from .extreal import INF, is_finite
 from .jsondoc import DocumentError, _json_field, _json_objects, _json_typed
 from .multiproj import Grading, proj_system_of_fans
@@ -426,20 +426,6 @@ def hypersurface(grading, terms):
     return EmbeddedHypersurface(grading, tuple(sorted(table.items())))
 
 
-def _character(proj, exponent):
-    """The chart character with the given variable exponents.
-
-    Solves q^T s = exponent; fails when the monomial does not descend to
-    the degree-zero torus.
-    """
-    rows = proj.kernel.basis.transpose().row_lists()
-    sol = solve_rational(rows, _integer_vector(exponent, len(rows)))
-    if sol is None or any(c.denominator != 1 for c in sol):
-        raise ValueError("monomial %r does not descend to the chart torus"
-                         % list(exponent))
-    return tuple(c.numerator for c in sol)
-
-
 def restrict_to_chart(proj, hyp, label):
     """The valued chart polynomial cut out on one chart of the system."""
     if hyp.grading != proj.grading:
@@ -449,7 +435,7 @@ def restrict_to_chart(proj, hyp, label):
     except KeyError:
         raise ValueError("no chart labelled %r" % label) from None
     chart = proj.system.omega().class_of(proj.poset.cone_of(subset), label)
-    terms = [(_character(proj, e), coeff.valuation)
+    terms = [(proj.character(e), coeff.valuation)
              for e, coeff in hyp.terms]
     return chart_polynomial(proj.system, chart, terms)
 
@@ -459,7 +445,7 @@ def evaluate_polynomial(proj, point, terms):
     total = _ZERO
     for exponent, coeff in terms:
         total = total + ValuedScalar.of(coeff) \
-            * point.eval(_character(proj, exponent))
+            * point.eval(proj.character(exponent))
     return total
 
 
@@ -568,7 +554,7 @@ def refined_classical(refinement, point):
             piece = ValuedScalar.of(_multinomial(b, split))
             for c, mult in zip(coeffs, split):
                 piece = piece * c ** mult
-            total = total + piece * point.eval(_character(old, exponent))
+            total = total + piece * point.eval(old.character(exponent))
         values[g] = total
     return classical_point(new.system, chart, values)
 
@@ -597,7 +583,7 @@ def forget_refinement(refinement, point):
     pushforward = old.kernel.basis.transpose()
     values = {}
     for g in hilbert_basis(chart.cone).generators:
-        values[g] = trop_eval(point, _character(new, pushforward.apply(g) + (0,)))
+        values[g] = trop_eval(point, new.character(pushforward.apply(g) + (0,)))
     return point_from_chart_values(old.system, chart, values)
 
 

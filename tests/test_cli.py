@@ -348,6 +348,19 @@ def test_bad_gtilde_terms_exit_one(tmp_path, capsys, gtilde, message):
     assert (code, out, err) == (1, "", "error: %s\n" % message)
 
 
+@pytest.mark.parametrize("clearing, piece", [
+    ("1.5", "1.5"), ("", ""), ("1,,0", ""), ("1,x", "x")])
+def test_bad_clearing_exits_two(tmp_path, capsys, clearing, piece):
+    grading = write_doc(tmp_path, "g.json", grading_doc([(), ()], free_rank=0))
+    gtilde = write_doc(tmp_path, "gt.json",
+                       {"schema": 1, "kind": "polynomial",
+                        "terms": [{"exp": [1, 0], "coeff": "1"}]})
+    code, out, err = run_cli(capsys, "refine", grading, "--gtilde", gtilde,
+                             "--clearing", clearing)
+    assert (code, out) == (2, "")
+    assert err == "error: --clearing entry %r is not an integer\n" % piece
+
+
 def test_product_command(tmp_path, capsys):
     doubled = write_doc(tmp_path, "d.json", system_doc(line_two_origins()))
     code, out, _ = run_cli(capsys, "product", doubled, doubled)

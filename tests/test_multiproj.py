@@ -6,14 +6,16 @@ generator matrix (torsion relations appended), computed here by naive
 cofactor expansion.
 """
 
+import gc
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from prevtrop import multiproj
 from prevtrop.cone import Cone
-from prevtrop.exactla import AbelianGroup, rational_rank
+from prevtrop.exactla import AbelianGroup, rational_rank, solve_rational
 from prevtrop.multiproj import (
     ChartPoset,
     EmptyProj,
@@ -445,3 +447,63 @@ def test_proj_output_always_validates(rng):
             for c in p.system.fan(label):
                 assert c.is_simplicial()
         built += 1
+
+
+def test_equal_gradings_share_one_live_proj():
+    degrees = [(1, 0), (2, 1), (5, 2)]
+    first = proj_system_of_fans(Grading(AbelianGroup(1, (3,)), degrees))
+    again = proj_system_of_fans(Grading(AbelianGroup(1, (3,)), list(degrees)))
+    assert again is first
+    key = first.grading
+    assert multiproj._PROJS[key] is first
+    del first, again
+    gc.collect()
+    assert key not in multiproj._PROJS
+
+
+def _solved_character(proj, exponent):
+    """Oracle: a direct rational solve of q^T s = exponent, None unless it
+    has an integral solution."""
+    sol = solve_rational(proj.q.transpose().row_lists(), exponent)
+    if sol is None or any(c.denominator != 1 for c in sol):
+        return None
+    return tuple(c.numerator for c in sol)
+
+
+def test_character_map_matches_the_rational_solve():
+    rng = fresh_rng(13)
+    # degrees with a rank-0 degree kernel, by free rank
+    independent = {0: [], 1: [(1,)], 2: [(1, 1), (1, 2)]}
+    seen = set()
+    for free_rank in (0, 1, 2):
+        for torsion in ((), (2,), (3,)):
+            group = AbelianGroup(free_rank, torsion)
+            gradings = [Grading(group, [d + (1,) * len(torsion)
+                                        for d in independent[free_rank]])]
+            while len(gradings) < 6:
+                n = rng.randint(1, 4)
+                gradings.append(Grading(group, [
+                    tuple(rng.randint(-2, 3) for _ in range(group.ngens))
+                    for _ in range(n)]))
+            for g in gradings:
+                try:
+                    proj = proj_system_of_fans(g)
+                except EmptyProj:
+                    continue
+                rows = proj.q.row_lists()
+                for k in range(10):
+                    if k % 2 and rows:
+                        exponent = [0] * g.n
+                        for row in rows:
+                            c = rng.randint(-3, 3)
+                            exponent = [a + c * b for a, b in zip(exponent, row)]
+                    else:
+                        exponent = [rng.randint(-4, 4) for _ in range(g.n)]
+                    expected = _solved_character(proj, exponent)
+                    if expected is None:
+                        with pytest.raises(ValueError, match="does not descend"):
+                            proj.character(exponent)
+                    else:
+                        assert proj.character(exponent) == expected
+                    seen.add((proj.kernel.rank == 0, expected is None))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}

@@ -619,6 +619,7 @@ def test_refinement_separates_the_frozen_fixture():
     assert forget_refinement(ref, rq) == tq
 
     witness = separation_witness(proj, p, q, terms)
+    assert witness.old_proj is proj
     assert witness.clearing == (0, 0)
     assert witness.x_degree == ()
     assert refined_trop(witness, p) != refined_trop(witness, q)

@@ -14,6 +14,13 @@ valuation scales 1, 2, 4, 8: each builds P(1,3,7) in a fresh interpreter and
 records the wall of coordinate_point + trop_point over every face of its
 last chart, at torus coordinates of valuations (scale, -2 scale), and the
 number of coefficients of the generator values (sum of len(num) + len(den)).
+With --refine the rungs are P^2, P(1,3,7) and P^1 x P^1 graded by Z^2:
+each builds its Proj, two tropically equal points on one chart and a
+function telling them apart, then in fresh interpreters times
+separation_witness -> refined_trop x2 -> forget_refinement x2 and counts
+the calls of solve_rational, hermite_normal_form and proj_system_of_fans,
+and the chart posets built (relevant_subsets calls, one per new Proj); the
+wall is the median over REFINE_RUNS interpreters.
 With --startup the rungs are a bare `python -c pass` and one
 `python -m prevtrop.cli <command>` per subcommand on small documents (P^1,
 the affine plane and points on it), each run in fresh processes, rounds
@@ -25,12 +32,13 @@ the root of a checkout:
     python3 tools/ladder.py --label parent --src OTHER/src --max-n 6
     python3 tools/ladder.py --label change --hilbert
     python3 tools/ladder.py --label change --scalars
+    python3 tools/ladder.py --label change --refine
     python3 tools/ladder.py --label change --startup
 
 Results are merged into BENCH_ladder.json under the label, Proj rungs under
 "rungs", Hilbert rungs under "hilbert_rungs", scalar rungs under
-"scalar_rungs" and start-up rungs under "startup_rungs", so runs of two
-checkouts sit side by side.
+"scalar_rungs", refinement rungs under "refine_rungs" and start-up rungs
+under "startup_rungs", so runs of two checkouts sit side by side.
 """
 
 import argparse
@@ -52,9 +60,40 @@ HILBERT_RUNGS = dict(
     + [("m=%d" % m, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, m)])
        for m in (5, 10, 20)])
 SCALAR_RUNGS = {"scale=%d" % k: k for k in (1, 2, 4, 8)}
+# degrees, the chart's variable subset, and two degree-zero exponents whose
+# characters form a basis of the chart's character lattice
+REFINE_RUNGS = {
+    "P2": ([(1,), (1,), (1,)], {1}, [(-1, 1, 0), (-1, 0, 1)]),
+    "P(1,3,7)": ([(1,), (3,), (7,)], {1}, [(-3, 1, 0), (-7, 0, 1)]),
+    "P1xP1 (Z^2)": ([(1, 0), (1, 0), (0, 1), (0, 1)], {1, 3},
+                    [(-1, 1, 0, 0), (0, 0, -1, 1)]),
+}
+REFINE_RUNS = 5
+REFINE_COUNTERS = ("solve_rational", "hermite_normal_form",
+                   "proj_system_of_fans", "proj_builds")
 STARTUP_ROUNDS = 15
 COUNTERS = ("intersect", "kernel_lattice", "sweeps", "simplicial_builds",
             "swept_builds")
+
+
+def _counted(counts, name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def _count_functions(counts, functions):
+    """Replace each (function, counter) pair's module-level function, under
+    every name a prevtrop module binds it to, by a wrapper that adds one to
+    counts[counter] per call."""
+    for raw, counter in functions:
+        wrapped = _counted(counts, counter, raw)
+        for name, module in list(sys.modules.items()):
+            if name == "prevtrop" or name.startswith("prevtrop."):
+                for key, value in list(vars(module).items()):
+                    if value is raw:
+                        setattr(module, key, wrapped)
 
 
 def _install_counters(counts):
@@ -62,12 +101,6 @@ def _install_counters(counts):
     Cone._build call counts as simplicial when it runs no sweep."""
     from prevtrop import cone as cone_module
     from prevtrop import exactla
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
 
     def build(cls, *args):
         sweeps = counts["sweeps"]
@@ -77,17 +110,11 @@ def _install_counters(counts):
         return result
 
     cone = cone_module.Cone
-    cone.intersect = counted("intersect", cone.intersect)
+    cone.intersect = _counted(counts, "intersect", cone.intersect)
     raw_build = cone._build.__func__
     cone._build = classmethod(build)
-    for raw, counter in ((exactla.kernel_lattice, "kernel_lattice"),
-                         (cone_module._halfspace_generators, "sweeps")):
-        wrapped = counted(counter, raw)
-        for name, module in list(sys.modules.items()):
-            if name == "prevtrop" or name.startswith("prevtrop."):
-                for key, value in list(vars(module).items()):
-                    if value is raw:
-                        setattr(module, key, wrapped)
+    _count_functions(counts, ((exactla.kernel_lattice, "kernel_lattice"),
+                              (cone_module._halfspace_generators, "sweeps")))
 
 
 def run_rung(rung):
@@ -181,6 +208,61 @@ def run_scalar_rung(rung):
             "value_coeffs": coeffs}
 
 
+def run_refine_rung(rung):
+    """One refinement rung in this process: its wall and call counts."""
+    from prevtrop import exactla, multiproj
+    from prevtrop.exactla import (AbelianGroup, IntMatrix, invert_unimodular,
+                                  solve_rational)
+    from prevtrop.multiproj import Grading, proj_system_of_fans
+    from prevtrop.tropembed import (ValuedScalar, coordinate_point,
+                                    forget_refinement, refined_trop,
+                                    separation_witness, trop_point)
+
+    degrees, subset, exponents = REFINE_RUNGS[rung]
+    proj = proj_system_of_fans(Grading(AbelianGroup(len(degrees[0])),
+                                       degrees))
+    chart = proj.system.omega().class_of(proj.poset.cone_of(subset),
+                                         proj.chart_label(subset))
+    # the exponents' characters in the kernel basis, and the inverse that
+    # turns their values into torus coordinates
+    qt = proj.q.transpose().row_lists()
+    inverse = invert_unimodular(IntMatrix.from_rows(
+        [[c.numerator for c in solve_rational(qt, e)] for e in exponents]))
+    t = ValuedScalar.t_power(1)
+
+    def point(tail):
+        # chi_1 = t and chi_2 = -1 - t + tail, so chi_1 + chi_2 + 1 = tail
+        values = (t, ValuedScalar.of(-1) - t + tail)
+        coords = []
+        for row in inverse.row_lists():
+            c = ValuedScalar.of(1)
+            for v, k in zip(values, row):
+                c = c * v ** k
+            coords.append(c)
+        return coordinate_point(proj.system, chart, coords)
+
+    p, q = point(t * t), point(ValuedScalar.t_power(3, 2))
+    direct = trop_point(p), trop_point(q)
+    one = ValuedScalar.of(1)
+    f = [(exponents[0], one), (exponents[1], one),
+         ((0,) * len(degrees), one)]
+    counts = dict.fromkeys(REFINE_COUNTERS, 0)
+    _count_functions(counts, (
+        (exactla.solve_rational, "solve_rational"),
+        (exactla.hermite_normal_form, "hermite_normal_form"),
+        (multiproj.proj_system_of_fans, "proj_system_of_fans"),
+        (multiproj.relevant_subsets, "proj_builds")))
+    start = time.perf_counter()
+    witness = separation_witness(proj, p, q, f)
+    refined = refined_trop(witness, p), refined_trop(witness, q)
+    back = tuple(forget_refinement(witness, r) for r in refined)
+    elapsed = time.perf_counter() - start
+    if direct[0] != direct[1] or refined[0] == refined[1] or back != direct:
+        raise RuntimeError("%s: the refinement did not separate the pair"
+                           % rung)
+    return dict(counts, s=round(elapsed, 4))
+
+
 def startup_commands(directory):
     """Write small documents into directory; the argv of one call of every
     subcommand on them.  Uses the library on sys.path."""
@@ -259,6 +341,16 @@ def run_startup(src):
             for name, times in samples.items()}
 
 
+def _run_child(rung, args):
+    """The result of one rung, run in a fresh interpreter."""
+    child = subprocess.run(
+        [sys.executable, __file__, "--rung", rung, "--src", args.src]
+        + ["--hilbert"] * args.hilbert + ["--scalars"] * args.scalars
+        + ["--refine"] * args.refine,
+        check=True, capture_output=True, text=True)
+    return json.loads(child.stdout.splitlines()[-1])
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="change",
@@ -272,6 +364,8 @@ def main():
                       help="run the Hilbert basis rungs instead")
     kind.add_argument("--scalars", action="store_true",
                       help="run the Q(t) scalar rungs instead")
+    kind.add_argument("--refine", action="store_true",
+                      help="run the embedding refinement rungs instead")
     kind.add_argument("--startup", action="store_true",
                       help="time command line start-up per subcommand instead")
     parser.add_argument("--out", default=str(ROOT / "BENCH_ladder.json"))
@@ -280,7 +374,8 @@ def main():
     sys.path.insert(0, str(Path(args.src).resolve()))
     if args.rung:
         run = (run_hilbert_rung if args.hilbert
-               else run_scalar_rung if args.scalars else run_rung)
+               else run_scalar_rung if args.scalars
+               else run_refine_rung if args.refine else run_rung)
         print(json.dumps(run(args.rung)))
         return
     results = {}
@@ -293,15 +388,21 @@ def main():
         rungs, key = list(HILBERT_RUNGS), "hilbert_rungs"
     elif args.scalars:
         rungs, key = list(SCALAR_RUNGS), "scalar_rungs"
+    elif args.refine:
+        rungs, key = list(REFINE_RUNGS), "refine_rungs"
     else:
         rungs = ["P%d" % n for n in range(4, args.max_n + 1)] + [PRODUCT]
         key = "rungs"
     for rung in rungs:
-        child = subprocess.run(
-            [sys.executable, __file__, "--rung", rung, "--src", args.src]
-            + ["--hilbert"] * args.hilbert + ["--scalars"] * args.scalars,
-            check=True, capture_output=True, text=True)
-        results[rung] = result = json.loads(child.stdout.splitlines()[-1])
+        runs = [_run_child(rung, args)
+                for _ in range(REFINE_RUNS if args.refine else 1)]
+        results[rung] = result = runs[0]
+        if args.refine:
+            result.update(s=statistics.median(r["s"] for r in runs),
+                          runs=len(runs))
+            print("%-18s %8.4fs  %s" % (rung, result["s"], {
+                k: result[k] for k in REFINE_COUNTERS}))
+            continue
         if args.hilbert:
             print("%-18s %8.3fs  %d generators"
                   % (rung, result["s"], result["generators"]))
@@ -322,8 +423,10 @@ def main():
         "(rungs), walls and generator counts of hilbert_basis "
         "(hilbert_rungs), and walls and value coefficient counts of "
         "coordinate_point + trop_point on P(1,3,7) (scalar_rungs), one "
-        "fresh interpreter per rung; median milliseconds of a bare "
-        "interpreter and of one prevtrop.cli call per subcommand, in "
+        "fresh interpreter per rung; median walls of separation_witness -> "
+        "refined_trop x2 -> forget_refinement x2 over fresh interpreters, "
+        "with call counts of one run (refine_rungs); median milliseconds of "
+        "a bare interpreter and of one prevtrop.cli call per subcommand, in "
         "interleaved rounds of fresh processes (startup_rungs).")
     document["runs"].setdefault(args.label, {}).update({
         "python": platform.python_version(),
