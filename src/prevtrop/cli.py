@@ -226,6 +226,9 @@ def cmd_refine(args):
             except ValueError:
                 raise ValueError("--clearing entry %r is not an integer"
                                  % piece) from None
+        if len(clearing) != grading.n:
+            raise ValueError("--clearing has %d entries but the grading has %d "
+                             "variables" % (len(clearing), grading.n))
     refinement = refine_embedding(grading, gtilde.terms, clearing)
     points = []
     for path in args.point:

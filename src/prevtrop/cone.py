@@ -471,22 +471,32 @@ class AffineSemigroup(_Value):
         """Express a monoid element as an N-combination of the generators.
 
         Returns a dict generator -> multiplicity.  Raises ValueError when the
-        target is not in the monoid.
+        target is not in the monoid.  One pass over the Hilbert basis of the
+        pointed image, in its sorted order, takes each generator g as often
+        as the image v stays in the cone, the least floor(<u, v> / <u, g>)
+        over extremal normals u with <u, g> > 0.  A generator that does not
+        fit never fits later, since v - g' outside the cone puts v - g - g'
+        outside for every g in it; and every nonzero point of the saturated
+        monoid has some basis element that fits, so the pass never backs up.
         """
         target = _integer_vector(target, self.ambient_rank)
         if any(dot(target, r) < 0 for r in self.cone.rays):
             raise ValueError("target outside the dual cone")
-        img = tuple(self._proj.apply(target))
-        counts = self._decompose_image(img, {})
-        if counts is None:
-            raise AssertionError("integral dual point failed to decompose")
+        img = self._proj.apply(target)
+        heights = [dot(u, img) for u in self._img_normals]
         out = {}
         residual = list(target)
-        for g_img, mult in counts.items():
-            lift = self._lift_of[g_img]
-            out[lift] = out.get(lift, 0) + mult
-            for i in range(len(residual)):
-                residual[i] -= mult * lift[i]
+        for g_img, lift in self._lift_of.items():
+            if not any(heights):
+                break
+            steps = [dot(u, g_img) for u in self._img_normals]
+            mult = min(h // s for h, s in zip(heights, steps) if s > 0)
+            if mult:
+                out[lift] = mult
+                heights = [h - mult * s for h, s in zip(heights, steps)]
+                residual = [x - mult * y for x, y in zip(residual, lift)]
+        if any(heights):
+            raise AssertionError("integral dual point failed to decompose")
         # what is left lies in the unit lattice of the monoid
         return self._absorb_units(out, residual)
 
@@ -509,23 +519,6 @@ class AffineSemigroup(_Value):
                 neg = tuple(-x for x in u)
                 out[neg] = out.get(neg, 0) - c
         return out
-
-    def _decompose_image(self, v, memo):
-        if not any(v):
-            return {}
-        if v in memo:
-            return memo[v]
-        memo[v] = None
-        for g in self._lift_of:
-            rem = tuple(a - b for a, b in zip(v, g))
-            if all(dot(rem, u) >= 0 for u in self._img_normals):
-                sub = self._decompose_image(rem, memo)
-                if sub is not None:
-                    ans = dict(sub)
-                    ans[g] = ans.get(g, 0) + 1
-                    memo[v] = ans
-                    return ans
-        return None
 
 
 def hilbert_basis(cone):
@@ -570,16 +563,16 @@ def _hilbert_fields(cone):
         return tuple(sorted(units)), tuple(sorted(units)), {}, proj, ()
     # H-description of the image cone: it is always pointed (its lineality
     # maps to zero), though it can be lower dimensional when the input cone is
-    # not pointed; the plus/minus normal pairs then pin down its span.
-    img_lin, img_normals_ext = _halfspace_generators(img_rays, k)
-    img_normals = _generator_list(img_lin, img_normals_ext)
+    # not pointed.  Only the extremal normals are kept: basis elements and
+    # decomposition targets lie in its span, where they cut it out.
+    img_lin, img_normals = _halfspace_generators(img_rays, k)
     candidates = set(img_rays)
     for subset in itertools.combinations(img_rays, k - img_lin.rank):
         candidates.update(_parallelepiped_points(subset, k))
     # every candidate lies in the span, so x - y is in the image cone iff the
     # extremal normals are no smaller on x than on y; their sum is the degree
     # w.x, w the sum of all normals, and a proper summand has lower degree
-    heights = {x: tuple(dot(u, x) for u in img_normals_ext) for x in candidates}
+    heights = {x: tuple(dot(u, x) for u in img_normals) for x in candidates}
     kept = {}
     for x in sorted(candidates, key=lambda x: (sum(heights[x]), x)):
         h = heights[x]
@@ -591,7 +584,7 @@ def _hilbert_fields(cone):
     else:
         lifts = [tuple(quot.section.apply(h)) for h in basis_img]
     return (tuple(sorted(units + lifts)), tuple(sorted(units)),
-            dict(zip(basis_img, lifts)), proj, tuple(img_normals))
+            dict(zip(basis_img, lifts)), proj, img_normals)
 
 
 def _parallelepiped_points(rays, k):

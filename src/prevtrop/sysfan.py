@@ -45,18 +45,27 @@ class Fan:
     __slots__ = ("ambient_rank", "cones", "_keys", "_maximal")
 
     def __init__(self, cones, ambient_rank):
-        closed = {}
+        given = {}
         for c in cones:
             if not isinstance(c, Cone):
                 c = Cone.from_rays(c, ambient_rank)
             if c.ambient_rank != ambient_rank:
                 raise ValueError("cone ambient rank mismatch")
-            for f in c.faces():
-                closed[f.rays] = f
+            given[c.rays] = c
+        # largest first: a proper face has lower dimension, so a given cone
+        # already in the closure is a face of another and not maximal, and
+        # its faces are in the closure too
+        closed = {}
+        maximal = []
+        for c in sorted(given.values(), key=lambda c: -c.dim):
+            if c.rays not in closed:
+                maximal.append(c)
+                for f in c.faces():
+                    closed[f.rays] = f
         self.ambient_rank = ambient_rank
         self.cones = tuple(sorted(closed.values(), key=lambda c: (c.dim, c.rays)))
         self._keys = frozenset(closed)
-        self._maximal = None
+        self._maximal = tuple(sorted(maximal, key=lambda c: (c.dim, c.rays)))
 
     def __eq__(self, other):
         return (isinstance(other, Fan) and self.ambient_rank == other.ambient_rank
@@ -78,13 +87,6 @@ class Fan:
         return "Fan(%d cones, rank %d)" % (len(self.cones), self.ambient_rank)
 
     def maximal_cones(self):
-        if self._maximal is None:
-            proper = set()
-            for c in self.cones:
-                for f in c.faces():
-                    if f != c:
-                        proper.add(f.rays)
-            self._maximal = tuple(c for c in self.cones if c.rays not in proper)
         return self._maximal
 
     def validate(self, where=()):
@@ -426,9 +428,11 @@ def product(system_a, system_b, separator="|"):
         for lb in system_b.labels:
             for ma in system_a.labels:
                 for mb in system_b.labels:
+                    # the faces of a product cone are the products of faces,
+                    # which Fan adds when it closes the entry
                     cones = [_product_cone(ca, cb)
-                             for ca in system_a.fan(la, ma)
-                             for cb in system_b.fan(lb, mb)]
+                             for ca in system_a.fan(la, ma).maximal_cones()
+                             for cb in system_b.fan(lb, mb).maximal_cones()]
                     entries[(la + separator + lb, ma + separator + mb)] = cones
     return SystemOfFans(system_a.ambient_rank + system_b.ambient_rank,
                         labels, entries)

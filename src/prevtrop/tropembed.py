@@ -497,10 +497,6 @@ def refine_embedding(grading, terms, clearing=None):
 
 
 def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
     if parts == 1:
         yield (total,)
         return

@@ -361,6 +361,36 @@ def test_bad_clearing_exits_two(tmp_path, capsys, clearing, piece):
     assert err == "error: --clearing entry %r is not an integer\n" % piece
 
 
+def test_clearing_of_wrong_length_exits_two(tmp_path, capsys):
+    grading = write_doc(tmp_path, "g.json", grading_doc([(), ()], free_rank=0))
+    gtilde = write_doc(tmp_path, "gt.json",
+                       {"schema": 1, "kind": "polynomial",
+                        "terms": [{"exp": [1, 0], "coeff": "1"}]})
+    code, out, err = run_cli(capsys, "refine", grading, "--gtilde", gtilde,
+                             "--clearing", "1,0,0")
+    assert (code, out) == (2, "")
+    assert err == ("error: --clearing has 3 entries but the grading has 2 "
+                   "variables\n")
+
+
+def test_refine_with_a_deep_chart_monomial(tmp_path, capsys):
+    # the chart monomial of exponent (1500, 0) is 1500 times one Hilbert
+    # basis element; decompose takes it in one step
+    grading = write_doc(tmp_path, "g.json", grading_doc([(), ()], free_rank=0))
+    gtilde = write_doc(tmp_path, "gt.json",
+                       {"schema": 1, "kind": "polynomial",
+                        "terms": [{"exp": [1500, 0], "coeff": "1"},
+                                  {"exp": [0, 1], "coeff": "1"}]})
+    point = write_doc(tmp_path, "p.json",
+                      {"schema": 1, "kind": "classical_point", "chart": 2,
+                       "values": {"0": "1", "1": {"num": [["1", 1]]}}})
+    code, out, err = run_cli(capsys, "refine", grading, "--gtilde", gtilde,
+                             "--point", point)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["kind"] == "report" and len(report["points"]) == 1
+
+
 def test_product_command(tmp_path, capsys):
     doubled = write_doc(tmp_path, "d.json", system_doc(line_two_origins()))
     code, out, _ = run_cli(capsys, "product", doubled, doubled)

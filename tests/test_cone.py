@@ -782,6 +782,77 @@ def test_random_recombination_roundtrip(rng):
             assert back == target
 
 
+def _searched_decomposition(monoid, target):
+    """Reference for decompose: a memoized depth-first search that, at each
+    step, subtracts the first image basis element leaving the image in its
+    cone (cut out by every normal, plus/minus pairs included), backing up
+    from dead ends.  Its depth is the total multiplicity."""
+    img = tuple(monoid._proj.apply(target))
+    lin, ext = _halfspace_generators(list(monoid._lift_of), len(img))
+    normals = _generator_list(lin, ext)
+    memo = {}
+
+    def search(v):
+        if not any(v):
+            return {}
+        if v in memo:
+            return memo[v]
+        memo[v] = None
+        for g in monoid._lift_of:
+            rem = tuple(a - b for a, b in zip(v, g))
+            if all(dot(rem, u) >= 0 for u in normals):
+                sub = search(rem)
+                if sub is not None:
+                    ans = dict(sub)
+                    ans[g] = ans.get(g, 0) + 1
+                    memo[v] = ans
+                    return ans
+        return None
+
+    out = {}
+    residual = list(target)
+    for g_img, mult in search(img).items():
+        lift = monoid._lift_of[g_img]
+        out[lift] = mult
+        residual = [x - mult * y for x, y in zip(residual, lift)]
+    return monoid._absorb_units(out, residual)
+
+
+def test_decompose_matches_the_search_on_random_cones(rng):
+    # pointed full cones, lower-dimensional ones (whose monoids have units)
+    # and non-pointed ones (whose dual cones are lower-dimensional)
+    kinds = set()
+    for i in range(60):
+        n = rng.randint(2, 4)
+        bound = 1 if n == 4 else 3
+        k = rng.randint(1, n - 1) if i % 3 == 1 else rng.randint(n, n + 1)
+        rays = [tuple(rng.randint(-bound, bound) for _ in range(n))
+                for _ in range(k)]
+        if i % 3 == 2:
+            rays.append(tuple(-x for x in rays[0]))
+        c = Cone.from_rays(rays, n)
+        hb = hilbert_basis(c)
+        kinds.add((bool(hb.units), c.is_pointed()))
+        for _ in range(8):
+            mults = [rng.randint(0, 4) for _ in hb.generators]
+            target = tuple(sum(m * g[j] for m, g in zip(mults, hb.generators))
+                           for j in range(n))
+            assert hb.decompose(target) == _searched_decomposition(hb, target)
+    assert kinds >= {(False, True), (True, True), (False, False)}
+
+
+def test_deep_targets_decompose():
+    quad = hilbert_basis(Cone.from_rays([(1, 0), (0, 1)], 2))
+    assert quad.decompose((1500, 0)) == {(1, 0): 1500}
+    wedge = hilbert_basis(Cone.from_rays([(1, 0, 0), (0, 1, 0), (1, 2, 80)], 3))
+    for g in wedge.generators:
+        target = tuple(2000 * x for x in g)
+        combo = wedge.decompose(target)
+        assert all(h in wedge.generators and m > 0 for h, m in combo.items())
+        assert tuple(sum(m * h[j] for h, m in combo.items())
+                     for j in range(3)) == target
+
+
 def test_relations_of_generators():
     quad = hilbert_basis(Cone.from_rays([(1, 0), (0, 1)], 2))
     assert quad.relations() == ()

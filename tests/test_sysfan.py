@@ -100,6 +100,23 @@ def test_fan_validation_on_maximal_cones_matches_all_pairs(rng):
     assert 30 < verdicts.count(False) < 90
 
 
+def test_maximal_cones_match_the_brute_force_oracle(rng):
+    for _ in range(80):
+        n = rng.choice([2, 3])
+        cones = [Cone.from_rays([tuple(rng.randint(-2, 2) for _ in range(n))
+                                 for _ in range(rng.randint(1, 3))], n)
+                 for _ in range(rng.randint(1, 4))]
+        # duplicates and faces of other inputs
+        for _ in range(rng.randint(0, 3)):
+            cones.append(rng.choice(cones))
+            cones.append(rng.choice(rng.choice(cones).faces()))
+        rng.shuffle(cones)
+        fan = Fan(cones, n)
+        oracle = tuple(c for c in fan.cones
+                       if not any(d != c and d.has_face(c) for d in fan.cones))
+        assert fan.maximal_cones() == oracle
+
+
 # ---------------------------------------------------------------------------
 # system construction and validation
 # ---------------------------------------------------------------------------
@@ -443,6 +460,27 @@ def test_product_class_counts_multiply():
 def test_two_origins_squared_has_nine_classes():
     s = systems.line_two_origins()
     assert len(product(s, s).omega()) == 9
+
+
+def test_product_matches_the_closure_of_all_face_products():
+    rng = fresh_rng(14)
+    small = [systems.affine_line(), systems.line_two_origins(),
+             systems.projective_line_two_charts(), systems.point_system()]
+    pairs = [(_random_glued_system(rng), rng.choice(small)) for _ in range(12)]
+    pairs += [(rng.choice(small), _random_glued_system(rng)) for _ in range(4)]
+    for a, b in pairs:
+        p = product(a, b)
+        n, m = a.ambient_rank, b.ambient_rank
+        for la in a.labels:
+            for lb in b.labels:
+                for ma in a.labels:
+                    for mb in b.labels:
+                        faces = [Cone.from_rays(
+                            [r + (0,) * m for r in ca.rays]
+                            + [(0,) * n + r for r in cb.rays], n + m)
+                            for ca in a.fan(la, ma) for cb in b.fan(lb, mb)]
+                        assert p.fan(la + "|" + lb, ma + "|" + mb) \
+                            == Fan(faces, n + m)
 
 
 def test_product_label_separator_guard():
