@@ -7,9 +7,11 @@ dual cone.  A cone on linearly independent generators is simplicial: its
 inequalities are the dual basis on its span, read off one elimination, and
 a plus/minus basis of the kernel of its generators.  Every other cone gets
 both lists from an incremental double description sweep over exact
-integers, with a combinatorial extremality test.  There is no floating point anywhere.  Sizes
-are desk scale: ambient rank stays in single digits and generator counts in
-the tens, so the algorithms favour clarity over asymptotics.
+integers, with a combinatorial extremality test.  A meet of two pointed
+cones in a common face is read off a separating form instead; the other
+meets and from_inequalities sweep.  There is no floating point anywhere.
+Sizes are desk scale: ambient rank stays in single digits and generator
+counts in the tens, so the algorithms favour clarity over asymptotics.
 
 Cones are shared and immutable.  Cone.from_rays, Cone.from_inequalities,
 Cone.dual, Cone.intersect and faces() return the one live Cone object for
@@ -249,14 +251,39 @@ class Cone:
                             self._dual_lineality, self.lineality))
 
     def intersect(self, other):
-        if self.ambient_rank != other.ambient_rank:
+        """The meet of two cones, the live cone on its canonical rays.
+
+        Two pointed cones, neither inside the other, meet in the face F on
+        their common rays when a separating form u certifies it (Fulton,
+        Introduction to Toric Varieties, 1.2): u sums the inequalities of
+        self that vanish on F and are <= 0 on other, less those of other
+        that vanish on F and are <= 0 on self, so the meet lies in u^perp,
+        which cuts F out of self (or of other) when u vanishes on no further
+        ray of it.  Any other meet, among them every one that is not a
+        common face, runs the two sweeps of from_inequalities.
+        """
+        n = self.ambient_rank
+        if n != other.ambient_rank:
             raise ValueError("ambient rank mismatch")
         if self._lies_in(other):
             return self
         if other._lies_in(self):
             return other
-        return Cone.from_inequalities(self.inequalities + other.inequalities,
-                                      self.ambient_rank)
+        if self.is_pointed() and other.is_pointed():
+            theirs = set(other.rays)
+            common = tuple(r for r in self.rays if r in theirs)
+            self.faces()
+            other.faces()
+            if common in self._face_support and common in other._face_support:
+                u = [0] * n
+                for sign, c, d in ((1, self, other), (-1, other, self)):
+                    for w in c._face_support[common]:
+                        if all(dot(w, r) <= 0 for r in d.rays):
+                            u = [x + sign * y for x, y in zip(u, w)]
+                if any(all(dot(u, r) for r in c.rays if r not in common)
+                       for c in (self, other)):
+                    return Cone._shared(common, n)
+        return Cone.from_inequalities(self.inequalities + other.inequalities, n)
 
     def _lies_in(self, other):
         return all(dot(u, r) >= 0 for u in other.inequalities for r in self.rays)

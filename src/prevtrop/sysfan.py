@@ -184,10 +184,11 @@ def validate_system(system):
         for b in labels:
             fab = system.fan(a, b)
             for c in labels:
-                fbc = system.fan(b, c)
-                fac = system.fan(a, c)
+                missing = (fab._keys & system.fan(b, c)._keys) - system.fan(a, c)._keys
+                if not missing:
+                    continue
                 for cone in fab.cones:
-                    if cone in fbc and cone not in fac:
+                    if cone.rays in missing:
                         issues.append(ValidationIssue(
                             "subfan", (a, b, c),
                             "cone %r is glued via %s but missing from (%s,%s)"

@@ -35,7 +35,7 @@ from prevtrop.exactla import (
     kernel_lattice,
     rational_rank,
 )
-from prevtrop.multiproj import Grading, proj_system_of_fans
+from prevtrop.multiproj import EmptyProj, Grading, proj_system_of_fans
 from prevtrop.sysfan import is_separated, validate_system
 
 
@@ -951,6 +951,78 @@ def test_meets_are_shared_and_match_a_direct_sweep(rng):
             a.inequalities + b.inequalities, n))
         assert meet.rays == direct
         assert meet is Cone.from_rays(direct, n)
+
+
+def _random_proj_cones(rng):
+    """The distinct cones of the fans of a random weighted P^2 or P^3, or of
+    a random Z^2 grading on four variables: chart cones and their faces."""
+    while True:
+        kind = rng.choice(["P2", "P3", "Z2"])
+        if kind == "Z2":
+            grading = Grading(AbelianGroup(2), [(rng.randint(-1, 2), rng.randint(-1, 2))
+                                                for _ in range(4)])
+        else:
+            grading = Grading(AbelianGroup(1), [(rng.randint(1, 7),)
+                                                for _ in range(int(kind[1]) + 1)])
+        try:
+            system = proj_system_of_fans(grading).system
+        except EmptyProj:
+            continue
+        cones = {c for a in system.labels for b in system.labels
+                 for c in system.fan(a, b)}
+        return sorted(cones, key=lambda c: (c.ambient_rank, c.dim, c.rays))
+
+
+def test_certified_meets_match_a_direct_sweep(rng, monkeypatch):
+    sweeps = []
+    sweep = cone_module._halfspace_generators
+
+    def counting(normals, n):
+        sweeps.append(1)
+        return sweep(normals, n)
+
+    monkeypatch.setattr(cone_module, "_halfspace_generators", counting)
+    pairs = []
+    for _ in range(20):
+        cones = _random_proj_cones(rng)
+        pairs += [(a, b) for a, b in itertools.combinations(cones, 2)
+                  if a.ambient_rank == b.ambient_rank]
+    for _ in range(200):
+        n = rng.choice([2, 3, 4])
+        pairs.append((Cone.from_rays(_random_rays(rng, n), n),
+                      Cone.from_rays(_random_rays(rng, n), n)))
+        # b holds a point of a's relative interior: nested or a bad overlap
+        rays = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)]
+        inner = tuple(map(sum, zip(*rays)))
+        pairs.append((Cone.from_rays(rays, n), Cone.from_rays(
+            [inner] + [tuple(rng.randint(-3, 3) for _ in range(n))
+                       for _ in range(n - 1)], n)))
+    counts = dict.fromkeys(
+        ["nested", "certified", "face swept", "bad", "non-pointed"], 0)
+    for a, b in pairs:
+        n = a.ambient_rank
+        a.faces()
+        b.faces()
+        del sweeps[:]
+        meet = a.intersect(b)
+        swept = bool(sweeps)
+        assert b.intersect(a) is meet
+        direct = _generator_list(*_halfspace_generators(
+            a.inequalities + b.inequalities, n))
+        assert meet.rays == direct
+        assert meet is Cone.from_rays(direct, n)
+        if not (a.is_pointed() and b.is_pointed()):
+            counts["non-pointed"] += 1
+        elif meet is a or meet is b:
+            counts["nested"] += 1
+        elif a.has_face(meet) and b.has_face(meet):
+            counts["face swept" if swept else "certified"] += 1
+        else:
+            assert swept
+            counts["bad"] += 1
+    # the certificate decides nine in ten common-face meets or more
+    assert counts["certified"] >= 9 * counts["face swept"]
+    assert min(counts["nested"], counts["bad"], counts["non-pointed"]) > 20, counts
 
 
 def test_face_orthogonal_to_matches_a_search_of_the_faces(rng):

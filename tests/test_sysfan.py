@@ -2,6 +2,7 @@
 
 import pytest
 
+from prevtrop import cone as cone_module
 from prevtrop.cone import Cone
 from prevtrop.exactla import AbelianGroup, IntMatrix
 from prevtrop.multiproj import EmptyProj, Grading, proj_system_of_fans
@@ -618,6 +619,28 @@ def test_separation_of_projective_space_meets_maximal_classes_only(monkeypatch):
     assert is_separated(system) == (True, None)
     # P^4 has 5 maximal classes, the 5 charts, and 10 pairs of them
     assert len(calls) <= 10
+
+
+def test_separated_proj_systems_run_no_sweep(monkeypatch):
+    # every meet of two chart classes is a common face with a separating form
+    def refuse(*args):
+        raise AssertionError("meet swept")
+
+    monkeypatch.setattr(cone_module, "_halfspace_generators", refuse)
+    one = AbelianGroup(1)
+    separated = [_projective(2), _projective(3),
+                 proj_system_of_fans(Grading(one, [(1,), (2,), (5,)])).system,
+                 product(_projective(1), _projective(1)),
+                 proj_system_of_fans(Grading(AbelianGroup(2), [
+                     (1, 0), (1, 0), (1, 2), (1, 2)])).system]
+    for system in separated:
+        assert validate_system(system) == []
+        assert is_separated(system) == (True, None)
+    doubled = systems.line_two_origins()
+    ray = systems.ray_cone((1,), 1)
+    first, second = (doubled.omega().class_of(ray, label) for label in "12")
+    assert is_separated(doubled) == (False, (
+        first, second, ray, "charts 1 and 2 are not glued along the intersection"))
 
 
 def test_support_full():
