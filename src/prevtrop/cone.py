@@ -9,7 +9,10 @@ a plus/minus basis of the kernel of its generators.  Every other cone gets
 both lists from an incremental double description sweep over exact
 integers, with a combinatorial extremality test.  A meet of two pointed
 cones in a common face is read off a separating form instead; the other
-meets and from_inequalities sweep.  There is no floating point anywhere.
+meets and from_inequalities sweep.  The faces of a simplicial cone are
+the cones on its ray subsets; any other cone closes its rays under the tight
+sets of its inequalities.  A face's supporting inequalities are found only
+when asked for, and memoised.  There is no floating point anywhere.
 Sizes are desk scale: ambient rank stays in single digits and generator
 counts in the tens, so the algorithms favour clarity over asymptotics.
 
@@ -146,7 +149,7 @@ class Cone:
     """
 
     __slots__ = ("ambient_rank", "rays", "inequalities", "lineality",
-                 "_dual_lineality", "_faces", "_face_support", "_hilbert",
+                 "_dual_lineality", "_faces", "_supports", "_hilbert",
                  "_span_quot", "__weakref__")
 
     def __init__(self, ambient_rank, rays, inequalities, lineality, dual_lineality):
@@ -156,7 +159,7 @@ class Cone:
         self.lineality = lineality
         self._dual_lineality = dual_lineality
         self._faces = None
-        self._face_support = None
+        self._supports = None
         self._hilbert = None
         self._span_quot = None
 
@@ -272,12 +275,11 @@ class Cone:
         if self.is_pointed() and other.is_pointed():
             theirs = set(other.rays)
             common = tuple(r for r in self.rays if r in theirs)
-            self.faces()
-            other.faces()
-            if common in self._face_support and common in other._face_support:
+            supports = self._support(common), other._support(common)
+            if None not in supports:
                 u = [0] * n
                 for sign, c, d in ((1, self, other), (-1, other, self)):
-                    for w in c._face_support[common]:
+                    for w in c._support(common):
                         if all(dot(w, r) <= 0 for r in d.rays):
                             u = [x + sign * y for x, y in zip(u, w)]
                 if any(all(dot(u, r) for r in c.rays if r not in common)
@@ -314,48 +316,73 @@ class Cone:
 
     def faces(self):
         """All faces, the zero face and the cone itself included, sorted by
-        (dim, rays); the cone itself is always last."""
+        (dim, rays); the cone itself is always last.  A simplicial cone's
+        faces are the cones on its ray subsets (Fulton, Introduction to Toric
+        Varieties, 1.2), d sorted rays spanning a face of dim d, so their
+        combinations come in that order; any other cone runs _closed_faces."""
         if self._faces is None:
-            full = frozenset(self.rays)
-            tight_sets = [frozenset(r for r in self.rays if dot(u, r) == 0)
-                          for u in self.inequalities]
-            subsets = {full}
-            frontier = [full]
-            while frontier:
-                fresh = []
-                for s in frontier:
-                    for t in tight_sets:
-                        c = s & t
-                        if c not in subsets:
-                            subsets.add(c)
-                            fresh.append(c)
-                frontier = fresh
-            subsets.remove(full)
-            # a sorted subset of canonical rays is already canonical
-            faces = {s: Cone._shared(tuple(sorted(s)), self.ambient_rank)
-                     for s in subsets}
             # only proper faces are cached: caching the cone itself would put
             # every cone with known faces on a reference cycle
-            self._faces = tuple(sorted(faces.values(), key=lambda c: (c.dim, c.rays)))
-            faces[full] = self
-            # an inequality vanishes on the face on rays s iff s is in its tight set
-            self._face_support = {
-                f.rays: tuple(u for u, t in zip(self.inequalities, tight_sets) if s <= t)
-                for s, f in faces.items()}
+            if self.is_simplicial():
+                self._faces = tuple(Cone._shared(s, self.ambient_rank)
+                                    for d in range(len(self.rays))
+                                    for s in itertools.combinations(self.rays, d))
+            else:
+                self._faces = self._closed_faces()
         return self._faces + (self,)
 
+    def _closed_faces(self):
+        """The proper faces sorted by (dim, rays), as the closure of the rays
+        under intersection with the tight sets of the inequalities."""
+        full = frozenset(self.rays)
+        tight_sets = {frozenset(r for r in self.rays if dot(u, r) == 0)
+                      for u in self.inequalities}
+        subsets = {full}
+        frontier = [full]
+        while frontier:
+            fresh = []
+            for s in frontier:
+                for t in tight_sets:
+                    c = s & t
+                    if c not in subsets:
+                        subsets.add(c)
+                        fresh.append(c)
+            frontier = fresh
+        subsets.remove(full)
+        # a sorted subset of canonical rays is already canonical
+        return tuple(sorted((Cone._shared(tuple(sorted(s)), self.ambient_rank)
+                             for s in subsets), key=lambda c: (c.dim, c.rays)))
+
+    def _support(self, key):
+        """The inequalities vanishing on the face on the rays key, None when
+        no face has those rays; memoised by key, and never holding a cone.
+        Each inequality is >= 0 on every ray, so it vanishes on the face iff
+        it vanishes at the sum of the face's rays."""
+        if self._supports is None:
+            self._supports = {}
+        if key not in self._supports:
+            if self.is_simplicial():
+                face = set(key) <= set(self.rays)
+            else:
+                face = any(f.rays == key for f in self.faces())
+            point = [sum(x) for x in zip(*key)]
+            self._supports[key] = (tuple(u for u in self.inequalities
+                                         if dot(u, point) == 0) if face else None)
+        return self._supports[key]
+
     def face_support(self, face):
-        """Inequalities of this cone that vanish on the given face."""
-        self.faces()
-        try:
-            return self._face_support[face.rays]
-        except KeyError:
-            raise ValueError("not a face of this cone") from None
+        """Inequalities of this cone that vanish on the given face, found on
+        the first request; ValueError when it is not a face."""
+        support = self._support(face.rays)
+        if support is None:
+            raise ValueError("not a face of this cone")
+        return support
 
     def has_face(self, other):
-        self.faces()
+        """Whether other is a face: for a simplicial cone, whether its rays
+        are a subset of this cone's, so no face is built."""
         return (other.ambient_rank == self.ambient_rank
-                and other.rays in self._face_support)
+                and self._support(other.rays) is not None)
 
     def face_orthogonal_to(self, covectors):
         """The face cut out by covectors that are nonnegative on the cone:

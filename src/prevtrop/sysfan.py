@@ -180,14 +180,14 @@ def validate_system(system):
                 issues.append(ValidationIssue(
                     "symmetry", (a, b),
                     "entries for (%s,%s) and (%s,%s) differ" % (a, b, b, a)))
+    keys = {(a, b): system.fan(a, b)._keys for a in labels for b in labels}
     for a in labels:
         for b in labels:
-            fab = system.fan(a, b)
             for c in labels:
-                missing = (fab._keys & system.fan(b, c)._keys) - system.fan(a, c)._keys
+                missing = (keys[a, b] & keys[b, c]) - keys[a, c]
                 if not missing:
                     continue
-                for cone in fab.cones:
+                for cone in system.fan(a, b).cones:
                     if cone.rays in missing:
                         issues.append(ValidationIssue(
                             "subfan", (a, b, c),

@@ -454,6 +454,57 @@ def test_faces_of_simplicial_cones_are_their_ray_subsets(rng):
     assert full > 30 and lower > 30
 
 
+def test_direct_faces_match_the_closure(rng):
+    full = lower = 0
+    for _ in range(300):
+        gens, n = _random_simplicial_generators(rng)
+        c = Cone.from_rays(gens, n)
+        closed = c._closed_faces() + (c,)
+        faces = c.faces()
+        assert len(faces) == len(closed)
+        assert all(f is g for f, g in zip(faces, closed))
+        tight = [frozenset(r for r in c.rays if dot(u, r) == 0)
+                 for u in c.inequalities]
+        for f in faces:
+            assert c.face_support(f) == tuple(
+                u for u, t in zip(c.inequalities, tight) if set(f.rays) <= t)
+        full += len(c.rays) == n
+        lower += len(c.rays) < n
+    assert full > 30 and lower > 30
+
+
+def test_simplicial_faces_compute_no_dot_product(rng, monkeypatch):
+    cones = [Cone._build(*_random_simplicial_generators(rng)) for _ in range(100)]
+    assert all(c.is_simplicial() for c in cones)
+
+    def refuse(*args):
+        raise AssertionError("dot product computed for a simplicial face")
+
+    monkeypatch.setattr(cone_module, "dot", refuse)
+    for c in cones:
+        faces = c.faces()
+        assert len(faces) == 2 ** len(c.rays)
+        assert [f.rays for f in faces] == [
+            s for d in range(len(c.rays) + 1)
+            for s in itertools.combinations(c.rays, d)]
+
+
+def test_non_faces_have_no_support():
+    square = Cone.from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3)
+    octant = Cone.from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    line = Cone.from_rays([(1, 0, 0), (-1, 0, 0)], 3)
+    assert not square.is_simplicial() and octant.is_simplicial()
+    cases = [(square, Cone.from_rays([(1, 0, 0), (0, 1, 0)], 3)),
+             (octant, Cone.from_rays([(1, 0, 0), (1, 1, 0)], 3)),
+             (octant, line), (square, line)]
+    for c, other in cases:
+        assert not c.has_face(other)
+        with pytest.raises(ValueError):
+            c.face_support(other)
+        # the memoised answer is the same
+        assert not c.has_face(other)
+
+
 def _random_cones_with_faces(rng, count):
     """Seeded cones of rank 1-5, non-pointed ones included, each with its
     faces."""
@@ -1069,6 +1120,33 @@ def test_dropped_system_leaves_the_intern_table():
         assert len(cone_module._CONES) > before
         del proj, system
         # reference counting alone frees every cone: none is on a cycle
+        assert len(cone_module._CONES) == before
+    finally:
+        gc.enable()
+
+
+def test_dropped_system_with_filled_face_memos_leaves_the_intern_table():
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(cone_module._CONES)
+        proj = proj_system_of_fans(Grading(AbelianGroup(1), [(1,), (1,), (1,)]))
+        system = proj.system
+        square = Cone.from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3)
+        cones = [cls.cone for cls in system.omega()] + [square, square.dual()]
+        for a in cones:
+            for b in cones:
+                if a.ambient_rank == b.ambient_rank:
+                    meet = a.intersect(b)
+                    if a.has_face(meet):
+                        assert a.face_support(meet) == tuple(
+                            u for u in a.inequalities
+                            if all(dot(u, r) == 0 for r in meet.rays))
+                    a.has_face(b)
+        assert all(c._supports for c in cones)
+        assert len(cone_module._CONES) > before
+        del proj, system, square, cones, a, b, meet
+        # reference counting alone frees every cone: no memo holds a cone
         assert len(cone_module._CONES) == before
     finally:
         gc.enable()
