@@ -11,7 +11,9 @@ indistinguishable points get separated.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import factorial, gcd, lcm
+from operator import add, mul
 
 from .cone import dot, hilbert_basis
 from .exactla import (IntMatrix, _integer_entry, _integer_vector,
@@ -44,7 +46,10 @@ class NotSeparating(ValueError):
 # kept in one normal form: no trailing zeros, no power of t dividing both
 # num and den, no integer dividing every coefficient of both, and a positive
 # leading coefficient of den; zero is () / (1,).  Common polynomial factors
-# other than t are not removed, so equality still cross-multiplies.
+# other than t are not removed, so equality still cross-multiplies.  What is
+# stripped, integer content and powers of t, is multiplicative (Gauss's
+# lemma), so reordering factors, reusing a value or skipping a zero summand
+# leaves (num, den) unchanged.
 
 def _padd(a, b):
     if len(a) < len(b):
@@ -85,6 +90,32 @@ def _cleared(num, den):
             [c.numerator * (scale // c.denominator) for c in den])
 
 
+def _scalar(num, den):
+    """ValuedScalar(num, den) from fresh integer lists, without the type
+    scan; the lists are normalised in place."""
+    while den and not den[-1]:
+        den.pop()
+    if not den:
+        raise ZeroDivisionError("denominator must be nonzero")
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        den = [1]
+    else:
+        shift = min(_pord(num), _pord(den))
+        if shift:
+            del num[:shift], den[:shift]
+        g = gcd(*num, *den)
+        if den[-1] < 0:
+            g = -g
+        if g != 1:
+            num = [c // g for c in num]
+            den = [c // g for c in den]
+    out = object.__new__(ValuedScalar)
+    out.num, out.den = tuple(num), tuple(den)
+    return out
+
+
 class ValuedScalar:
     """An element of Q(t) with its t-adic valuation.
 
@@ -100,26 +131,8 @@ class ValuedScalar:
         num, den = list(num), list(den)
         if not _INT.issuperset(map(type, num + den)):
             num, den = _cleared(num, den)
-        while den and not den[-1]:
-            den.pop()
-        if not den:
-            raise ZeroDivisionError("denominator must be nonzero")
-        while num and not num[-1]:
-            num.pop()
-        if not num:
-            den = [1]
-        else:
-            shift = min(_pord(num), _pord(den))
-            if shift:
-                del num[:shift], den[:shift]
-            g = gcd(*num, *den)
-            if den[-1] < 0:
-                g = -g
-            if g != 1:
-                num = [c // g for c in num]
-                den = [c // g for c in den]
-        self.num = tuple(num)
-        self.den = tuple(den)
+        normal = _scalar(num, den)
+        self.num, self.den = normal.num, normal.den
 
     @classmethod
     def of(cls, value):
@@ -151,14 +164,14 @@ class ValuedScalar:
 
     def __add__(self, other):
         other = ValuedScalar.of(other)
-        return ValuedScalar(_padd(_pmul(self.num, other.den),
-                                  _pmul(other.num, self.den)),
-                            _pmul(self.den, other.den))
+        return _scalar(_padd(_pmul(self.num, other.den),
+                             _pmul(other.num, self.den)),
+                       _pmul(self.den, other.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ValuedScalar([-c for c in self.num], self.den)
+        return _scalar([-c for c in self.num], list(self.den))
 
     def __sub__(self, other):
         return self + (-ValuedScalar.of(other))
@@ -168,8 +181,7 @@ class ValuedScalar:
 
     def __mul__(self, other):
         other = ValuedScalar.of(other)
-        return ValuedScalar(_pmul(self.num, other.num),
-                            _pmul(self.den, other.den))
+        return _scalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -177,23 +189,27 @@ class ValuedScalar:
         other = ValuedScalar.of(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero scalar")
-        return ValuedScalar(_pmul(self.num, other.den),
-                            _pmul(self.den, other.num))
+        return _scalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
+
+    def __rtruediv__(self, other):
+        return ValuedScalar.of(other) / self
 
     def __pow__(self, power):
         power = _integer_entry(power)
         if power < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
-            return ValuedScalar(self.den, self.num) ** (-power)
-        out = ValuedScalar.of(1)
-        base = self
-        while power:
+            return _scalar(list(self.den), list(self.num)) ** (-power)
+        if not power:
+            return _ONE
+        out, base = None, self
+        while True:  # square and multiply, from the first factor on
             if power & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             power >>= 1
-        return out
+            if not power:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
@@ -213,6 +229,7 @@ def scalar(value):
 
 
 _ZERO = ValuedScalar((), (1,))
+_ONE = ValuedScalar((1,), (1,))
 
 # ---------------------------------------------------------------------------
 # classical chart points
@@ -255,10 +272,9 @@ class ClassicalChartPoint:
         if any(dot(s, r) != 0 for r in self.zero_face.rays):
             return _ZERO
         parts = hilbert_basis(sigma).decompose(s)
-        out = ValuedScalar.of(1)
-        for g, mult in parts.items():
-            out = out * self.values[g] ** mult
-        return out
+        if not parts:
+            return _ONE
+        return reduce(mul, [self.values[g] ** m for g, m in parts.items()])
 
 
 def classical_point(system, chart, values):
@@ -285,10 +301,13 @@ def classical_point(system, chart, values):
             "the generators with nonzero values, %r, are not those "
             "vanishing on a face of the chart cone" % sorted(alive))
     if alive:
-        columns = kernel_lattice(
-            IntMatrix.from_rows([list(v) for v in zip(*alive)],
-                                cols=len(alive)))
-        for rel in columns.basis_rows():
+        if len(alive) == len(gens):
+            relations = basis.relations()
+        else:
+            relations = kernel_lattice(
+                IntMatrix.from_rows([list(v) for v in zip(*alive)],
+                                    cols=len(alive))).basis_rows()
+        for rel in relations:
             lhs = ValuedScalar.of(1)
             rhs = ValuedScalar.of(1)
             for k, c in enumerate(rel):
@@ -322,10 +341,8 @@ def coordinate_point(system, chart, coords, zero_face=None):
     values = {}
     for g in hilbert_basis(sigma).generators:
         if all(dot(g, r) == 0 for r in zero_face.rays):
-            out = ValuedScalar.of(1)
-            for c, a in zip(coords, g):
-                out = out * c ** a
-            values[g] = out
+            powers = [c ** a for c, a in zip(coords, g) if a]
+            values[g] = reduce(mul, powers) if powers else _ONE
         else:
             values[g] = _ZERO
     return classical_point(system, chart, values)
@@ -537,21 +554,29 @@ def refined_classical(refinement, point):
     gens = [e for e, _ in refinement.gtilde]
     coeffs = [c for _, c in refinement.gtilde]
     pushforward = new.kernel.basis.transpose()
+    evals = {}  # characters recur across generators and compositions
     values = {}
     for g in hilbert_basis(chart.cone).generators:
         e = pushforward.apply(g)
         a, b = e[:n], e[n]
-        total = _ZERO
+        pieces = []
         for split in _compositions(b, len(gens)):
             exponent = list(a)
             for k, mult in zip(gens, split):
                 for i in range(n):
                     exponent[i] += k[i] * mult
-            piece = ValuedScalar.of(_multinomial(b, split))
-            for c, mult in zip(coeffs, split):
-                piece = piece * c ** mult
-            total = total + piece * point.eval(old.character(exponent))
-        values[g] = total
+            chi = old.character(exponent)
+            if chi not in evals:
+                evals[chi] = point.eval(chi)
+            value = evals[chi]
+            if value.is_zero:
+                continue
+            multinomial = _multinomial(b, split)
+            if multinomial != 1:
+                value = value * multinomial
+            powers = [c ** mult for c, mult in zip(coeffs, split) if mult]
+            pieces.append(reduce(mul, powers, value))
+        values[g] = reduce(add, pieces) if pieces else _ZERO
     return classical_point(new.system, chart, values)
 
 

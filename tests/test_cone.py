@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from prevtrop import cone as cone_module
-from prevtrop import exactla
+from prevtrop import exactla, tropembed
 from prevtrop.cone import (
     Cone,
     _generator_list,
@@ -36,7 +36,7 @@ from prevtrop.exactla import (
     rational_rank,
 )
 from prevtrop.multiproj import EmptyProj, Grading, proj_system_of_fans
-from prevtrop.sysfan import is_separated, validate_system
+from prevtrop.sysfan import SystemOfFans, is_separated, validate_system
 
 
 # ---------------------------------------------------------------------------
@@ -912,6 +912,26 @@ def test_relations_of_generators():
     assert wedge.relations() == ((1, -2, 1),)
 
 
+def test_relations_are_computed_once_per_cone(monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return kernel_lattice(matrix)
+
+    wedge = Cone.from_rays([(1, 0, 0), (0, 1, 0), (1, 2, 11)], 3)
+    basis = hilbert_basis(wedge)
+    assert wedge._relations is None
+    monkeypatch.setattr(cone_module, "kernel_lattice", counted)
+    first = basis.relations()
+    again = hilbert_basis(wedge).relations()
+    assert len(calls) == 1
+    assert again == first
+    assert all(type(x) is int for rel in first for x in rel)
+    cols = IntMatrix.from_rows(basis.generators, cols=3).transpose()
+    assert first == tuple(kernel_lattice(cols).basis_rows())
+
+
 def test_membership_predicate():
     hb = hilbert_basis(Cone.from_rays([(1, 0), (1, 2)], 2))
     assert (1, 1) in hb
@@ -1150,3 +1170,41 @@ def test_dropped_system_with_filled_face_memos_leaves_the_intern_table():
         assert len(cone_module._CONES) == before
     finally:
         gc.enable()
+
+
+def test_dropped_system_with_filled_relations_leaves_the_intern_table():
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(cone_module._CONES)
+        proj = proj_system_of_fans(Grading(AbelianGroup(1), [(1,), (2,), (5,)]))
+        cones = [cls.cone for cls in proj.system.omega()]
+        for c in cones:
+            hilbert_basis(c).relations()
+        assert all(c._relations is not None for c in cones)
+        assert len(cone_module._CONES) > before
+        del proj, cones, c
+        # reference counting alone frees every cone: the cache holds no cone
+        assert len(cone_module._CONES) == before
+    finally:
+        gc.enable()
+
+
+def test_dense_classical_points_read_the_cached_relations(monkeypatch):
+    sigma = Cone.from_rays([(1, 0), (1, 2)], 2)
+    system = SystemOfFans(2, ["1"], {("1", "1"): [sigma]})
+    chart = system.omega().class_of(sigma, "1")
+    t = tropembed.ValuedScalar.t_power(1)
+    values = {(0, 1): t, (1, 0): t, (2, -1): t}
+    assert tropembed.classical_point(system, chart, values).zero_face.dim == 0
+    assert sigma._relations == ((1, -2, 1),)
+
+    def refuse(matrix):
+        raise AssertionError("kernel_lattice called")
+
+    for module in (cone_module, exactla, tropembed):
+        monkeypatch.setattr(module, "kernel_lattice", refuse)
+    point = tropembed.classical_point(system, chart, values)
+    assert point.eval((1, 1)) == t * t
+    with pytest.raises(ValueError, match="multiplicative"):
+        tropembed.classical_point(system, chart, {**values, (2, -1): t * t})

@@ -1,8 +1,9 @@
 """Valued points, Kapranov membership, and embedding refinement."""
 
+import itertools
 import operator
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd, prod
 
 import pytest
 
@@ -109,6 +110,31 @@ def test_powers_and_division():
         scalar(2) ** Fraction(1, 2)
     with pytest.raises(ValueError):
         ValuedScalar.t_power(1.5)
+
+
+def test_numbers_divide_by_scalars():
+    half = 2 / ValuedScalar.t_power(1)
+    assert (half.num, half.den) == ((2,), (0, 1))
+    assert Fraction(1, 3) / (ONE + T) == ONE / (3 * (ONE + T))
+    with pytest.raises(ZeroDivisionError):
+        2 / scalar(0)
+
+
+def test_powers_match_the_left_to_right_product():
+    rng = fresh_rng(113)
+    for _ in range(80):
+        x = ValuedScalar.from_polys(*random_operand(rng))
+        assert ((x ** 0).num, (x ** 0).den) == ((1,), (1,))
+        assert x ** 1 is x
+        for k in range(-4, 10):
+            if k < 0 and x.is_zero:
+                continue
+            factor = ONE / x if k < 0 else x
+            expected = ONE
+            for _ in range(abs(k)):
+                expected = expected * factor
+            got = x ** k
+            assert (got.num, got.den) == (expected.num, expected.den)
 
 
 @pytest.mark.parametrize("build", [
@@ -687,6 +713,84 @@ def test_refined_evaluation_expands_powers():
     expected = (ONE + T) * (ONE + T)
     assert any(v == expected for v in rp.values.values())
     assert forget_refinement(ref, refined_trop(ref, p)) == trop_point(p)
+
+
+def oracle_refined_values(ref, point, chart):
+    """Generator values of the refined point by the plain expansion: for
+    each generator and each composition of its x-exponent, the multinomial
+    times the coefficient powers times a fresh evaluation of the old point,
+    summed in composition order from zero."""
+    old = ref.old_proj
+    n = ref.old_grading.n
+    pushforward = ref.new_proj.kernel.basis.transpose()
+    values = {}
+    for g in hilbert_basis(chart.cone).generators:
+        e = pushforward.apply(g)
+        a, b = e[:n], e[n]
+        total = scalar(0)
+        for split in itertools.product(range(b + 1), repeat=len(ref.gtilde)):
+            if sum(split) != b:
+                continue
+            exponent = list(a)
+            piece = scalar(factorial(b) // prod(map(factorial, split)))
+            for (k, c), mult in zip(ref.gtilde, split):
+                for i in range(n):
+                    exponent[i] += k[i] * mult
+                for _ in range(mult):
+                    piece = piece * c
+            total = total + piece * point.eval(old.character(exponent))
+        values[g] = total
+    return values
+
+
+def random_refinement(rng):
+    """A refinement of P^1 or P^2 by a random g~ of degree 1 to 3 with two
+    to four terms and a nonzero clearing monomial."""
+    n = rng.choice((2, 3))
+    degree = rng.randint(1, 3)
+    monomials = [e for e in itertools.product(range(degree + 1), repeat=n)
+                 if sum(e) == degree]
+    terms = rng.sample(monomials, rng.randint(2, min(4, len(monomials))))
+    clearing = [rng.randint(0, 2) for _ in range(n)]
+    clearing[rng.randrange(n)] += 1
+    grading = Grading(AbelianGroup(1), [(1,)] * n)
+    return refine_embedding(grading, [(e, random_scalar(rng)) for e in terms],
+                            clearing)
+
+
+def test_refined_values_match_the_plain_expansion():
+    rng = fresh_rng(131)
+    line = Grading(AbelianGroup(1), [(1,), (1,)])
+    powers = refine_embedding(line, [((2, 0), ONE), ((1, 1), scalar(2)),
+                                     ((0, 2), ONE)], clearing=(2, 0))
+    cases = [(powers, 1, {(-1,): T}), (powers, 1, {(-1,): scalar(0)})]
+    for _ in range(12):
+        ref = random_refinement(rng)
+        cases.append((ref, rng.randint(1, ref.old_grading.n), None))
+    degrees, boundary = set(), 0
+    for ref, variable, values in cases:
+        old = ref.old_proj
+        subset = frozenset({variable})
+        chart = old.system.omega().class_of(old.poset.cone_of(subset),
+                                            old.chart_label(subset))
+        if values is not None:
+            points = [classical_point(old.system, chart, values)]
+        else:
+            points = [coordinate_point(old.system, chart,
+                                       [random_scalar(rng) for _ in
+                                        range(old.system.ambient_rank)],
+                                       zero_face=face)
+                      for face in chart.cone.faces()]
+        for p in points:
+            rp = refined_classical(ref, p)
+            expected = oracle_refined_values(ref, p, rp.chart)
+            assert set(rp.values) == set(expected)
+            for g, v in rp.values.items():
+                assert (v.num, v.den) == (expected[g].num, expected[g].den)
+            degrees.add(ref.x_degree)
+            boundary += p.zero_face.dim > 0
+    assert degrees == {(1,), (2,), (3,)}
+    assert boundary > 10
 
 
 # ---------------------------------------------------------------------------

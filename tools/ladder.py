@@ -19,8 +19,10 @@ each builds its Proj, two tropically equal points on one chart and a
 function telling them apart, then in fresh interpreters times
 separation_witness -> refined_trop x2 -> forget_refinement x2 and counts
 the calls of solve_rational, hermite_normal_form and proj_system_of_fans,
-and the chart posets built (relevant_subsets calls, one per new Proj); the
-wall is the median over REFINE_RUNS interpreters.
+the chart posets built (relevant_subsets calls, one per new Proj), and the
+calls of ClassicalChartPoint.eval, ValuedScalar.__pow__ and
+ValuedScalar.__mul__ (with __rmul__); the wall is the median over
+REFINE_RUNS interpreters.
 With --startup the rungs are a bare `python -c pass` and one
 `python -m prevtrop.cli <command>` per subcommand on small documents (P^1,
 the affine plane and points on it), each run in fresh processes, rounds
@@ -70,7 +72,7 @@ REFINE_RUNGS = {
 }
 REFINE_RUNS = 5
 REFINE_COUNTERS = ("solve_rational", "hermite_normal_form",
-                   "proj_system_of_fans", "proj_builds")
+                   "proj_system_of_fans", "proj_builds", "eval", "pow", "mul")
 STARTUP_ROUNDS = 15
 COUNTERS = ("intersect", "kernel_lattice", "sweeps", "simplicial_builds",
             "swept_builds")
@@ -214,9 +216,10 @@ def run_refine_rung(rung):
     from prevtrop.exactla import (AbelianGroup, IntMatrix, invert_unimodular,
                                   solve_rational)
     from prevtrop.multiproj import Grading, proj_system_of_fans
-    from prevtrop.tropembed import (ValuedScalar, coordinate_point,
-                                    forget_refinement, refined_trop,
-                                    separation_witness, trop_point)
+    from prevtrop.tropembed import (ClassicalChartPoint, ValuedScalar,
+                                    coordinate_point, forget_refinement,
+                                    refined_trop, separation_witness,
+                                    trop_point)
 
     degrees, subset, exponents = REFINE_RUNGS[rung]
     proj = proj_system_of_fans(Grading(AbelianGroup(len(degrees[0])),
@@ -252,6 +255,11 @@ def run_refine_rung(rung):
         (exactla.hermite_normal_form, "hermite_normal_form"),
         (multiproj.proj_system_of_fans, "proj_system_of_fans"),
         (multiproj.relevant_subsets, "proj_builds")))
+    for owner, attr, counter in ((ClassicalChartPoint, "eval", "eval"),
+                                 (ValuedScalar, "__pow__", "pow"),
+                                 (ValuedScalar, "__mul__", "mul"),
+                                 (ValuedScalar, "__rmul__", "mul")):
+        setattr(owner, attr, _counted(counts, counter, owner.__dict__[attr]))
     start = time.perf_counter()
     witness = separation_witness(proj, p, q, f)
     refined = refined_trop(witness, p), refined_trop(witness, q)
