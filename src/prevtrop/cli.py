@@ -6,10 +6,9 @@ modules.  Reports go to standard output with sorted keys, diagnostics to
 standard error.  Exit codes: 0 for success, 1 for malformed input, 2 for
 semantic violations.
 
-Each subcommand imports the layers it uses when it runs, after reading its
-first document: a call that needs no classical point or refinement never
-loads the Q(t) arithmetic of tropembed, and an unreadable or malformed
-first document is reported without loading the geometry at all.
+A call builds the parser of its own subcommand only and imports the layers
+it uses after reading its first document (the README tabulates them), so an
+unreadable or malformed first document is reported without the geometry.
 """
 
 import argparse
@@ -186,17 +185,18 @@ def cmd_nonneg(args):
 def cmd_kapranov(args):
     data = _read_document(args.poly, {"polynomial"})
     from .extreal import format_extended, parse_extended
-    from .jsondoc import _json_field, _json_objects
+    from .jsondoc import _json_exact, _json_field, _json_objects
     from .sysfan import system_from_data
     from .tropembed import kapranov_membership, kapranov_minimizers
     from .troppre import chart_polynomial, class_from_data, trop_point_from_data
     system = system_from_data(_json_field(data, "system", dict))
     chart = class_from_data(system, _json_field(data, "chart"))
-    poly = chart_polynomial(system, chart,
-                            [(tuple(_json_field(term, "exp", list)),
-                              parse_extended(str(_json_field(term, "val"))))
-                             for term in _json_objects(_json_field(data, "terms"),
-                                                       "terms")])
+    terms = _json_objects(_json_field(data, "terms"), "terms")
+    poly = chart_polynomial(system, chart, [
+        (tuple(_json_field(term, "exp", list)),
+         parse_extended(str(_json_exact(_json_field(term, "val"),
+                                        'terms[%d]["val"]' % k))))
+        for k, term in enumerate(terms)])
     point = trop_point_from_data(
         system, _read_document(args.point, {"trop_point"}))
     achieving = [{"exp": list(s), "value": format_extended(v)}
@@ -264,70 +264,59 @@ def cmd_product(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def build_parser():
+# subcommand -> (handler, help, arguments); an argument is a positional
+# name or a (flag, add_argument keywords) pair
+COMMANDS = {
+    "validate": (cmd_validate, "check a system or grading document", ["file"]),
+    "omega": (cmd_omega, "chart classes, order, and strata", ["file"]),
+    "separated": (cmd_separated,
+                  "separation check with witness or support test", ["file"]),
+    "proj": (cmd_proj, "chart system of a multigrading", ["file"]),
+    "trop": (cmd_trop, "tropicalize a point document", ["point", "system"]),
+    "nonneg": (cmd_nonneg, "nonnegative tropicalization", [
+        "point", "system",
+        ("--compare", {"action": "store_true", "help":
+                       "also emit the image under the comparison map"})]),
+    "kapranov": (cmd_kapranov, "tropical hypersurface membership",
+                 ["poly", "point"]),
+    "refine": (cmd_refine, "adjoin a coordinate for a homogeneous polynomial", [
+        "grading",
+        ("--gtilde", {"required": True,
+                      "help": "polynomial document for the new coordinate"}),
+        ("--clearing", {"help": "comma separated exponents of the clearing "
+                                "monomial"}),
+        ("--point", {"action": "append", "default": [], "help":
+                     "classical point document to push through (repeatable)"})]),
+    "product": (cmd_product, "product of two systems of fans",
+                ["left", "right", ("--separator", {"default": "|"})]),
+}
+
+
+def build_parser(commands=COMMANDS):
+    """The argument parser, with subparsers for the named commands only."""
     parser = argparse.ArgumentParser(
         prog="prevtrop",
         description="Tropicalized toric prevarieties: systems of fans, "
                     "chart posets, valued points, and refinements.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a system or grading document")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("omega", help="chart classes, order, and strata")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_omega)
-
-    p = sub.add_parser("separated",
-                       help="separation check with witness or support test")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_separated)
-
-    p = sub.add_parser("proj", help="chart system of a multigrading")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_proj)
-
-    p = sub.add_parser("trop", help="tropicalize a point document")
-    p.add_argument("point")
-    p.add_argument("system")
-    p.set_defaults(func=cmd_trop)
-
-    p = sub.add_parser("nonneg", help="nonnegative tropicalization")
-    p.add_argument("point")
-    p.add_argument("system")
-    p.add_argument("--compare", action="store_true",
-                   help="also emit the image under the comparison map")
-    p.set_defaults(func=cmd_nonneg)
-
-    p = sub.add_parser("kapranov", help="tropical hypersurface membership")
-    p.add_argument("poly")
-    p.add_argument("point")
-    p.set_defaults(func=cmd_kapranov)
-
-    p = sub.add_parser("refine",
-                       help="adjoin a coordinate for a homogeneous polynomial")
-    p.add_argument("grading")
-    p.add_argument("--gtilde", required=True,
-                   help="polynomial document for the new coordinate")
-    p.add_argument("--clearing",
-                   help="comma separated exponents of the clearing monomial")
-    p.add_argument("--point", action="append", default=[],
-                   help="classical point document to push through "
-                        "(repeatable)")
-    p.set_defaults(func=cmd_refine)
-
-    p = sub.add_parser("product", help="product of two systems of fans")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--separator", default="|")
-    p.set_defaults(func=cmd_product)
-
+    for name in commands:
+        func, help_text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for argument in arguments:
+            flag, options = (argument, {}) if isinstance(argument, str) else argument
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the named command's subparser is built; anything else, and a stray
+    # argument whose error shows the top-level usage, gets the full parser
+    named = argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS
+    args, extra = build_parser(named).parse_known_args(argv)
+    if extra:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DocumentError as err:

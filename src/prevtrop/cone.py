@@ -30,19 +30,19 @@ import itertools
 import math
 import weakref
 
+from prevtrop import _lazy
 from prevtrop.exactla import (
     IntMatrix,
     Lattice,
-    _Value,
     _echelon,
     _integer_vector,
     _rational_entry,
-    invert_unimodular,
     kernel_lattice,
     primitive,
-    smith_normal_form,
-    solve_rational,
 )
+
+__getattr__ = _lazy(globals(), "prevtrop.monoid", (
+    "LatticeQuotient", "lattice_quotient", "AffineSemigroup", "hilbert_basis"))
 
 
 def dot(a, b):
@@ -407,263 +407,6 @@ class Cone:
     def span_quotient(self):
         """Quotient of the ambient lattice by this cone's own span, cached."""
         if self._span_quot is None:
+            from prevtrop.cone import lattice_quotient
             self._span_quot = lattice_quotient(self.rays, self.ambient_rank)
         return self._span_quot
-
-
-class LatticeQuotient(_Value):
-    """Z^ambient -> Z^(ambient-k) with kernel exactly the saturated sublattice.
-
-    proj rows give the projection; dual covectors vanishing on the sublattice
-    descend through section columns (dual of a splitting of proj).
-    """
-
-    __slots__ = ("ambient", "sub", "proj", "section")
-
-    def __init__(self, ambient, sub, proj, section):
-        self.ambient = ambient
-        self.sub = sub
-        self.proj = proj
-        self.section = section
-
-    def _key(self):
-        return self.ambient, self.sub, self.proj, self.section
-
-    @property
-    def rank(self):
-        return self.ambient - self.sub.rank
-
-    def push(self, vector):
-        return self.proj.apply(tuple(vector))
-
-    def descend_dual(self, covector):
-        covector = tuple(covector)
-        for b in self.sub.basis_rows():
-            if dot(covector, b) != 0:
-                raise ValueError("covector does not vanish on the sublattice")
-        return tuple(dot(covector, self.section.column(j))
-                     for j in range(self.section.cols))
-
-
-def lattice_quotient(spanning_vectors, ambient_rank):
-    """Build the canonical quotient of Z^n by the saturated span of vectors."""
-    perp = kernel_lattice(IntMatrix.from_rows(spanning_vectors, cols=ambient_rank))
-    sub = kernel_lattice(perp.basis)
-    k = sub.rank
-    if k == 0:
-        eye = IntMatrix.identity(ambient_rank)
-        return LatticeQuotient(ambient_rank, sub, eye, eye)
-    d, p, _ = smith_normal_form(sub.basis.transpose())
-    for i in range(k):
-        if d[i, i] != 1:
-            raise AssertionError("saturated sublattice must have unit invariant factors")
-    pinv = invert_unimodular(p)
-    proj_rows = [list(p.row(i)) for i in range(k, ambient_rank)]
-    section_cols = [[pinv[i, j] for i in range(ambient_rank)]
-                    for j in range(k, ambient_rank)]
-    # orient each quotient coordinate so its first nonzero weight is positive
-    for t, row in enumerate(proj_rows):
-        lead = next((x for x in row if x), 0)
-        if lead < 0:
-            proj_rows[t] = [-x for x in row]
-            section_cols[t] = [-x for x in section_cols[t]]
-    proj = IntMatrix.from_rows(proj_rows, cols=ambient_rank)
-    section = IntMatrix.from_rows(
-        [[col[i] for col in section_cols] for i in range(ambient_rank)],
-        cols=ambient_rank - k)
-    return LatticeQuotient(ambient_rank, sub, proj, section)
-
-
-# ---------------------------------------------------------------------------
-# dual monoids
-# ---------------------------------------------------------------------------
-
-class AffineSemigroup(_Value):
-    """The monoid of dual lattice points of a cone, sigma^v cap M.
-
-    generators is the canonical minimal generating set: the Hilbert basis of
-    the pointed quotient lifted back, together with a plus/minus lattice basis
-    of the unit subgroup sigma^perp cap M when the cone is not full
-    dimensional.
-    """
-
-    __slots__ = ("cone", "generators", "units", "_lift_of", "_proj",
-                 "_img_normals")
-
-    def __init__(self, cone, generators, units, _lift_of, _proj, _img_normals):
-        self.cone = cone
-        self.generators = generators
-        self.units = units
-        self._lift_of = _lift_of    # Hilbert basis image -> lift
-        self._proj = _proj
-        self._img_normals = _img_normals
-
-    def _key(self):
-        # _lift_of is an unhashable dict and stays out
-        return (self.cone, self.generators, self.units, self._proj,
-                self._img_normals)
-
-    @property
-    def ambient_rank(self):
-        return self.cone.ambient_rank
-
-    def __contains__(self, vector):
-        vector = tuple(_rational_entry(x) for x in vector)
-        if len(vector) != self.ambient_rank:
-            raise ValueError("vector length mismatch")
-        return all(x.denominator == 1 for x in vector) \
-            and all(dot(vector, r) >= 0 for r in self.cone.rays)
-
-    def relations(self):
-        """Canonical basis of the integer relation lattice of the generators."""
-        if not self.generators:
-            return ()
-        cone = self.cone
-        if cone._relations is None:
-            cols = IntMatrix.from_rows(self.generators,
-                                       cols=self.ambient_rank).transpose()
-            cone._relations = tuple(kernel_lattice(cols).basis_rows())
-        return cone._relations
-
-    def decompose(self, target):
-        """Express a monoid element as an N-combination of the generators.
-
-        Returns a dict generator -> multiplicity.  Raises ValueError when the
-        target is not in the monoid.  One pass over the Hilbert basis of the
-        pointed image, in its sorted order, takes each generator g as often
-        as the image v stays in the cone, the least floor(<u, v> / <u, g>)
-        over extremal normals u with <u, g> > 0.  A generator that does not
-        fit never fits later, since v - g' outside the cone puts v - g - g'
-        outside for every g in it; and every nonzero point of the saturated
-        monoid has some basis element that fits, so the pass never backs up.
-        """
-        target = _integer_vector(target, self.ambient_rank)
-        if any(dot(target, r) < 0 for r in self.cone.rays):
-            raise ValueError("target outside the dual cone")
-        img = self._proj.apply(target)
-        heights = [dot(u, img) for u in self._img_normals]
-        out = {}
-        residual = list(target)
-        for g_img, lift in self._lift_of.items():
-            if not any(heights):
-                break
-            steps = [dot(u, g_img) for u in self._img_normals]
-            mult = min(h // s for h, s in zip(heights, steps) if s > 0)
-            if mult:
-                out[lift] = mult
-                heights = [h - mult * s for h, s in zip(heights, steps)]
-                residual = [x - mult * y for x, y in zip(residual, lift)]
-        if any(heights):
-            raise AssertionError("integral dual point failed to decompose")
-        # what is left lies in the unit lattice of the monoid
-        return self._absorb_units(out, residual)
-
-    def _absorb_units(self, out, residual):
-        plus_units = [u for u in self.units if u > tuple(-x for x in u)]
-        if not any(residual):
-            return out
-        if not plus_units:
-            raise AssertionError("nonzero residual without unit generators")
-        coeffs = solve_rational(list(zip(*plus_units)), residual)
-        if coeffs is None:
-            raise AssertionError("residual outside the unit lattice")
-        for u, c in zip(plus_units, coeffs):
-            if c.denominator != 1:
-                raise AssertionError("residual outside the unit lattice")
-            c = c.numerator
-            if c > 0:
-                out[u] = out.get(u, 0) + c
-            elif c < 0:
-                neg = tuple(-x for x in u)
-                out[neg] = out.get(neg, 0) - c
-        return out
-
-
-def hilbert_basis(cone):
-    """Minimal generator set of sigma^v cap M as an AffineSemigroup.
-
-    Units (a plus/minus lattice basis of sigma^perp) are split off first.  In
-    the pointed quotient every irreducible element lies in some simplicial
-    subcone spanned by independent extremal rays (Caratheodory), and there it
-    is a ray or a lattice point of the subcone's half-open fundamental
-    parallelepiped.  Those points are enumerated from the Smith normal form
-    of each ray subset, and a degree-sorted sieve strikes the reducibles
-    (Bruns-Ichim, "Normaliz: algorithms for affine monoids and rational
-    cones", J. Algebra 324, 2010).  The basis is computed once per cone.  The
-    cone keeps only the semigroup's other fields, since a semigroup refers to
-    its cone and keeping it whole would make a reference cycle.
-    """
-    if cone._hilbert is None:
-        cone._hilbert = _hilbert_fields(cone)
-    return AffineSemigroup(cone, *cone._hilbert)
-
-
-def _hilbert_fields(cone):
-    n = cone.ambient_rank
-    unit_lattice = cone._dual_lineality
-    units = []
-    for b in unit_lattice.basis_rows():
-        units.append(tuple(b))
-        units.append(tuple(-x for x in b))
-    quot = lattice_quotient([tuple(b) for b in unit_lattice.basis_rows()], n) \
-        if unit_lattice.rank else None
-    if quot is None:
-        proj = IntMatrix.identity(n)
-        k = n
-    else:
-        # quotient of the dual lattice by its unit sublattice
-        proj = quot.proj
-        k = quot.rank
-    pairs = set(units)
-    ext = [u for u in cone.inequalities if u not in pairs]
-    img_rays = sorted({primitive(proj.apply(r)) for r in ext})
-    if not img_rays:
-        return tuple(sorted(units)), tuple(sorted(units)), {}, proj, ()
-    # H-description of the image cone: it is always pointed (its lineality
-    # maps to zero), though it can be lower dimensional when the input cone is
-    # not pointed.  Only the extremal normals are kept: basis elements and
-    # decomposition targets lie in its span, where they cut it out.
-    img_lin, img_normals = _halfspace_generators(img_rays, k)
-    candidates = set(img_rays)
-    for subset in itertools.combinations(img_rays, k - img_lin.rank):
-        candidates.update(_parallelepiped_points(subset, k))
-    # every candidate lies in the span, so x - y is in the image cone iff the
-    # extremal normals are no smaller on x than on y; their sum is the degree
-    # w.x, w the sum of all normals, and a proper summand has lower degree
-    heights = {x: tuple(dot(u, x) for u in img_normals) for x in candidates}
-    kept = {}
-    for x in sorted(candidates, key=lambda x: (sum(heights[x]), x)):
-        h = heights[x]
-        if not any(all(a >= b for a, b in zip(h, g)) for g in kept.values()):
-            kept[x] = h
-    basis_img = sorted(kept)
-    if quot is None:
-        lifts = list(basis_img)
-    else:
-        lifts = [tuple(quot.section.apply(h)) for h in basis_img]
-    return (tuple(sorted(units + lifts)), tuple(sorted(units)),
-            dict(zip(basis_img, lifts)), proj, img_normals)
-
-
-def _parallelepiped_points(rays, k):
-    """Nonzero lattice points sum t_i r_i, 0 <= t_i < 1, of independent rays.
-
-    There is one per nonzero class of (Z^k cap span) / Z<rays>.  With the
-    Smith form D = P R Q of the ray matrix R, the class group is the direct
-    sum of the cyclic groups generated by (row i of P R) / d_i, whose ray
-    coefficients are P[i] / d_i; all coefficients are kept as integer
-    numerators over the top invariant factor.  Dependent rays give no points.
-    """
-    m = len(rays)
-    d, p, _ = smith_normal_form(IntMatrix.from_rows(rays, cols=k))
-    top = d[m - 1, m - 1]
-    if top == 0:
-        return []
-    numerators = [(0,) * m]
-    for i in range(m):
-        order = d[i, i]
-        step = [p[i, j] * (top // order) for j in range(m)]
-        numerators = [tuple((a + c * s) % top for a, s in zip(num, step))
-                      for num in numerators for c in range(order)]
-    return [tuple(sum(c * r[j] for c, r in zip(num, rays)) // top for j in range(k))
-            for num in numerators[1:]]

@@ -17,9 +17,14 @@ from rational input and returned as the result of solve_rational.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
-from fractions import Fraction
+
+from prevtrop import _lazy
+
+__getattr__ = _lazy(globals(), "prevtrop.smith", (
+    "smith_normal_form", "invert_unimodular", "solve_rational", "cokernel_is_finite"))
 
 
 class _Value:
@@ -238,11 +243,6 @@ def _sub_row(m, i, j, q):
             mi[k] -= q * mj[k]
 
 
-def _swap_cols(m, j1, j2):
-    for row in m:
-        row[j1], row[j2] = row[j2], row[j1]
-
-
 def _hnf(h, n):
     """Row Hermite normal form of the first n columns of the row lists h, in
     place.  Every row operation acts on whole rows, so on [A | I] the right
@@ -291,91 +291,6 @@ def hermite_normal_form(matrix):
     return _matrix([r[:n] for r in hu], n), _matrix([r[n:] for r in hu], m)
 
 
-def _smith(w, m, n):
-    """Smith normal form of the top-left m x n block of the row lists w, in
-    place.  Row operations act on whole rows among the first m, and column
-    operations on the first n entries of every row, so the block
-    [[A, I_m], [I_n]] ends as [[D, P], [Q]] with D = P @ A @ Q."""
-    t = 0
-    while t < min(m, n):
-        # locate a nonzero entry in the remaining submatrix
-        pos = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(w[i][j])
-                if v and (best is None or v < best):
-                    best, pos = v, (i, j)
-        if pos is None:
-            break
-        i0, j0 = pos
-        w[t], w[i0] = w[i0], w[t]
-        if j0 != t:
-            _swap_cols(w, t, j0)
-        while True:
-            # clear the pivot column
-            dirty = False
-            for i in range(t + 1, m):
-                if w[i][t]:
-                    _sub_row(w, i, t, w[i][t] // w[t][t])
-                    if w[i][t]:
-                        w[t], w[i] = w[i], w[t]
-                        dirty = True
-            # clear the pivot row
-            for j in range(t + 1, n):
-                if w[t][j]:
-                    q = w[t][j] // w[t][t]
-                    for row in w:
-                        row[j] -= q * row[t]
-                    if w[t][j]:
-                        _swap_cols(w, t, j)
-                        dirty = True
-            if not dirty and all(w[i][t] == 0 for i in range(t + 1, m)) \
-                    and all(w[t][j] == 0 for j in range(t + 1, n)):
-                break
-        if w[t][t] < 0:
-            w[t] = [-x for x in w[t]]
-        # enforce divisibility of the remaining block by the pivot
-        stray = next((i for i in range(t + 1, m)
-                      if any(w[i][j] % w[t][t] for j in range(t + 1, n))), None)
-        if stray is not None:
-            _sub_row(w, t, stray, -1)   # row_t += row_stray
-            continue
-        t += 1
-    return w
-
-
-def smith_normal_form(matrix):
-    """Smith normal form with transforms.
-
-    Returns (D, P, Q) with D = P @ matrix @ Q, P and Q unimodular, D diagonal
-    with non-negative entries d_1 | d_2 | ... (zeros trailing).
-    """
-    m, n = matrix.rows, matrix.cols
-    # [[A, I_m], [I_n]]: the bottom rows are n empty rows followed by I_n
-    w = _smith(_with_identity(matrix.row_lists()) + _with_identity([()] * n), m, n)
-    return (_matrix([r[:n] for r in w[:m]], n), _matrix([r[n:] for r in w[:m]], m),
-            _matrix(w[m:], n))
-
-
-def invert_unimodular(u):
-    """Exact inverse of a unimodular integer matrix.
-
-    The row HNF of a unimodular matrix is the identity, so its transform is
-    the inverse; any other HNF means the matrix is singular or has
-    determinant other than +-1.
-    """
-    n = u.rows
-    if u.cols != n:
-        raise ValueError("not square")
-    hv = _hnf(_with_identity(u.row_lists()), n)
-    # an echelon square matrix with unit diagonal and reduced entries above
-    # its pivots is the identity
-    if any(hv[i][i] != 1 for i in range(n)):
-        raise ValueError("matrix is not unimodular")
-    return _matrix([r[n:] for r in hv], n)
-
-
 def kernel_lattice(matrix):
     """Saturated integer kernel {v : matrix @ v = 0} with canonical HNF basis.
 
@@ -398,8 +313,17 @@ def primitive(v):
     return tuple(x // g for x in v)
 
 
+@functools.cache
+def _fraction():
+    """fractions.Fraction, imported only off the int path."""
+    from fractions import Fraction
+    return Fraction
+
+
 def _integer_entry(x):
-    if isinstance(x, Fraction):
+    if type(x) is int:
+        return x
+    if isinstance(x, _fraction()):
         if x.denominator == 1:
             return x.numerator
     elif not isinstance(x, bool):
@@ -413,8 +337,9 @@ def _integer_entry(x):
 def _rational_entry(x):
     """x as a Fraction; only ints and Fractions are accepted, so a float or a
     bool is refused instead of being converted."""
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return Fraction(x)
+    fraction = _fraction()
+    if isinstance(x, (int, fraction)) and not isinstance(x, bool):
+        return fraction(x)
     raise ValueError("entry %r is not an int or a Fraction" % (x,))
 
 
@@ -433,7 +358,7 @@ def _integer_row(row):
     row = tuple(row)
     if all(type(x) is int for x in row):
         return row
-    row = [Fraction(x) for x in row]
+    row = list(map(_fraction(), row))
     den = math.lcm(*(x.denominator for x in row))
     return tuple(x.numerator * (den // x.denominator) for x in row)
 
@@ -480,60 +405,3 @@ def rational_rank(vectors, width=None):
     if not rows:
         return 0
     return len(_echelon(rows, len(rows[0]) if width is None else width))
-
-
-def solve_rational(rows, rhs):
-    """Solve sum_j x_j * rows[j] ... i.e. the linear system rows @ x = rhs.
-
-    Args:
-      rows: list of coefficient rows (each an iterable of ints/Fractions).
-      rhs: right-hand side, same length as rows.
-
-    Returns:
-      A tuple of Fractions (free variables pinned to 0), or None when
-      inconsistent.
-    """
-    pairs = [(tuple(r), Fraction(v)) for r, v in zip(rows, rhs)]
-    if not pairs:
-        return ()
-    n = len(pairs[0][0])
-    den = math.lcm(*(v.denominator for _, v in pairs))
-    reduced = _echelon([r + (v.numerator * (den // v.denominator),)
-                        for r, v in pairs], n + 1)
-    if reduced and reduced[-1][0] == n:
-        return None
-    x = [Fraction(0)] * n
-    for col, row in reduced:
-        x[col] = Fraction(row[n], row[col] * den)
-    return tuple(x)
-
-
-def cokernel_is_finite(matrix, target):
-    """Decide finiteness of target / <columns of matrix>, with the index.
-
-    Args:
-      matrix: IntMatrix whose columns are elements of `target` (coordinates:
-        free part first, then torsion coordinates).
-      target: AbelianGroup.
-
-    Returns:
-      (True, index) when the column span has finite index in target,
-      (False, None) otherwise.
-    """
-    k = target.ngens
-    if matrix.rows != k:
-        raise ValueError("column length does not match the target group")
-    if k == 0:
-        return True, 1
-    f = target.free_rank
-    n = matrix.cols + len(target.torsion)
-    d = _smith([list(matrix.row(i)) + [t if i == f + idx else 0
-                                       for idx, t in enumerate(target.torsion)]
-                for i in range(k)], k, n)
-    diag = [d[i][i] for i in range(min(k, n))]
-    if len(diag) < k or any(x == 0 for x in diag):
-        return False, None
-    index = 1
-    for x in diag:
-        index *= x
-    return True, index

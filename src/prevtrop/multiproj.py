@@ -13,13 +13,13 @@ from __future__ import annotations
 import weakref
 from itertools import combinations
 
+from prevtrop import exactla
 from prevtrop.cone import Cone
 from prevtrop.exactla import (
     AbelianGroup,
     IntMatrix,
     _integer_entry,
     _integer_vector,
-    cokernel_is_finite,
     hermite_normal_form,
     kernel_lattice,
     rational_rank,
@@ -95,7 +95,7 @@ def relevance_index(grading, subset):
     """Index of the subgroup generated by the subset's degrees, None if
     infinite."""
     subset = _check_subset(grading, subset)
-    finite, index = cokernel_is_finite(grading.subset_degree_matrix(subset),
+    finite, index = exactla.cokernel_is_finite(grading.subset_degree_matrix(subset),
                                        grading.group)
     return index if finite else None
 

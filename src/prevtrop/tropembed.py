@@ -19,8 +19,8 @@ from .cone import dot, hilbert_basis
 from .exactla import (IntMatrix, _integer_entry, _integer_vector,
                       _rational_entry, kernel_lattice)
 from .extreal import INF, is_finite
-from .jsondoc import DocumentError, _json_field, _json_objects, _json_typed
-from .multiproj import Grading, proj_system_of_fans
+from .jsondoc import (DocumentError, _json_exact, _json_field, _json_objects,
+                      _json_typed)
 from .troppre import (FiniteLocusNotAFace, _chart_exponent,
                       _check_chart_contains, _own_class, chart_polynomial,
                       nonneg_point_from_chart_values, point_from_chart_values,
@@ -495,6 +495,7 @@ class Refinement:
 
 def refine_embedding(grading, terms, clearing=None):
     """Adjoin a coordinate for a homogeneous polynomial to a grading."""
+    from .multiproj import Grading, proj_system_of_fans
     gtilde = hypersurface(grading, terms).terms
     degrees = {grading.degree_of_monomial(e) for e, _ in gtilde}
     if len(degrees) > 1:
@@ -656,11 +657,8 @@ def _poly_from_sparse(entries, what):
         if not isinstance(pair, list) or len(pair) != 2:
             raise DocumentError("%s[%d] must be a JSON array [coefficient, power]"
                                 % (what, k))
-        text, power = pair
-        if not isinstance(text, (str, int)) or isinstance(text, bool):
-            raise DocumentError("%s[%d] coefficient must be a JSON string or "
-                                "integer" % (what, k))
-        power = _integer_entry(power)
+        text = _json_exact(pair[0], "%s[%d] coefficient" % (what, k))
+        power = _integer_entry(pair[1])
         if power < 0:
             raise ValueError("polynomial powers must be nonnegative")
         coeffs[power] = coeffs.get(power, 0) + Fraction(text)

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cone import Cone, dot, hilbert_basis
-from .exactla import (_Value, _integer_entry, _integer_vector, _rational_entry,
-                      solve_rational)
+from . import cone, exactla
+from .cone import Cone, dot
+from .exactla import _Value, _integer_entry, _integer_vector, _rational_entry
 from .extreal import INF, format_extended, is_finite, parse_extended
-from .jsondoc import _json_field
+from .jsondoc import _json_exact, _json_field
 
 
 class FiniteLocusNotAFace(ValueError):
@@ -194,7 +194,7 @@ def point_from_chart_values(system, chart, values):
     """
     _own_class(system, chart, "chart")
     sigma = chart.cone
-    basis = hilbert_basis(sigma)
+    basis = cone.hilbert_basis(sigma)
     gens = basis.generators
     table = {_integer_vector(g, sigma.ambient_rank): _extended(v)
              for g, v in values.items()}
@@ -223,7 +223,7 @@ def point_from_chart_values(system, chart, values):
     if quot.rank == 0:
         coords = ()
     else:
-        coords = solve_rational(rows, rhs)
+        coords = exactla.solve_rational(rows, rhs)
         if coords is None:
             raise RelationViolation(
                 "values are not additive on the chart monoid")
@@ -371,7 +371,7 @@ def induced_map(morphism, point):
     target_class = morphism.image_class(point.stratum)
     pullback = morphism.lattice_map.transpose()
     values = {}
-    for g in hilbert_basis(target_class.cone).generators:
+    for g in cone.hilbert_basis(target_class.cone).generators:
         values[g] = trop_eval(point, pullback.apply(g))
     return point_from_chart_values(morphism.target, target_class, values)
 
@@ -406,7 +406,8 @@ def class_from_data(system, value):
 
 def trop_point_from_data(system, data):
     stratum = class_from_data(system, _json_field(data, "class"))
-    coords = [parse_extended(str(c)) for c in _json_field(data, "coords", list)]
+    coords = [parse_extended(str(_json_exact(c, "coords[%d]" % k)))
+              for k, c in enumerate(_json_field(data, "coords", list))]
     if any(not is_finite(c) for c in coords):
         raise ValueError("tropical coordinates must be finite")
     return trop_point(system, stratum, coords)
@@ -422,7 +423,7 @@ def chart_entries_from_data(system, data):
     """Decode the chart and the generator keys of a {"chart": id, "values":
     {generator index: payload}} document; payloads are returned undecoded."""
     chart = class_from_data(system, _json_field(data, "chart"))
-    gens = hilbert_basis(chart.cone).generators
+    gens = cone.hilbert_basis(chart.cone).generators
     return chart, [(gens[_index(key, len(gens), "chart generator")], payload)
                    for key, payload in _json_field(data, "values", dict).items()]
 
@@ -430,4 +431,5 @@ def chart_entries_from_data(system, data):
 def chart_values_from_data(system, data):
     """Decode a {"chart": id, "values": {index: value}} request."""
     chart, entries = chart_entries_from_data(system, data)
-    return chart, {g: parse_extended(str(text)) for g, text in entries}
+    return chart, {g: parse_extended(str(_json_exact(text, 'values["%s"]' % key)))
+                   for key, (g, text) in zip(data["values"], entries)}

@@ -145,6 +145,10 @@ def run_on_doc(tmp_path, capsys, command, doc):
      "indices[0] must be a JSON string"),
     ("separated", dict(_SYSTEM, indices=["1", 2]),
      "indices[1] must be a JSON string"),
+    ("trop", dict(_VALUES, values={"0": "0", "1": 0.5}),
+     'values["1"] must be a JSON string or integer'),
+    ("kapranov", dict(_POLY, terms=[{"exp": [0], "val": 1e-07}]),
+     'terms[0]["val"] must be a JSON string or integer'),
 ])
 def test_wrong_json_types_exit_one(tmp_path, capsys, command, doc, message):
     code, out, err = run_on_doc(tmp_path, capsys, command, doc)
@@ -178,6 +182,8 @@ def test_missing_fields_exit_one(tmp_path, capsys, command, doc, field):
     (_without(_TROP_POINT, "coords"), 'missing field "coords"'),
     (_without(_TROP_POINT, "class"), 'missing field "class"'),
     (dict(_TROP_POINT, coords=5), "coords must be a JSON array"),
+    (dict(_TROP_POINT, coords=[True]),
+     "coords[0] must be a JSON string or integer"),
 ])
 def test_bad_trop_point_exits_one(tmp_path, capsys, doc, message):
     poly = write_doc(tmp_path, "poly.json", _POLY)
@@ -400,43 +406,10 @@ def test_product_command(tmp_path, capsys):
     assert len(combined.labels) == 4
 
 
-def test_commands_without_classical_points_do_not_load_tropembed(tmp_path):
-    # a fresh interpreter, since this one has imported every module already
-    doubled = write_doc(tmp_path, "d.json", system_doc(line_two_origins()))
-    grading = write_doc(tmp_path, "g.json", grading_doc([(1,), (1,)]))
-    plane = write_doc(tmp_path, "p.json", system_doc(affine_plane()))
-    values = write_doc(tmp_path, "v.json",
-                       {"schema": 1, "kind": "chart_values", "chart": 2,
-                        "values": {"0": "3/2", "1": "inf"}})
-    calls = [["validate", doubled], ["validate", grading], ["omega", doubled],
-             ["separated", doubled], ["proj", grading],
-             ["product", doubled, doubled], ["trop", values, plane],
-             ["nonneg", values, plane, "--compare"]]
-    script = ("import json, sys\n"
-              "from prevtrop.cli import main\n"
-              "codes = [main(argv) for argv in %r]\n"
-              "print(json.dumps([codes, sorted(sys.modules)]), file=sys.stderr)"
-              % (calls,))
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    child = subprocess.run([sys.executable, "-c", script], env=env,
-                           capture_output=True, text=True, check=True,
-                           timeout=120)
-    codes, modules = json.loads(child.stderr.splitlines()[-1])
-    assert codes == [0] * len(calls)
-    assert "prevtrop.sysfan" in modules and "prevtrop.multiproj" in modules
-    assert "prevtrop.tropembed" not in modules
-
-
-def test_malformed_documents_exit_one_without_loading_the_geometry(tmp_path):
-    # a fresh interpreter, since this one has imported every module already
-    garbage = tmp_path / "garbage.json"
-    garbage.write_text("not json")
-    schema = write_doc(tmp_path, "s.json", {"schema": 2, "kind": "grading"})
-    kind = write_doc(tmp_path, "k.json", {"schema": 1, "kind": "report"})
-    calls = [["validate", str(garbage)], ["proj", str(tmp_path / "missing.json")],
-             ["omega", schema], ["proj", kind]]
+def _fresh_main(calls):
+    """Exit codes, stderr lines and sys.modules of a fresh interpreter that
+    runs cli.main on each argv in calls; this one has imported every module
+    already."""
     script = ("import json, sys\n"
               "from prevtrop.cli import main\n"
               "codes = [main(argv) for argv in %r]\n"
@@ -450,8 +423,71 @@ def test_malformed_documents_exit_one_without_loading_the_geometry(tmp_path):
                            timeout=120)
     lines = child.stderr.splitlines()
     codes, modules = json.loads(lines[-1])
+    return codes, lines[:-1], set(modules)
+
+
+def test_commands_without_classical_points_do_not_load_tropembed(tmp_path):
+    # each command in its own interpreter, so its modules are its own
+    doubled = write_doc(tmp_path, "d.json", system_doc(line_two_origins()))
+    grading = write_doc(tmp_path, "g.json", grading_doc([(1,), (1,)]))
+    plane_data = system_to_data(affine_plane())
+    plane = write_doc(tmp_path, "p.json", system_doc(affine_plane()))
+    values = write_doc(tmp_path, "v.json",
+                       {"schema": 1, "kind": "chart_values", "chart": 2,
+                        "values": {"0": "3/2", "1": "inf"}})
+    classical = write_doc(tmp_path, "cp.json",
+                          {"schema": 1, "kind": "classical_point", "chart": 2,
+                           "values": {"0": {"num": [["1", 1]]}, "1": "2"}})
+    poly = write_doc(tmp_path, "f.json",
+                     {"schema": 1, "kind": "polynomial", "system": plane_data,
+                      "chart": 2, "terms": [{"exp": [1, 0], "val": "0"},
+                                            {"exp": [0, 0], "val": "0"}]})
+    origin = write_doc(tmp_path, "w.json", {"schema": 1, "kind": "trop_point",
+                                            "class": 0, "coords": ["0", "0"]})
+    flat = write_doc(tmp_path, "flat.json", grading_doc([(), ()], free_rank=0))
+    gtilde = write_doc(tmp_path, "gt.json",
+                       {"schema": 1, "kind": "polynomial",
+                        "terms": [{"exp": [1, 0], "coeff": "1"},
+                                  {"exp": [0, 0], "coeff": "1"}]})
+    calls = {"validate": [["validate", doubled], ["validate", grading]],
+             "separated": [["separated", doubled]],
+             "proj": [["proj", grading]],
+             "product": [["product", doubled, doubled]],
+             "omega": [["omega", doubled]],
+             "trop-values": [["trop", values, plane]],
+             "nonneg-values": [["nonneg", values, plane, "--compare"]],
+             "trop": [["trop", classical, plane]],
+             "nonneg": [["nonneg", classical, plane]],
+             "kapranov": [["kapranov", poly, origin]],
+             "refine": [["refine", flat, "--gtilde", gtilde,
+                         "--point", classical]]}
+    for command, argvs in calls.items():
+        codes, _, modules = _fresh_main(argvs)
+        assert codes == [0] * len(argvs), command
+        assert "prevtrop.sysfan" in modules, command
+        assert "prevtrop.morphism" not in modules, command
+        if command in ("validate", "separated", "proj", "product"):
+            assert not modules & {"fractions", "decimal"}, command
+        if command in ("validate", "separated", "proj", "product", "omega"):
+            assert not modules & {"prevtrop.monoid", "prevtrop.smith"}, command
+        if command not in ("trop", "nonneg", "kapranov", "refine"):
+            assert "prevtrop.tropembed" not in modules, command
+        if command.startswith(("trop", "nonneg", "kapranov")):
+            assert "prevtrop.multiproj" not in modules, command
+        if command == "proj":
+            assert "prevtrop.multiproj" in modules
+
+
+def test_malformed_documents_exit_one_without_loading_the_geometry(tmp_path):
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("not json")
+    schema = write_doc(tmp_path, "s.json", {"schema": 2, "kind": "grading"})
+    kind = write_doc(tmp_path, "k.json", {"schema": 1, "kind": "report"})
+    calls = [["validate", str(garbage)], ["proj", str(tmp_path / "missing.json")],
+             ["omega", schema], ["proj", kind]]
+    codes, errors, modules = _fresh_main(calls)
     assert codes == [1] * len(calls)
-    assert all(line.startswith("error: ") for line in lines[:-1])
+    assert all(line.startswith("error: ") for line in errors)
     for name in ("prevtrop.sysfan", "prevtrop.cone", "prevtrop.exactla"):
         assert name not in modules
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from prevtrop import cone as cone_module
-from prevtrop import exactla, tropembed
+from prevtrop import exactla, monoid, tropembed
 from prevtrop.cone import (
     Cone,
     _generator_list,
@@ -922,7 +922,8 @@ def test_relations_are_computed_once_per_cone(monkeypatch):
     wedge = Cone.from_rays([(1, 0, 0), (0, 1, 0), (1, 2, 11)], 3)
     basis = hilbert_basis(wedge)
     assert wedge._relations is None
-    monkeypatch.setattr(cone_module, "kernel_lattice", counted)
+    for module in (cone_module, monoid):
+        monkeypatch.setattr(module, "kernel_lattice", counted)
     first = basis.relations()
     again = hilbert_basis(wedge).relations()
     assert len(calls) == 1
@@ -930,6 +931,19 @@ def test_relations_are_computed_once_per_cone(monkeypatch):
     assert all(type(x) is int for rel in first for x in rel)
     cols = IntMatrix.from_rows(basis.generators, cols=3).transpose()
     assert first == tuple(kernel_lattice(cols).basis_rows())
+
+
+def test_span_quotient_goes_through_the_public_lattice_quotient(monkeypatch):
+    calls = []
+
+    def counted(vectors, rank):
+        calls.append((vectors, rank))
+        return lattice_quotient(vectors, rank)
+
+    monkeypatch.setattr(cone_module, "lattice_quotient", counted)
+    quot = Cone.from_rays([(1, 1)], 2).span_quotient()
+    assert calls == [(((1, 1),), 2)]
+    assert quot.push((1, 1)) == (0,)
 
 
 def test_membership_predicate():
@@ -1202,7 +1216,7 @@ def test_dense_classical_points_read_the_cached_relations(monkeypatch):
     def refuse(matrix):
         raise AssertionError("kernel_lattice called")
 
-    for module in (cone_module, exactla, tropembed):
+    for module in (cone_module, monoid, exactla, tropembed):
         monkeypatch.setattr(module, "kernel_lattice", refuse)
     point = tropembed.classical_point(system, chart, values)
     assert point.eval((1, 1)) == t * t

@@ -1,9 +1,14 @@
 """Checks on the library source itself."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "prevtrop"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "prevtrop"
 
 
 def test_library_has_no_assert_statements():
@@ -58,3 +63,33 @@ def test_library_does_not_import_dataclasses():
             if "dataclasses" in names:
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+def test_the_benchmark_tracer_wraps_the_lazily_loaded_names():
+    # perfbench's tracer reads every spanned name from its module's __dict__
+    # and replaces each binding of it; the names that cone and exactla load
+    # on first use must be bound there once the library is imported the way
+    # the benchmark imports it, and calls through them must be counted
+    script = (
+        "import json, sys\n"
+        "from prevtrop import cli, cone, multiproj, sysfan, tropembed, troppre\n"
+        "from prevtrop import exactla, monoid\n"
+        "import tracer\n"
+        "t = tracer.Tracer()\n"
+        "t.install()\n"
+        "cone.hilbert_basis(cone.Cone.from_rays([(1, 0), (1, 2)], 2))\n"
+        "cone.Cone.from_rays([(1, 1)], 2).span_quotient()\n"
+        "t.uninstall()\n"
+        "print(json.dumps([t.calls, cone.hilbert_basis is monoid.hilbert_basis,\n"
+        "                  exactla.smith_normal_form.__module__]))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", script], env=env,
+                           capture_output=True, text=True, check=True,
+                           timeout=120)
+    calls, restored, smith_home = json.loads(child.stdout)
+    assert calls["cone.hilbert_basis"] == 1
+    assert calls["cone.lattice_quotient"] == 1
+    assert calls["exactla.smith_normal_form"] >= 1
+    assert restored and smith_home == "prevtrop.smith"

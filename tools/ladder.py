@@ -26,7 +26,9 @@ REFINE_RUNS interpreters.
 With --startup the rungs are a bare `python -c pass` and one
 `python -m prevtrop.cli <command>` per subcommand on small documents (P^1,
 the affine plane and points on it), each run in fresh processes, rounds
-interleaved, and record the median wall of each in milliseconds.
+interleaved, and record the median wall of each in milliseconds; each
+subcommand rung also records the prevtrop modules one call loads and their
+total source lines.
 Times are raw perf_counter seconds, not corrected for host speed.  Run from
 the root of a checkout:
 
@@ -327,16 +329,31 @@ def startup_commands(directory):
             "product": ["product", line_system, line_system]}
 
 
+# run one command line call, then write the prevtrop modules it loaded and
+# their source lines to stderr
+LOADED = ("import json, sys\n"
+          "from prevtrop.cli import main\n"
+          "main(sys.argv[1:])\n"
+          "names = sorted(m for m in sys.modules if m.split('.')[0] == 'prevtrop')\n"
+          "lines = sum(len(open(sys.modules[m].__file__, 'rb').readlines())\n"
+          "            for m in names)\n"
+          "print(json.dumps({'modules': names, 'source_lines': lines}),\n"
+          "      file=sys.stderr)")
+
+
 def run_startup(src):
     """Median milliseconds of a bare interpreter and of one call of every
-    subcommand, over interleaved rounds of fresh processes."""
+    subcommand, over interleaved rounds of fresh processes; for each
+    subcommand also the prevtrop modules one call loads and their total
+    source lines, a count that does not depend on the machine."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
                                                       env.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory() as directory:
+        commands = startup_commands(directory)
         argvs = {"python -c pass": ["-c", "pass"]}
         argvs.update((name, ["-m", "prevtrop.cli"] + argv)
-                     for name, argv in startup_commands(directory).items())
+                     for name, argv in commands.items())
         samples = {name: [] for name in argvs}
         for _ in range(STARTUP_ROUNDS):
             for name, argv in argvs.items():
@@ -344,8 +361,13 @@ def run_startup(src):
                 subprocess.run([sys.executable] + argv, env=env, check=True,
                                stdout=subprocess.DEVNULL)
                 samples[name].append(time.perf_counter() - start)
-    return {name: {"ms": round(1000 * statistics.median(times), 1),
-                   "runs": len(times)}
+        loaded = {name: json.loads(subprocess.run(
+            [sys.executable, "-c", LOADED] + argv, env=env, check=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True).stderr.splitlines()[-1])
+            for name, argv in commands.items()}
+    return {name: dict({"ms": round(1000 * statistics.median(times), 1),
+                        "runs": len(times)}, **loaded.get(name, {}))
             for name, times in samples.items()}
 
 
@@ -391,7 +413,8 @@ def main():
         rungs, key = [], "startup_rungs"
         results = run_startup(str(Path(args.src).resolve()))
         for rung, result in results.items():
-            print("%-18s %8.1fms" % (rung, result["ms"]))
+            print("%-18s %8.1fms %6s source lines" % (
+                rung, result["ms"], result.get("source_lines", "")))
     elif args.hilbert:
         rungs, key = list(HILBERT_RUNGS), "hilbert_rungs"
     elif args.scalars:
@@ -435,7 +458,8 @@ def main():
         "refined_trop x2 -> forget_refinement x2 over fresh interpreters, "
         "with call counts of one run (refine_rungs); median milliseconds of "
         "a bare interpreter and of one prevtrop.cli call per subcommand, in "
-        "interleaved rounds of fresh processes (startup_rungs).")
+        "interleaved rounds of fresh processes, with the prevtrop modules a "
+        "call loads and their source lines (startup_rungs).")
     document["runs"].setdefault(args.label, {}).update({
         "python": platform.python_version(),
         "machine": platform.machine(),
