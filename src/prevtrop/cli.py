@@ -184,8 +184,8 @@ def cmd_nonneg(args):
 
 def cmd_kapranov(args):
     data = _read_document(args.poly, {"polynomial"})
-    from .extreal import format_extended, parse_extended
-    from .jsondoc import _json_exact, _json_field, _json_objects
+    from .extreal import _json_number, format_extended
+    from .jsondoc import _json_field, _json_objects
     from .sysfan import system_from_data
     from .tropembed import kapranov_membership, kapranov_minimizers
     from .troppre import chart_polynomial, class_from_data, trop_point_from_data
@@ -194,8 +194,7 @@ def cmd_kapranov(args):
     terms = _json_objects(_json_field(data, "terms"), "terms")
     poly = chart_polynomial(system, chart, [
         (tuple(_json_field(term, "exp", list)),
-         parse_extended(str(_json_exact(_json_field(term, "val"),
-                                        'terms[%d]["val"]' % k))))
+         _json_number(_json_field(term, "val"), 'terms[%d]["val"]' % k))
         for k, term in enumerate(terms)])
     point = trop_point_from_data(
         system, _read_document(args.point, {"trop_point"}))

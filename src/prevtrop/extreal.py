@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .jsondoc import DocumentError
+
 
 class Infinity:
     """The single point at infinity of the extended value semiring."""
@@ -76,8 +78,17 @@ def format_extended(value):
     return str(Fraction(value))
 
 
-def parse_extended(text):
-    """Inverse of :func:`format_extended`; raises ValueError on junk."""
-    if text == "inf":
+def _json_number(value, what, infinite=True):
+    """A document's exact number: a JSON integer, a JSON string Fraction
+    reads ("3/2", "-4", "0.25") or, when infinite, "inf" (the inverse of
+    format_extended).  Anything else, a JSON float or boolean included, is
+    malformed input, a DocumentError naming the field what."""
+    if infinite and value == "inf":
         return INF
-    return Fraction(text)
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise DocumentError("%s must be a JSON string or integer" % what)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise DocumentError("%s must be an exact number, got %r"
+                            % (what, value)) from None

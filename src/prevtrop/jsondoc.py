@@ -44,9 +44,3 @@ def _json_objects(value, what):
         _json_typed(item, dict, "%s[%d]" % (what, k))
     return value
 
-
-def _json_exact(value, what):
-    """A JSON string or integer; a JSON float or boolean is malformed."""
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise DocumentError("%s must be a JSON string or integer" % what)
-    return value

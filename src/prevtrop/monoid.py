@@ -111,16 +111,20 @@ class AffineSemigroup(_Value):
         return all(x.denominator == 1 for x in vector) \
             and all(dot(vector, r) >= 0 for r in self.cone.rays)
 
-    def relations(self):
-        """Canonical basis of the integer relation lattice of the generators."""
-        if not self.generators:
+    def relations(self, live=None):
+        """Canonical basis of the integer relation lattice of the generators,
+        or of the sub-tuple live of them, entries in its order.  Memoised on
+        the cone by that tuple; relations() is the all-generators entry."""
+        live = self.generators if live is None else tuple(live)
+        if not live:
             return ()
         cone = self.cone
         if cone._relations is None:
-            cols = IntMatrix.from_rows(self.generators,
-                                       cols=self.ambient_rank).transpose()
-            cone._relations = tuple(kernel_lattice(cols).basis_rows())
-        return cone._relations
+            cone._relations = {}
+        if live not in cone._relations:
+            cols = IntMatrix.from_rows(live, cols=self.ambient_rank).transpose()
+            cone._relations[live] = tuple(kernel_lattice(cols).basis_rows())
+        return cone._relations[live]
 
     def decompose(self, target):
         """Express a monoid element as an N-combination of the generators.

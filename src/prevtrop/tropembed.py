@@ -16,13 +16,11 @@ from math import factorial, gcd, lcm
 from operator import add, mul
 
 from .cone import dot, hilbert_basis
-from .exactla import (IntMatrix, _integer_entry, _integer_vector,
-                      _rational_entry, kernel_lattice)
-from .extreal import INF, is_finite
-from .jsondoc import (DocumentError, _json_exact, _json_field, _json_objects,
-                      _json_typed)
-from .troppre import (FiniteLocusNotAFace, _chart_exponent,
-                      _check_chart_contains, _own_class, chart_polynomial,
+from .exactla import _integer_entry, _integer_vector, _rational_entry
+from .extreal import INF, _json_number, is_finite
+from .jsondoc import DocumentError, _json_field, _json_objects, _json_typed
+from .troppre import (_chart_exponent, _chart_table, _check_chart_contains,
+                      _own_class, chart_polynomial,
                       nonneg_point_from_chart_values, point_from_chart_values,
                       trop_eval)
 
@@ -284,40 +282,15 @@ def classical_point(system, chart, values):
     the nonzero values must satisfy every multiplicative relation among
     their generators.
     """
-    _own_class(system, chart, "chart")
-    sigma = chart.cone
-    basis = hilbert_basis(sigma)
-    gens = basis.generators
-    table = {_integer_vector(g, sigma.ambient_rank): ValuedScalar.of(v)
-             for g, v in values.items()}
-    if set(table) != set(gens):
-        raise ValueError("values must be given on exactly the %d chart "
-                         "generators" % len(gens))
-    alive = [g for g in gens if not table[g].is_zero]
-    zero_face = sigma.face_orthogonal_to(alive)
-    if alive != [g for g in gens
-                 if all(dot(g, r) == 0 for r in zero_face.rays)]:
-        raise FiniteLocusNotAFace(
-            "the generators with nonzero values, %r, are not those "
-            "vanishing on a face of the chart cone" % sorted(alive))
-    if alive:
-        if len(alive) == len(gens):
-            relations = basis.relations()
-        else:
-            relations = kernel_lattice(
-                IntMatrix.from_rows([list(v) for v in zip(*alive)],
-                                    cols=len(alive))).basis_rows()
-        for rel in relations:
-            lhs = ValuedScalar.of(1)
-            rhs = ValuedScalar.of(1)
-            for k, c in enumerate(rel):
-                if c > 0:
-                    lhs = lhs * table[alive[k]] ** c
-                elif c < 0:
-                    rhs = rhs * table[alive[k]] ** (-c)
-            if lhs != rhs:
-                raise ValueError(
-                    "values are not multiplicative on the chart monoid")
+    table, alive, zero_face, relations = _chart_table(
+        system, chart, values, ValuedScalar.of, lambda v: not v.is_zero,
+        "nonzero")
+    for rel in relations:
+        sides = ([table[g] ** c for c, g in zip(rel, alive) if c > 0],
+                 [table[g] ** -c for c, g in zip(rel, alive) if c < 0])
+        lhs, rhs = (reduce(mul, side) if side else _ONE for side in sides)
+        if lhs != rhs:
+            raise ValueError("values are not multiplicative on the chart monoid")
     return ClassicalChartPoint(system, chart, table, zero_face)
 
 
@@ -657,17 +630,18 @@ def _poly_from_sparse(entries, what):
         if not isinstance(pair, list) or len(pair) != 2:
             raise DocumentError("%s[%d] must be a JSON array [coefficient, power]"
                                 % (what, k))
-        text = _json_exact(pair[0], "%s[%d] coefficient" % (what, k))
+        coeff = _json_number(pair[0], "%s[%d] coefficient" % (what, k),
+                             infinite=False)
         power = _integer_entry(pair[1])
         if power < 0:
             raise ValueError("polynomial powers must be nonnegative")
-        coeffs[power] = coeffs.get(power, 0) + Fraction(text)
+        coeffs[power] = coeffs.get(power, 0) + coeff
     return [coeffs.get(k, 0) for k in range(max(coeffs, default=-1) + 1)]
 
 
 def valued_scalar_from_data(data):
     if isinstance(data, (str, int)) and not isinstance(data, bool):
-        return ValuedScalar.of(Fraction(data))
+        return ValuedScalar.of(_json_number(data, "value", infinite=False))
     data = _json_typed(data, dict, "value")
     den = _poly_from_sparse(data.get("den", [["1", 0]]), "den")
     return ValuedScalar(_poly_from_sparse(_json_field(data, "num"), "num"), den)

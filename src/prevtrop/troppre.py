@@ -15,8 +15,8 @@ from fractions import Fraction
 from . import cone, exactla
 from .cone import Cone, dot
 from .exactla import _Value, _integer_entry, _integer_vector, _rational_entry
-from .extreal import INF, format_extended, is_finite, parse_extended
-from .jsondoc import _json_exact, _json_field
+from .extreal import INF, _json_number, format_extended, is_finite
+from .jsondoc import _json_field
 
 
 class FiniteLocusNotAFace(ValueError):
@@ -183,63 +183,64 @@ def trop_eval(point, exponent):
     return sum((c * d for c, d in zip(point.coords, descended)), Fraction(0))
 
 
+def _chart_table(system, chart, values, convert, live, what):
+    """The table of converted values on the chart generators, the live ones
+    (whose value passes live) in basis order, the face they cut out, and
+    their relation basis; FiniteLocusNotAFace names the generators with what
+    values when they are not those vanishing on that face."""
+    _own_class(system, chart, "chart")
+    sigma = chart.cone
+    basis = cone.hilbert_basis(sigma)
+    gens = basis.generators
+    table = {_integer_vector(g, sigma.ambient_rank): convert(v)
+             for g, v in values.items()}
+    if set(table) != set(gens):
+        raise ValueError("values must be given on exactly the %d chart "
+                         "generators" % len(gens))
+    alive = tuple(g for g in gens if live(table[g]))
+    # a face with cut S is the cone meet S^perp, so no other face can match
+    face = sigma.face_orthogonal_to(alive)
+    if alive != tuple(g for g in gens
+                      if all(dot(g, r) == 0 for r in face.rays)):
+        raise FiniteLocusNotAFace(
+            "the generators with %s values, %r, are not those vanishing on "
+            "a face of the chart cone" % (what, sorted(alive)))
+    return table, alive, face, basis.relations(alive)
+
+
 def point_from_chart_values(system, chart, values):
     """Tropical point with prescribed values on the chart generators.
 
     ``values`` maps every Hilbert-basis generator of the chart cone's dual
     monoid to a rational or INF.  The finite generators must cut out a face
     of the chart cone and the finite values must respect every additive
-    relation among the generators; otherwise FiniteLocusNotAFace or
+    relation among the finite generators; otherwise FiniteLocusNotAFace or
     RelationViolation is raised.
     """
-    _own_class(system, chart, "chart")
-    sigma = chart.cone
-    basis = cone.hilbert_basis(sigma)
-    gens = basis.generators
-    table = {_integer_vector(g, sigma.ambient_rank): _extended(v)
-             for g, v in values.items()}
-    if set(table) != set(gens):
-        raise ValueError("values must be given on exactly the %d chart "
-                         "generators" % len(gens))
-    finite = frozenset(g for g in gens if is_finite(table[g]))
-    # a face with cut S is the cone meet S^perp, so no other face can match
-    tau = sigma.face_orthogonal_to(finite)
-    if finite != {g for g in gens if all(dot(g, r) == 0 for r in tau.rays)}:
-        raise FiniteLocusNotAFace(
-            "the generators with finite values, %r, are not those vanishing "
-            "on a face of the chart cone" % sorted(finite))
-    for rel in basis.relations():
-        if any(rel[k] and gens[k] not in finite for k in range(len(gens))):
-            continue
-        total = sum((rel[k] * table[gens[k]]
-                     for k in range(len(gens)) if rel[k]), Fraction(0))
-        if total != 0:
+    table, finite, tau, relations = _chart_table(
+        system, chart, values, _extended, is_finite, "finite")
+    for rel in relations:
+        if sum(c * table[g] for c, g in zip(rel, finite) if c) != 0:
             raise RelationViolation(
                 "values violate the generator relation %s"
-                % _relation_text(rel, gens))
+                % _relation_text(rel, finite))
     quot = tau.span_quotient()
-    rows = [quot.descend_dual(g) for g in gens if g in finite]
-    rhs = [table[g] for g in gens if g in finite]
-    if quot.rank == 0:
-        coords = ()
-    else:
-        coords = exactla.solve_rational(rows, rhs)
-        if coords is None:
-            raise RelationViolation(
-                "values are not additive on the chart monoid")
+    # the relations checked span those of the rows, so this is solvable
+    coords = exactla.solve_rational(
+        [quot.descend_dual(g) for g in finite],
+        [table[g] for g in finite]) if finite else ()
+    if coords is None:
+        raise AssertionError("values respecting every relation of the "
+                             "finite generators have no solution")
     stratum = system.omega().class_of(tau, chart.representative)
     return TropPoint(stratum, tuple(coords))
 
 
 def _relation_text(rel, gens):
     def side(sign):
-        parts = []
-        for k, c in enumerate(rel):
-            if sign * c > 0:
-                m = abs(c)
-                parts.append("%d*%r" % (m, list(gens[k])) if m != 1
-                             else repr(list(gens[k])))
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(("%d*" % abs(c) if abs(c) != 1 else "")
+                          + repr(list(g))
+                          for c, g in zip(rel, gens) if sign * c > 0) or "0"
     return "%s = %s" % (side(1), side(-1))
 
 
@@ -406,7 +407,7 @@ def class_from_data(system, value):
 
 def trop_point_from_data(system, data):
     stratum = class_from_data(system, _json_field(data, "class"))
-    coords = [parse_extended(str(_json_exact(c, "coords[%d]" % k)))
+    coords = [_json_number(c, "coords[%d]" % k)
               for k, c in enumerate(_json_field(data, "coords", list))]
     if any(not is_finite(c) for c in coords):
         raise ValueError("tropical coordinates must be finite")
@@ -431,5 +432,5 @@ def chart_entries_from_data(system, data):
 def chart_values_from_data(system, data):
     """Decode a {"chart": id, "values": {index: value}} request."""
     chart, entries = chart_entries_from_data(system, data)
-    return chart, {g: parse_extended(str(_json_exact(text, 'values["%s"]' % key)))
+    return chart, {g: _json_number(text, 'values["%s"]' % key)
                    for key, (g, text) in zip(data["values"], entries)}

@@ -149,6 +149,13 @@ def run_on_doc(tmp_path, capsys, command, doc):
      'values["1"] must be a JSON string or integer'),
     ("kapranov", dict(_POLY, terms=[{"exp": [0], "val": 1e-07}]),
      'terms[0]["val"] must be a JSON string or integer'),
+    # strings that are no exact number
+    ("trop", dict(_VALUES, values={"0": "x", "1": "0"}),
+     'values["0"] must be an exact number, got \'x\''),
+    ("nonneg", dict(_VALUES, values={"0": "0", "1": "1/0"}),
+     'values["1"] must be an exact number, got \'1/0\''),
+    ("kapranov", dict(_POLY, terms=[{"exp": [0], "val": "1/0"}]),
+     'terms[0]["val"] must be an exact number, got \'1/0\''),
 ])
 def test_wrong_json_types_exit_one(tmp_path, capsys, command, doc, message):
     code, out, err = run_on_doc(tmp_path, capsys, command, doc)
@@ -184,6 +191,8 @@ def test_missing_fields_exit_one(tmp_path, capsys, command, doc, field):
     (dict(_TROP_POINT, coords=5), "coords must be a JSON array"),
     (dict(_TROP_POINT, coords=[True]),
      "coords[0] must be a JSON string or integer"),
+    (dict(_TROP_POINT, coords=["1/0"]),
+     "coords[0] must be an exact number, got '1/0'"),
 ])
 def test_bad_trop_point_exits_one(tmp_path, capsys, doc, message):
     poly = write_doc(tmp_path, "poly.json", _POLY)
@@ -210,6 +219,11 @@ _LINE_SYSTEM = system_doc(projective_line_two_charts())
     ({"num": [["1", 0]], "den": [[None, 0]]},
      "den[0] coefficient must be a JSON string or integer"),
     (True, "value must be a JSON object"),
+    ("1/0", "value must be an exact number, got '1/0'"),
+    ("inf", "value must be an exact number, got 'inf'"),
+    ({"num": [["x", 0]]}, "num[0] coefficient must be an exact number, got 'x'"),
+    ({"num": [["1", 0]], "den": [["1/0", 0]]},
+     "den[0] coefficient must be an exact number, got '1/0'"),
 ])
 def test_bad_classical_values_exit_one(tmp_path, capsys, value, message):
     system = write_doc(tmp_path, "sys.json", _LINE_SYSTEM)

@@ -1210,15 +1210,21 @@ def test_dense_classical_points_read_the_cached_relations(monkeypatch):
     chart = system.omega().class_of(sigma, "1")
     t = tropembed.ValuedScalar.t_power(1)
     values = {(0, 1): t, (1, 0): t, (2, -1): t}
+    # only (2, -1) vanishes on the ray (1, 2)
+    boundary = {(0, 1): 0, (1, 0): 0, (2, -1): t}
     assert tropembed.classical_point(system, chart, values).zero_face.dim == 0
-    assert sigma._relations == ((1, -2, 1),)
+    assert tropembed.classical_point(system, chart, boundary).zero_face.rays \
+        == ((1, 2),)
+    assert sigma._relations == {((0, 1), (1, 0), (2, -1)): ((1, -2, 1),),
+                                ((2, -1),): ()}
 
     def refuse(matrix):
         raise AssertionError("kernel_lattice called")
 
-    for module in (cone_module, monoid, exactla, tropembed):
+    for module in (cone_module, monoid, exactla):
         monkeypatch.setattr(module, "kernel_lattice", refuse)
     point = tropembed.classical_point(system, chart, values)
     assert point.eval((1, 1)) == t * t
+    assert tropembed.classical_point(system, chart, boundary).eval((2, -1)) == t
     with pytest.raises(ValueError, match="multiplicative"):
         tropembed.classical_point(system, chart, {**values, (2, -1): t * t})

@@ -1,11 +1,13 @@
 """Tropical strata, points, and the nonnegative comparison map."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from prevtrop.cone import Cone, hilbert_basis
-from prevtrop.exactla import AbelianGroup, IntMatrix
+from prevtrop.cone import Cone, dot, hilbert_basis
+from prevtrop.exactla import (AbelianGroup, IntMatrix, kernel_lattice,
+                              rational_rank, solve_rational)
 from prevtrop.extreal import INF
 from prevtrop.multiproj import Grading, proj_system_of_fans
 from prevtrop.sysfan import SystemOfFans, morphism_from_lattice_map, product
@@ -91,6 +93,77 @@ def test_finite_locus_must_cut_a_face():
                                 {(0, 1): 0, (1, 0): INF, (2, -1): INF})
     assert p.stratum.cone == Cone.from_rays([(1, 0)], 2)
     assert p.coords == (Fraction(0),)
+
+
+def test_boundary_relation_violation_is_named():
+    # the relation among the finite generators is no relation of the full
+    # basis restricted to them, so it must come from their own lattice
+    sigma = Cone.from_rays([(-2, -2, 1), (-2, 1, 3), (1, -2, 0)], 3)
+    system = SystemOfFans(3, ["1"], {("1", "1"): [sigma]})
+    chart = system.omega().class_of(sigma, "1")
+    values = {g: INF if dot(g, (1, -2, 0)) else int(g == (0, 0, 1))
+              for g in hilbert_basis(sigma).generators}
+    with pytest.raises(RelationViolation) as err:
+        point_from_chart_values(system, chart, values)
+    assert "[-2, -1, -1] + [2, 1, 6] = 5*[0, 0, 1]" in str(err.value)
+
+
+def _is_integer_combination(basis, vector):
+    if not basis:
+        return not any(vector)
+    coeffs = solve_rational([list(col) for col in zip(*basis)], list(vector))
+    return coeffs is not None and all(c.denominator == 1 for c in coeffs)
+
+
+def test_live_relations_are_complete_and_checked():
+    rng = fresh_rng(19)
+    perturbed = incomplete = 0
+    draws = [[tuple(rng.randint(-3, 3) for _ in range(n))
+              for _ in range(rng.randint(1, 5))]
+             for n in (rng.choice([2, 3]) for _ in range(120))]
+    for rays in [[(-2, -2, 1), (-2, 1, 3), (1, -2, 0)]] + draws:
+        n = len(rays[0])
+        sigma = Cone.from_rays(rays, n)
+        basis = hilbert_basis(sigma)
+        if len(basis.generators) > 9:
+            continue
+        system = SystemOfFans(n, ["1"], {("1", "1"): [sigma]})
+        chart = system.omega().class_of(sigma, "1")
+        for tau in sigma.faces():
+            live = tuple(g for g in basis.generators
+                         if all(dot(g, r) == 0 for r in tau.rays))
+            relations = basis.relations(live)
+            assert relations == (tuple(kernel_lattice(IntMatrix.from_rows(
+                live, cols=n).transpose()).basis_rows()) if live else ())
+            assert len(relations) == len(live) - rational_rank(live, n)
+            for rel in relations:
+                assert not any(sum(c * g[j] for c, g in zip(rel, live))
+                               for j in range(n))
+            if len(live) <= 6:
+                for c in itertools.product((-1, 0, 1), repeat=len(live)):
+                    if not any(sum(a * g[j] for a, g in zip(c, live))
+                               for j in range(n)):
+                        assert _is_integer_combination(relations, c)
+            # the relations of all generators supported on the live ones
+            restricted = [rel for rel in basis.relations()
+                          if not any(k and g not in live for k, g
+                                     in zip(rel, basis.generators))]
+            incomplete += len(restricted) < len(relations)
+            x = [Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                 for _ in range(n)]
+            values = {g: dot(g, x) if g in live else INF
+                      for g in basis.generators}
+            point = point_from_chart_values(system, chart, values)
+            assert point.stratum == system.omega().class_of(tau, "1")
+            assert all(trop_eval(point, g) == v for g, v in values.items())
+            related = [g for k, g in enumerate(live)
+                       if any(rel[k] for rel in relations)]
+            if related:
+                values[rng.choice(related)] += Fraction(1, 2)
+                with pytest.raises(RelationViolation):
+                    point_from_chart_values(system, chart, values)
+                perturbed += 1
+    assert perturbed > 100 and incomplete > 0
 
 
 def test_values_must_cover_every_generator():

@@ -12,8 +12,9 @@ each rung builds its cone in a fresh interpreter and records the wall
 of hilbert_basis and the number of generators.  With --scalars the rungs are
 valuation scales 1, 2, 4, 8: each builds P(1,3,7) in a fresh interpreter and
 records the wall of coordinate_point + trop_point over every face of its
-last chart, at torus coordinates of valuations (scale, -2 scale), and the
-number of coefficients of the generator values (sum of len(num) + len(den)).
+last chart, at torus coordinates of valuations (scale, -2 scale), the
+number of coefficients of the generator values (sum of len(num) + len(den))
+and the kernel_lattice calls made in that loop and in an untimed repeat.
 With --refine the rungs are P^2, P(1,3,7) and P^1 x P^1 graded by Z^2:
 each builds its Proj, two tropically equal points on one chart and a
 function telling them apart, then in fresh interpreters times
@@ -186,9 +187,13 @@ def run_hilbert_rung(rung):
 
 
 def run_scalar_rung(rung):
-    """One scalar rung in this process: its wall and coefficient count."""
+    """One scalar rung in this process: its wall, coefficient count and
+    kernel_lattice calls."""
     from fractions import Fraction
 
+    # monoid loads on first use: import it so its binding is counted too
+    import prevtrop.monoid
+    from prevtrop import exactla
     from prevtrop.exactla import AbelianGroup
     from prevtrop.multiproj import Grading, proj_system_of_fans
     from prevtrop.tropembed import ValuedScalar, coordinate_point, trop_point
@@ -202,14 +207,20 @@ def run_scalar_rung(rung):
               + ValuedScalar.t_power(p + 1, 3)
               for p in (scale, -2 * scale)]
     coeffs = 0
+    counts = {"kernel_lattice": 0}
+    _count_functions(counts, ((exactla.kernel_lattice, "kernel_lattice"),))
     start = time.perf_counter()
     for face in faces:
         point = coordinate_point(proj.system, chart, coords, zero_face=face)
         trop_point(point)
         coeffs += sum(len(v.num) + len(v.den) for v in point.values.values())
     elapsed = time.perf_counter() - start
+    first = counts["kernel_lattice"]
+    for face in faces:  # untimed: what the per-cone caches leave to redo
+        trop_point(coordinate_point(proj.system, chart, coords, zero_face=face))
     return {"s": round(elapsed, 4), "faces": len(faces),
-            "value_coeffs": coeffs}
+            "value_coeffs": coeffs, "kernel_lattice": first,
+            "kernel_lattice_repeat": counts["kernel_lattice"] - first}
 
 
 def run_refine_rung(rung):
@@ -439,9 +450,11 @@ def main():
                   % (rung, result["s"], result["generators"]))
             continue
         if args.scalars:
-            print("%-18s %8.3fs  %d faces  %d value coefficients"
+            print("%-18s %8.3fs  %d faces  %d value coefficients  "
+                  "kernel_lattice calls %d, %d on a repeat"
                   % (rung, result["s"], result["faces"],
-                     result["value_coeffs"]))
+                     result["value_coeffs"], result["kernel_lattice"],
+                     result["kernel_lattice_repeat"]))
             continue
         print("%-18s %8.3fs  separated %.3fs  %s" % (
             rung, result["total_s"], result["stages"]["separated"]["s"],
@@ -452,8 +465,9 @@ def main():
         "tools/ladder.py: per-stage in-process walls (raw seconds) and work "
         "counters of proj -> omega -> validate -> separated -> support "
         "(rungs), walls and generator counts of hilbert_basis "
-        "(hilbert_rungs), and walls and value coefficient counts of "
-        "coordinate_point + trop_point on P(1,3,7) (scalar_rungs), one "
+        "(hilbert_rungs), and walls, value coefficient counts and "
+        "kernel_lattice calls of coordinate_point + trop_point on P(1,3,7) "
+        "(scalar_rungs), one "
         "fresh interpreter per rung; median walls of separation_witness -> "
         "refined_trop x2 -> forget_refinement x2 over fresh interpreters, "
         "with call counts of one run (refine_rungs); median milliseconds of "
