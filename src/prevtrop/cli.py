@@ -1,9 +1,10 @@
 """JSON command line front end.
 
 Every input and output is a JSON document carrying "schema": 1 and a
-"kind" tag; payloads follow the serialisation helpers of the individual
-modules.  Reports go to standard output with sorted keys, diagnostics to
-standard error.  Exit codes: 0 for success, 1 for malformed input, 2 for
+"kind" tag.  This module reads that envelope, dispatches on the kind and
+emits; each payload is decoded and encoded by the module that owns its type.
+Reports go to standard output with sorted keys, diagnostics to standard
+error.  Exit codes: 0 for success, 1 for malformed input, 2 for
 semantic violations.
 
 A call builds the parser of its own subcommand only and imports the layers
@@ -39,15 +40,17 @@ def _read_document(path, kinds):
     return data
 
 
-def _emit(document):
+def _emit(kind, payload):
+    """Write one document of the given kind to standard output."""
+    document = {"schema": SCHEMA, "kind": kind}
+    document.update(payload)
     json.dump(document, sys.stdout, sort_keys=True, indent=2)
     sys.stdout.write("\n")
+    return 0
 
 
 def _report(command, **payload):
-    document = {"schema": SCHEMA, "kind": "report", "command": command}
-    document.update(payload)
-    return document
+    return _emit("report", dict(payload, command=command))
 
 
 def _load_system(path):
@@ -56,24 +59,18 @@ def _load_system(path):
     return system_from_data(data)
 
 
-def _classical_from_data(system, data):
-    """Decode {"chart": id, "values": {generator index: scalar}}."""
-    from .tropembed import classical_point, valued_scalar_from_data
-    from .troppre import chart_entries_from_data
-    chart, entries = chart_entries_from_data(system, data)
-    return classical_point(system, chart,
-                           {g: valued_scalar_from_data(payload)
-                            for g, payload in entries})
-
-
-def _point_for(system, data):
-    """A classical or canonicalised tropical point from a point document."""
-    from .troppre import chart_values_from_data, point_from_chart_values
+def _point_for(system, data, nonneg):
+    """The canonicalised tropical point, or the nonnegative one, of a
+    classical_point or chart_values document."""
     if data["kind"] == "classical_point":
-        from .tropembed import trop_point as classical_trop
-        return classical_trop(_classical_from_data(system, data))
-    chart, values = chart_values_from_data(system, data)
-    return point_from_chart_values(system, chart, values)
+        from . import tropembed
+        point = tropembed.classical_point_from_data(system, data)
+        return (tropembed.nonneg_trop_point if nonneg
+                else tropembed.trop_point)(point)
+    from . import troppre
+    chart, values = troppre.chart_values_from_data(system, data)
+    return (troppre.nonneg_point_from_chart_values if nonneg
+            else troppre.point_from_chart_values)(system, chart, values)
 
 
 # ---------------------------------------------------------------------------
@@ -86,22 +83,20 @@ def cmd_validate(args):
     if data["kind"] == "grading":
         from .multiproj import grading_from_data
         grading = grading_from_data(data)
-        _emit(_report("validate", ok=True, issues=[],
-                      variables=grading.n,
-                      degrees=[list(d) for d in grading.degrees]))
-        return 0
+        return _report("validate", ok=True, issues=[], variables=grading.n,
+                       degrees=[list(d) for d in grading.degrees])
     system = system_from_data(data)
     issues = validate_system(system)
-    _emit(_report("validate", ok=not issues,
-                  issues=[{"kind": issue.kind,
-                           "where": [str(w) for w in issue.where],
-                           "detail": issue.detail} for issue in issues]))
+    _report("validate", ok=not issues,
+            issues=[{"kind": issue.kind,
+                     "where": [str(w) for w in issue.where],
+                     "detail": issue.detail} for issue in issues])
     return 0 if not issues else 2
 
 
 def cmd_omega(args):
     system = _load_system(args.file)
-    from .troppre import nonneg_strata, strata
+    from .sysfan import nonneg_strata, strata
     omega = system.omega()
     classes = [{"id": cls.class_id,
                 "rays": [list(r) for r in cls.cone.rays],
@@ -113,105 +108,72 @@ def cmd_omega(args):
                "face": [list(r) for r in face.rays],
                "dim": dim}
               for cls, face, dim in nonneg_strata(system)]
-    _emit(_report("omega", classes=classes,
-                  order=sorted([a, b] for a, b in omega.order_pairs()),
-                  trop_strata=trop, nonneg_strata=nonneg))
-    return 0
+    return _report("omega", classes=classes,
+                   order=sorted([a, b] for a, b in omega.order_pairs()),
+                   trop_strata=trop, nonneg_strata=nonneg)
 
 
 def cmd_separated(args):
     system = _load_system(args.file)
     from .sysfan import is_separated, support_is_full
     ok, witness = is_separated(system)
-    payload = {"separated": ok}
     if ok:
-        payload["support_is_full"] = support_is_full(system)
-        payload["witness"] = None
-    else:
-        a, b, meet, reason = witness
-        payload["witness"] = {"class_a": a.class_id, "class_b": b.class_id,
-                              "intersection": [list(r) for r in meet.rays],
-                              "reason": reason}
-    _emit(_report("separated", **payload))
-    return 0
+        return _report("separated", separated=True, witness=None,
+                       support_is_full=support_is_full(system))
+    a, b, meet, reason = witness
+    return _report("separated", separated=False, witness={
+        "class_a": a.class_id, "class_b": b.class_id,
+        "intersection": [list(r) for r in meet.rays], "reason": reason})
 
 
 def cmd_proj(args):
     data = _read_document(args.file, {"grading"})
     from .multiproj import grading_from_data, proj_system_of_fans
     from .sysfan import system_to_data
-    grading = grading_from_data(data)
-    proj = proj_system_of_fans(grading)
-    document = {"schema": SCHEMA, "kind": "system_of_fans"}
-    document.update(system_to_data(proj.system))
-    document["charts"] = {label: sorted(subset)
-                          for label, subset in proj.chart_subsets.items()}
-    _emit(document)
-    return 0
+    proj = proj_system_of_fans(grading_from_data(data))
+    payload = system_to_data(proj.system)
+    payload["charts"] = {label: sorted(subset)
+                         for label, subset in proj.chart_subsets.items()}
+    return _emit("system_of_fans", payload)
 
 
-def cmd_trop(args):
+def cmd_point(args):
+    """trop and nonneg: tropicalize a classical_point or chart_values
+    document, to a trop_point or to a nonneg_point."""
     system = _load_system(args.system)
     data = _read_document(args.point, {"classical_point", "chart_values"})
-    from .troppre import trop_point_to_data
-    point = _point_for(system, data)
-    document = {"schema": SCHEMA, "kind": "trop_point"}
-    document.update(trop_point_to_data(point))
-    _emit(document)
-    return 0
-
-
-def cmd_nonneg(args):
-    system = _load_system(args.system)
-    data = _read_document(args.point, {"classical_point", "chart_values"})
-    from .troppre import (chart_values_from_data, compare_to_trop,
-                          nonneg_point_from_chart_values,
-                          nonneg_point_to_data, trop_point_to_data)
-    if data["kind"] == "classical_point":
-        from .tropembed import nonneg_trop_point
-        point = nonneg_trop_point(_classical_from_data(system, data))
-    else:
-        chart, values = chart_values_from_data(system, data)
-        point = nonneg_point_from_chart_values(system, chart, values)
-    document = {"schema": SCHEMA, "kind": "nonneg_point"}
-    document.update(nonneg_point_to_data(point))
+    from .troppre import compare_to_trop, nonneg_point_to_data, trop_point_to_data
+    nonneg = args.command == "nonneg"
+    point = _point_for(system, data, nonneg)
+    if not nonneg:
+        return _emit("trop_point", trop_point_to_data(point))
+    payload = nonneg_point_to_data(point)
     if args.compare:
-        document["comparison"] = trop_point_to_data(
+        payload["comparison"] = trop_point_to_data(
             compare_to_trop(system, point))
-    _emit(document)
-    return 0
+    return _emit("nonneg_point", payload)
 
 
 def cmd_kapranov(args):
     data = _read_document(args.poly, {"polynomial"})
-    from .extreal import _json_number, format_extended
-    from .jsondoc import _json_field, _json_objects
-    from .sysfan import system_from_data
+    from .extreal import format_extended
     from .tropembed import kapranov_membership, kapranov_minimizers
-    from .troppre import chart_polynomial, class_from_data, trop_point_from_data
-    system = system_from_data(_json_field(data, "system", dict))
-    chart = class_from_data(system, _json_field(data, "chart"))
-    terms = _json_objects(_json_field(data, "terms"), "terms")
-    poly = chart_polynomial(system, chart, [
-        (tuple(_json_field(term, "exp", list)),
-         _json_number(_json_field(term, "val"), 'terms[%d]["val"]' % k))
-        for k, term in enumerate(terms)])
+    from .troppre import chart_polynomial_from_data, trop_point_from_data
+    system, poly = chart_polynomial_from_data(data)
     point = trop_point_from_data(
         system, _read_document(args.point, {"trop_point"}))
     achieving = [{"exp": list(s), "value": format_extended(v)}
                  for s, v in kapranov_minimizers(poly, point)]
-    _emit(_report("kapranov",
-                  member=kapranov_membership(poly, point),
-                  achieving_terms=achieving))
-    return 0
+    return _report("kapranov", member=kapranov_membership(poly, point),
+                   achieving_terms=achieving)
 
 
 def cmd_refine(args):
     data = _read_document(args.grading, {"grading"})
     from .multiproj import grading_from_data, grading_to_data
-    from .tropembed import (forget_refinement, hypersurface_from_data,
-                            refine_embedding, refined_trop)
-    from .tropembed import trop_point as classical_trop
+    from .tropembed import (classical_point_from_data, forget_refinement,
+                            hypersurface_from_data, refine_embedding,
+                            refined_trop, trop_point)
     from .troppre import trop_point_to_data
     grading = grading_from_data(data)
     gtilde = hypersurface_from_data(
@@ -231,32 +193,27 @@ def cmd_refine(args):
     refinement = refine_embedding(grading, gtilde.terms, clearing)
     points = []
     for path in args.point:
-        data = _read_document(path, {"classical_point"})
-        point = _classical_from_data(refinement.old_proj.system, data)
+        point = classical_point_from_data(
+            refinement.old_proj.system,
+            _read_document(path, {"classical_point"}))
         refined = refined_trop(refinement, point)
         projected = forget_refinement(refinement, refined)
         points.append({
             "refined": trop_point_to_data(refined),
             "projection": trop_point_to_data(projected),
             "projection_matches_direct":
-                projected == classical_trop(point)})
-    _emit(_report("refine",
-                  grading=grading_to_data(refinement.new_grading),
-                  x_degree=list(refinement.x_degree),
-                  clearing=list(refinement.clearing),
-                  points=points))
-    return 0
+                projected == trop_point(point)})
+    return _report("refine", grading=grading_to_data(refinement.new_grading),
+                   x_degree=list(refinement.x_degree),
+                   clearing=list(refinement.clearing), points=points)
 
 
 def cmd_product(args):
     left = _load_system(args.left)
     right = _load_system(args.right)
     from .sysfan import product, system_to_data
-    combined = product(left, right, separator=args.separator)
-    document = {"schema": SCHEMA, "kind": "system_of_fans"}
-    document.update(system_to_data(combined))
-    _emit(document)
-    return 0
+    return _emit("system_of_fans",
+                 system_to_data(product(left, right, separator=args.separator)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +228,8 @@ COMMANDS = {
     "separated": (cmd_separated,
                   "separation check with witness or support test", ["file"]),
     "proj": (cmd_proj, "chart system of a multigrading", ["file"]),
-    "trop": (cmd_trop, "tropicalize a point document", ["point", "system"]),
-    "nonneg": (cmd_nonneg, "nonnegative tropicalization", [
+    "trop": (cmd_point, "tropicalize a point document", ["point", "system"]),
+    "nonneg": (cmd_point, "nonnegative tropicalization", [
         "point", "system",
         ("--compare", {"action": "store_true", "help":
                        "also emit the image under the comparison map"})]),

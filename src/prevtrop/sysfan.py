@@ -313,6 +313,26 @@ class OmegaPoset:
         return frozenset(self._leq)
 
 
+def strata(system):
+    """All tropical strata as (class, dimension) in class order."""
+    n = system.ambient_rank
+    return tuple((cls, n - cls.cone.dim) for cls in system.omega())
+
+
+def nonneg_strata(system):
+    """All nonnegative strata as (class, face, dimension), deterministically.
+
+    A stratum is a chart class together with a face of its cone; its points
+    are interior to the image of the cone modulo the face, so the dimension
+    is the difference of the two cone dimensions.
+    """
+    out = []
+    for cls in system.omega():
+        for face in cls.cone.faces():
+            out.append((cls, face, cls.cone.dim - face.dim))
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # products, separation, support
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .exactla import _integer_entry, _integer_vector, _rational_entry
 from .extreal import INF, _json_number, is_finite
 from .jsondoc import DocumentError, _json_field, _json_objects, _json_typed
 from .troppre import (_chart_exponent, _chart_table, _check_chart_contains,
-                      _own_class, chart_polynomial,
+                      _own_class, chart_entries_from_data, chart_polynomial,
                       nonneg_point_from_chart_values, point_from_chart_values,
                       trop_eval)
 
@@ -645,6 +645,14 @@ def valued_scalar_from_data(data):
     data = _json_typed(data, dict, "value")
     den = _poly_from_sparse(data.get("den", [["1", 0]]), "den")
     return ValuedScalar(_poly_from_sparse(_json_field(data, "num"), "num"), den)
+
+
+def classical_point_from_data(system, data):
+    """Decode a {"chart": id, "values": {generator index: scalar}} document
+    into a validated classical chart point."""
+    chart, values = chart_entries_from_data(
+        system, data, lambda payload, _: valued_scalar_from_data(payload))
+    return classical_point(system, chart, values)
 
 
 def hypersurface_to_data(hyp):

@@ -16,7 +16,9 @@ from . import cone, exactla
 from .cone import Cone, dot
 from .exactla import _Value, _integer_entry, _integer_vector, _rational_entry
 from .extreal import INF, _json_number, format_extended, is_finite
-from .jsondoc import _json_field
+from .jsondoc import DocumentError, _json_field, _json_objects
+# strata, nonneg_strata: re-exported from sysfan, where omega reads them
+from .sysfan import nonneg_strata, strata, system_from_data
 
 
 class FiniteLocusNotAFace(ValueError):
@@ -133,30 +135,6 @@ def _chart_exponent(sigma, exponent):
     if any(dot(s, r) < 0 for r in sigma.rays):
         raise ValueError("exponent %r lies outside the chart monoid" % list(s))
     return s
-
-
-# ---------------------------------------------------------------------------
-# strata inventories
-# ---------------------------------------------------------------------------
-
-def strata(system):
-    """All tropical strata as (class, dimension) in class order."""
-    n = system.ambient_rank
-    return tuple((cls, n - cls.cone.dim) for cls in system.omega())
-
-
-def nonneg_strata(system):
-    """All nonnegative strata as (class, face, dimension), deterministically.
-
-    A stratum is a chart class together with a face of its cone; its points
-    are interior to the image of the cone modulo the face, so the dimension
-    is the difference of the two cone dimensions.
-    """
-    out = []
-    for cls in system.omega():
-        for face in cls.cone.faces():
-            out.append((cls, face, cls.cone.dim - face.dim))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -420,17 +398,35 @@ def nonneg_point_to_data(point):
             "coords": [format_extended(c) for c in point.coords]}
 
 
-def chart_entries_from_data(system, data):
-    """Decode the chart and the generator keys of a {"chart": id, "values":
-    {generator index: payload}} document; payloads are returned undecoded."""
+def chart_entries_from_data(system, data, decode):
+    """Decode a {"chart": id, "values": {generator index: payload}} document
+    into its chart and {generator: decode(payload, 'values["key"]')}.  Every
+    key is read before any payload; two keys naming one generator, such as
+    "0" and "00", are malformed."""
     chart = class_from_data(system, _json_field(data, "chart"))
     gens = cone.hilbert_basis(chart.cone).generators
-    return chart, [(gens[_index(key, len(gens), "chart generator")], payload)
-                   for key, payload in _json_field(data, "values", dict).items()]
+    named = {}
+    for key in _json_field(data, "values", dict):
+        k = _index(key, len(gens), "chart generator")
+        if named.setdefault(k, key) != key:
+            raise DocumentError('values["%s"] and values["%s"] name the same '
+                                'chart generator %d' % (named[k], key, k))
+    return chart, {gens[k]: decode(data["values"][key], 'values["%s"]' % key)
+                   for k, key in named.items()}
 
 
 def chart_values_from_data(system, data):
     """Decode a {"chart": id, "values": {index: value}} request."""
-    chart, entries = chart_entries_from_data(system, data)
-    return chart, {g: _json_number(text, 'values["%s"]' % key)
-                   for key, (g, text) in zip(data["values"], entries)}
+    return chart_entries_from_data(system, data, _json_number)
+
+
+def chart_polynomial_from_data(data):
+    """Decode a {"system": ..., "chart": id, "terms": [{"exp": [...], "val":
+    valuation}]} document into (system, ValuatedChartPolynomial)."""
+    system = system_from_data(_json_field(data, "system", dict))
+    chart = class_from_data(system, _json_field(data, "chart"))
+    terms = _json_objects(_json_field(data, "terms"), "terms")
+    return system, chart_polynomial(system, chart, [
+        (tuple(_json_field(term, "exp", list)),
+         _json_number(_json_field(term, "val"), 'terms[%d]["val"]' % k))
+        for k, term in enumerate(terms)])

@@ -156,6 +156,12 @@ def run_on_doc(tmp_path, capsys, command, doc):
      'values["1"] must be an exact number, got \'1/0\''),
     ("kapranov", dict(_POLY, terms=[{"exp": [0], "val": "1/0"}]),
      'terms[0]["val"] must be an exact number, got \'1/0\''),
+    # two keys naming one chart generator, in either point document kind
+    ("trop", dict(_VALUES, values={"0": "0", "00": "1", "1": "0"}),
+     'values["0"] and values["00"] name the same chart generator 0'),
+    ("nonneg", dict(_VALUES, kind="classical_point",
+                    values={"0": "1", "1": "1", "01": "2"}),
+     'values["1"] and values["01"] name the same chart generator 1'),
 ])
 def test_wrong_json_types_exit_one(tmp_path, capsys, command, doc, message):
     code, out, err = run_on_doc(tmp_path, capsys, command, doc)
@@ -204,7 +210,8 @@ def test_bad_trop_point_exits_one(tmp_path, capsys, doc, message):
 _LINE_SYSTEM = system_doc(projective_line_two_charts())
 
 
-@pytest.mark.parametrize("value, message", [
+# (value of generator 0, diagnostic) pairs of malformed classical points
+BAD_CLASSICAL_VALUES = [
     ({"num": 5}, "num must be a JSON array"),
     ({"num": [5]}, "num[0] must be a JSON array [coefficient, power]"),
     ({"num": [["1", 0]], "den": 5}, "den must be a JSON array"),
@@ -224,7 +231,10 @@ _LINE_SYSTEM = system_doc(projective_line_two_charts())
     ({"num": [["x", 0]]}, "num[0] coefficient must be an exact number, got 'x'"),
     ({"num": [["1", 0]], "den": [["1/0", 0]]},
      "den[0] coefficient must be an exact number, got '1/0'"),
-])
+]
+
+
+@pytest.mark.parametrize("value, message", BAD_CLASSICAL_VALUES)
 def test_bad_classical_values_exit_one(tmp_path, capsys, value, message):
     system = write_doc(tmp_path, "sys.json", _LINE_SYSTEM)
     point = write_doc(tmp_path, "cp.json",
@@ -480,10 +490,10 @@ def test_commands_without_classical_points_do_not_load_tropembed(tmp_path):
         assert codes == [0] * len(argvs), command
         assert "prevtrop.sysfan" in modules, command
         assert "prevtrop.morphism" not in modules, command
-        if command in ("validate", "separated", "proj", "product"):
-            assert not modules & {"fractions", "decimal"}, command
         if command in ("validate", "separated", "proj", "product", "omega"):
-            assert not modules & {"prevtrop.monoid", "prevtrop.smith"}, command
+            assert not modules & {"fractions", "decimal", "prevtrop.extreal",
+                                  "prevtrop.troppre", "prevtrop.monoid",
+                                  "prevtrop.smith"}, command
         if command not in ("trop", "nonneg", "kapranov", "refine"):
             assert "prevtrop.tropembed" not in modules, command
         if command.startswith(("trop", "nonneg", "kapranov")):

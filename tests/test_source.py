@@ -65,6 +65,25 @@ def test_library_does_not_import_dataclasses():
     assert found == []
 
 
+def test_the_command_line_decodes_no_payload():
+    # each document kind has one decoder, in the module that owns its type;
+    # the command line reads envelopes, dispatches and emits
+    decoders = {"_json_field", "_json_objects", "_json_typed", "_json_rows",
+                "_json_number", "chart_entries_from_data",
+                "valued_scalar_from_data", "class_from_data"}
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert "DocumentError" in names
+    assert sorted(names & decoders) == []
+
+
 def test_the_benchmark_tracer_wraps_the_lazily_loaded_names():
     # perfbench's tracer reads every spanned name from its module's __dict__
     # and replaces each binding of it; the names that cone and exactla load

@@ -10,6 +10,7 @@ import pytest
 from prevtrop.cone import Cone, hilbert_basis
 from prevtrop.exactla import AbelianGroup, IntMatrix
 from prevtrop.extreal import INF
+from prevtrop.jsondoc import DocumentError
 from prevtrop.multiproj import Grading, proj_system_of_fans
 from prevtrop.sysfan import SystemOfFans, morphism_from_lattice_map
 from prevtrop.troppre import (
@@ -18,7 +19,7 @@ from prevtrop.troppre import (
 from prevtrop.troppre import trop_point as stratum_point
 from prevtrop.tropembed import (
     NotBounded, NotHomogeneous, NotSeparating, ValuedScalar, apply_morphism,
-    classical_point, coordinate_point, evaluate_polynomial, forget_refinement,
+    classical_point, classical_point_from_data, coordinate_point, evaluate_polynomial, forget_refinement,
     hypersurface, hypersurface_from_data, hypersurface_to_data,
     kapranov_membership, kapranov_minimizers, nonneg_trop_point,
     refine_embedding,
@@ -27,7 +28,9 @@ from prevtrop.tropembed import (
     valued_scalar_to_data)
 
 from conftest import fresh_rng
-from systems import affine_line, affine_plane, line_two_origins
+from systems import (affine_line, affine_plane, line_two_origins,
+                     projective_line_two_charts)
+from test_cli import BAD_CLASSICAL_VALUES
 
 ONE = scalar(1)
 T = ValuedScalar.t_power(1)
@@ -813,6 +816,41 @@ def test_hypersurface_round_trip():
     data = hypersurface_to_data(f)
     back = hypersurface_from_data(grading, data)
     assert back.terms == f.terms
+
+
+def test_classical_point_documents_decode_like_classical_point():
+    # every chart of P(1,2,5) and of the free plane, every face as the zero
+    # locus: the document of a point's generator values decodes to it
+    rng = fresh_rng(83)
+    weighted = proj_system_of_fans(Grading(AbelianGroup(1), [(1,), (2,), (5,)]))
+    checked = 0
+    for proj in (weighted, free_plane()[0]):
+        system = proj.system
+        for label, subset in proj.chart_subsets.items():
+            chart = system.omega().class_of(proj.poset.cone_of(subset), label)
+            gens = hilbert_basis(chart.cone).generators
+            for face in chart.cone.faces():
+                coords = [random_scalar(rng) for _ in range(system.ambient_rank)]
+                p = coordinate_point(system, chart, coords, face)
+                data = {"chart": chart.class_id,
+                        "values": {str(k): valued_scalar_to_data(p.values[g])
+                                   for k, g in enumerate(gens)}}
+                assert classical_point_from_data(system, data) == p
+                assert p == classical_point(system, chart, {
+                    g: valued_scalar_from_data(data["values"][str(k)])
+                    for k, g in enumerate(gens)})
+                checked += 1
+    assert checked > 10
+
+
+def test_classical_point_documents_name_bad_values():
+    # the messages the command line prints for these values
+    system = projective_line_two_charts()
+    for value, message in BAD_CLASSICAL_VALUES:
+        with pytest.raises(DocumentError) as err:
+            classical_point_from_data(system, {"chart": 0,
+                                               "values": {"0": value}})
+        assert str(err.value) == message
 
 
 def test_polynomial_evaluation_matches_hand_expansion():

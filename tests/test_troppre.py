@@ -9,11 +9,13 @@ from prevtrop.cone import Cone, dot, hilbert_basis
 from prevtrop.exactla import (AbelianGroup, IntMatrix, kernel_lattice,
                               rational_rank, solve_rational)
 from prevtrop.extreal import INF
+from prevtrop.jsondoc import DocumentError
 from prevtrop.multiproj import Grading, proj_system_of_fans
-from prevtrop.sysfan import SystemOfFans, morphism_from_lattice_map, product
+from prevtrop.sysfan import (SystemOfFans, morphism_from_lattice_map, product,
+                            system_to_data)
 from prevtrop.troppre import (
     FiniteLocusNotAFace, RelationViolation, chart_polynomial,
-    chart_values_from_data, compare_to_trop, induced_map, nonneg_point,
+    chart_polynomial_from_data, chart_values_from_data, compare_to_trop, induced_map, nonneg_point,
     nonneg_point_from_chart_values, nonneg_preimage, nonneg_strata,
     point_from_chart_values, skeleton_seminorm, strata, trop_eval,
     trop_point, trop_point_from_data, trop_point_to_data)
@@ -615,3 +617,45 @@ def test_chart_value_requests_decode_to_generator_tables():
     with pytest.raises(ValueError):
         chart_values_from_data(system, {"chart": chart.class_id,
                                         "values": {"5": "1"}})
+    with pytest.raises(DocumentError, match=r'values\["1"\] and '
+                       r'values\["01"\] name the same chart generator 1'):
+        chart_values_from_data(system, {"chart": chart.class_id,
+                                        "values": {"0": "1", "1": "inf",
+                                                   "01": "2"}})
+
+
+def test_trop_point_wire_format_round_trips_on_random_points():
+    # every stratum of five spaces, seeded rational coordinates
+    rng = fresh_rng(71)
+    plane = proj_system_of_fans(Grading(AbelianGroup(1), [(1,), (2,), (5,)]))
+    spaces = [affine_plane(), line_two_origins(), projective_line_two_charts(),
+              quadrant_fan_system(), plane.system]
+    checked = 0
+    for system in spaces:
+        for cls, dim in strata(system):
+            for _ in range(3):
+                coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                          for _ in range(dim)]
+                p = trop_point(system, cls, coords)
+                assert trop_point_from_data(system, trop_point_to_data(p)) == p
+                checked += 1
+    assert checked > 60
+
+
+def test_polynomial_documents_decode_like_chart_polynomial():
+    system = affine_plane()
+    chart = plane_chart(system)
+    data = {"system": system_to_data(system), "chart": chart.class_id,
+            "terms": [{"exp": [1, 0], "val": "1/2"},
+                      {"exp": [0, 3], "val": -2},
+                      {"exp": [0, 0], "val": "inf"}]}
+    decoded_system, poly = chart_polynomial_from_data(data)
+    assert system_to_data(decoded_system) == data["system"]
+    assert poly == chart_polynomial(system, chart, [
+        ((1, 0), Fraction(1, 2)), ((0, 3), -2), ((0, 0), INF)])
+    with pytest.raises(DocumentError, match='missing field "terms"'):
+        chart_polynomial_from_data({k: v for k, v in data.items()
+                                    if k != "terms"})
+    with pytest.raises(ValueError, match="duplicate exponent"):
+        chart_polynomial_from_data(dict(data, terms=[
+            {"exp": [1, 0], "val": "0"}, {"exp": [1, 0], "val": "1"}]))
