@@ -187,7 +187,8 @@ def relevant_subsets(grading):
 
 class ProjSystem:
     """The glued chart system of a grading, with its construction data;
-    shared by every caller with an equal grading, so never mutate one."""
+    shared by every caller with an equal grading, so never mutate one.  Its
+    character map and refined systems are built on first use and kept."""
 
     def __init__(self, grading, poset, system, chart_subsets):
         self.grading = grading
@@ -197,6 +198,7 @@ class ProjSystem:
         self.q = poset.q
         self.kernel = poset.kernel
         self._characters = None
+        self._refined = {}
 
     def character(self, exponent):
         """The chart character s with q^T s = exponent, or ValueError when
@@ -215,6 +217,16 @@ class ProjSystem:
             raise ValueError("monomial %r does not descend to the chart torus"
                              % list(exponent))
         return s
+
+    def refined(self, degree):
+        """The system of this grading with one more variable of the given
+        degree; one per degree, held by this system, so its chart cones and
+        their Hilbert bases and relations survive every refinement by it."""
+        proj = self._refined.get(degree)
+        if proj is None:
+            proj = self._refined[degree] = proj_system_of_fans(
+                Grading(self.grading.group, self.grading.degrees + (degree,)))
+        return proj
 
     @property
     def ambient_rank(self):

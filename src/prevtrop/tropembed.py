@@ -432,11 +432,13 @@ def restrict_to_chart(proj, hyp, label):
 
 def evaluate_polynomial(proj, point, terms):
     """Evaluate integer-exponent terms at a classical point of a chart."""
-    total = _ZERO
+    values = []
     for exponent, coeff in terms:
-        total = total + ValuedScalar.of(coeff) \
-            * point.eval(proj.character(exponent))
-    return total
+        value = point.eval(proj.character(exponent))
+        coeff = ValuedScalar.of(coeff)
+        # num == den is the scalar one, and a product by it changes nothing
+        values.append(value if coeff.num == coeff.den else coeff * value)
+    return reduce(add, values) if values else _ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +469,10 @@ class Refinement:
 
 
 def refine_embedding(grading, terms, clearing=None):
-    """Adjoin a coordinate for a homogeneous polynomial to a grading."""
-    from .multiproj import Grading, proj_system_of_fans
+    """Adjoin a coordinate for a homogeneous polynomial to a grading.  The
+    new system is memoised on the old one per x_degree (ProjSystem.refined)
+    and lives as long as it, so refinements by one degree share new_proj."""
+    from .multiproj import proj_system_of_fans
     gtilde = hypersurface(grading, terms).terms
     degrees = {grading.degree_of_monomial(e) for e, _ in gtilde}
     if len(degrees) > 1:
@@ -480,10 +484,9 @@ def refine_embedding(grading, terms, clearing=None):
     if any(a < 0 for a in clearing):
         raise ValueError("clearing monomial must be nonnegative")
     x_degree = degrees.pop()
-    new_grading = Grading(grading.group, list(grading.degrees) + [x_degree])
-    return Refinement(grading, new_grading,
-                      proj_system_of_fans(grading),
-                      proj_system_of_fans(new_grading),
+    old_proj = proj_system_of_fans(grading)
+    new_proj = old_proj.refined(x_degree)
+    return Refinement(grading, new_proj.grading, old_proj, new_proj,
                       gtilde, clearing, x_degree)
 
 
@@ -526,7 +529,8 @@ def refined_classical(refinement, point):
     chart = new.system.omega().class_of(new.poset.cone_of(subset), label)
     n = refinement.old_grading.n
     gens = [e for e, _ in refinement.gtilde]
-    coeffs = [c for _, c in refinement.gtilde]
+    # coefficients one (num == den) are left out of the products
+    coeffs = [None if c.num == c.den else c for _, c in refinement.gtilde]
     pushforward = new.kernel.basis.transpose()
     evals = {}  # characters recur across generators and compositions
     values = {}
@@ -548,7 +552,8 @@ def refined_classical(refinement, point):
             multinomial = _multinomial(b, split)
             if multinomial != 1:
                 value = value * multinomial
-            powers = [c ** mult for c, mult in zip(coeffs, split) if mult]
+            powers = [c ** mult for c, mult in zip(coeffs, split)
+                      if mult and c is not None]
             pieces.append(reduce(mul, powers, value))
         values[g] = reduce(add, pieces) if pieces else _ZERO
     return classical_point(new.system, chart, values)

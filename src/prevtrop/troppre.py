@@ -11,10 +11,12 @@ containment questions go through the exact cone machinery.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from . import cone, exactla
+from . import cone
 from .cone import Cone, dot
-from .exactla import _Value, _integer_entry, _integer_vector, _rational_entry
+from .exactla import (_Value, _echelon, _integer_entry, _integer_vector,
+                      _rational_entry, _with_identity)
 from .extreal import INF, _json_number, format_extended, is_finite
 from .jsondoc import DocumentError, _json_field, _json_objects
 # strata, nonneg_strata: re-exported from sysfan, where omega reads them
@@ -193,7 +195,9 @@ def point_from_chart_values(system, chart, values):
     monoid to a rational or INF.  The finite generators must cut out a face
     of the chart cone and the finite values must respect every additive
     relation among the finite generators; otherwise FiniteLocusNotAFace or
-    RelationViolation is raised.
+    RelationViolation is raised.  The inverse that turns values into
+    coordinates is built once per (chart cone, finite generators) and lives
+    as long as the cone, beside its relations, so a repeat runs no solve.
     """
     table, finite, tau, relations = _chart_table(
         system, chart, values, _extended, is_finite, "finite")
@@ -202,16 +206,38 @@ def point_from_chart_values(system, chart, values):
             raise RelationViolation(
                 "values violate the generator relation %s"
                 % _relation_text(rel, finite))
-    quot = tau.span_quotient()
-    # the relations checked span those of the rows, so this is solvable
-    coords = exactla.solve_rational(
-        [quot.descend_dual(g) for g in finite],
-        [table[g] for g in finite]) if finite else ()
-    if coords is None:
-        raise AssertionError("values respecting every relation of the "
-                             "finite generators have no solution")
+    # the relations checked span those of the rows, so the rows picked
+    # determine the one solution
+    picked, inverse = _face_inverse(chart.cone, finite, tau)
+    rhs = [table[finite[i]] for i in picked]
+    den = lcm(*(v.denominator for v in rhs))
+    rhs = [v.numerator * (den // v.denominator) for v in rhs]
+    coords = tuple(Fraction(dot(w, rhs), c * den) for c, w in inverse)
     stratum = system.omega().class_of(tau, chart.representative)
-    return TropPoint(stratum, tuple(coords))
+    return TropPoint(stratum, coords)
+
+
+def _face_inverse(sigma, live, tau):
+    """The indices into live of the first r generators whose rows, descended
+    to the quotient by the face tau of sigma, are independent (the rows span
+    tau^perp, of rank r), and the integer inverse of those rows, one
+    (divisor, row) pair per coordinate.  Kept in sigma's Cone._relations
+    under (tau.rays, live), a key no live tuple matches that holds no cone."""
+    key = (tau.rays, live)
+    if sigma._relations is None:
+        sigma._relations = {}
+    if key not in sigma._relations:
+        quot = tau.span_quotient()
+        rows = [quot.descend_dual(g) for g in live]
+        picked = [i for i, _ in _echelon(list(zip(*rows)), len(rows))]
+        if len(picked) != quot.rank:
+            raise AssertionError("the live generators have rank %d, not %d"
+                                 % (len(picked), quot.rank))
+        block = _echelon(_with_identity([rows[i] for i in picked]),
+                         quot.rank)
+        sigma._relations[key] = picked, [(row[c], row[quot.rank:])
+                                         for c, row in block]
+    return sigma._relations[key]
 
 
 def _relation_text(rel, gens):
@@ -365,8 +391,12 @@ def trop_point_to_data(point):
 
 
 def _index(value, count, what):
-    """A document index into count items: an integer, or a decimal string as
-    JSON object keys are; nothing is rounded."""
+    """A document index into count items: an integer, or a string of plain
+    ASCII digits as JSON object keys are; nothing is rounded, and a sign,
+    a space, an underscore or another script's digit is malformed."""
+    if isinstance(value, str) and not (value.isascii() and value.isdigit()):
+        raise DocumentError("%s index %r is not a string of decimal digits"
+                            % (what, value))
     try:
         k = int(value) if isinstance(value, str) else _integer_entry(value)
     except ValueError:

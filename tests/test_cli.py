@@ -162,10 +162,29 @@ def run_on_doc(tmp_path, capsys, command, doc):
     ("nonneg", dict(_VALUES, kind="classical_point",
                     values={"0": "1", "1": "1", "01": "2"}),
      'values["1"] and values["01"] name the same chart generator 1'),
+    # index strings that int() reads but that are not plain ASCII digits
+    ("trop", dict(_VALUES, values={" 1": "0", "0": "0"}),
+     "chart generator index ' 1' is not a string of decimal digits"),
+    ("nonneg", dict(_VALUES, values={"0": "0", "+0": "0"}),
+     "chart generator index '+0' is not a string of decimal digits"),
+    ("trop", dict(_VALUES, values={"0_0": "0", "1": "0"}),
+     "chart generator index '0_0' is not a string of decimal digits"),
+    ("trop", dict(_VALUES, chart="\u0661"),
+     "chart class index '\u0661' is not a string of decimal digits"),
 ])
 def test_wrong_json_types_exit_one(tmp_path, capsys, command, doc, message):
     code, out, err = run_on_doc(tmp_path, capsys, command, doc)
     assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("doc, message", [
+    (dict(_VALUES, values={"0": "0", "7": "0"}),
+     "no chart generator with index 7"),
+    (dict(_VALUES, chart="9"), "no chart class with index 9"),
+])
+def test_index_strings_out_of_range_exit_two(tmp_path, capsys, doc, message):
+    code, out, err = run_on_doc(tmp_path, capsys, "trop", doc)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 def _without(doc, key):

@@ -1,12 +1,15 @@
 """Valued points, Kapranov membership, and embedding refinement."""
 
+import gc
 import itertools
 import operator
+import weakref
 from fractions import Fraction
 from math import factorial, gcd, prod
 
 import pytest
 
+from prevtrop import multiproj
 from prevtrop.cone import Cone, hilbert_basis
 from prevtrop.exactla import AbelianGroup, IntMatrix
 from prevtrop.extreal import INF
@@ -607,6 +610,57 @@ def test_refine_embedding_degree_bookkeeping():
         refine_embedding(flat, [((1, 0), ONE)], clearing=(-1, 0))
     with pytest.raises(ValueError, match="not an integer"):
         refine_embedding(flat, [((1, 0), ONE)], clearing=(0.5, 0))
+
+
+def test_refinements_by_one_degree_share_their_proj():
+    gc.collect()
+    line = Grading(AbelianGroup(1), [(1,), (1,)])
+    old = proj_system_of_fans(line)
+    first = refine_embedding(line, [((1, 0), ONE), ((0, 1), ONE)])
+    built = weakref.ref(first.new_proj)
+    del first   # only the old system holds the refined one now
+    again = refine_embedding(line, [((1, 0), scalar(2)), ((0, 1), T)],
+                             clearing=(1, 0))
+    assert again.x_degree == (1,) and again.old_proj is old
+    assert again.new_proj is built()
+    other = refine_embedding(line, [((2, 0), ONE), ((0, 2), ONE)])
+    assert other.x_degree == (2,) and other.new_proj is not again.new_proj
+    keys = [line, again.new_grading, other.new_grading]
+    assert all(multiproj._PROJS.get(k) is not None for k in keys)
+    # the memo lives as long as the old system and no longer
+    del old, again, other
+    gc.collect()
+    assert not any(k in multiproj._PROJS for k in keys)
+
+
+def test_point_paths_multiply_by_no_one(monkeypatch):
+    # g~'s coefficients are one: neither the evaluation nor the refined
+    # point multiplies by them, and (num, den) is what the plain sums give
+    proj, chart = free_plane()
+    p = coordinate_point(proj.system, chart, (T, ONE + T * T))
+    terms = [((1, 0), ONE), ((0, 1), ONE), ((0, 0), ONE)]
+    ref = refine_embedding(proj.grading, terms)
+    plain = scalar(0)
+    for e, c in terms:
+        plain = plain + c * p.eval(proj.character(e))
+    refined_chart = refined_classical(ref, p).chart
+    expected = oracle_refined_values(ref, p, refined_chart)
+    ones = []
+    raw = ValuedScalar.__mul__
+
+    def counted(self, other):
+        other = ValuedScalar.of(other)
+        ones.extend(x for x in (self, other) if x == ONE)
+        return raw(self, other)
+
+    monkeypatch.setattr(ValuedScalar, "__mul__", counted)
+    monkeypatch.setattr(ValuedScalar, "__rmul__", counted)
+    value = evaluate_polynomial(proj, p, terms)
+    values = refined_classical(ref, p).values
+    assert ones == []
+    assert (value.num, value.den) == (plain.num, plain.den)
+    assert {g: (v.num, v.den) for g, v in values.items()} \
+        == {g: (v.num, v.den) for g, v in expected.items()}
 
 
 def test_new_chart_poset_restricts_to_the_old_one():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from prevtrop import exactla, monoid, smith, troppre
 from prevtrop.cone import Cone, dot, hilbert_basis
 from prevtrop.exactla import (AbelianGroup, IntMatrix, kernel_lattice,
                               rational_rank, solve_rational)
@@ -166,6 +167,99 @@ def test_live_relations_are_complete_and_checked():
                     point_from_chart_values(system, chart, values)
                 perturbed += 1
     assert perturbed > 100 and incomplete > 0
+
+
+def _check_faces_against_the_solve(system, chart, rng):
+    """Every face of the chart as the finite locus, at a seeded rational
+    functional: the coordinates are exactly the tuple of one rational solve
+    of the descended finite rows.  Returns how many faces had more finite
+    generators than coordinates."""
+    gens = hilbert_basis(chart.cone).generators
+    overdetermined = 0
+    for tau in chart.cone.faces():
+        live = tuple(g for g in gens if all(dot(g, r) == 0 for r in tau.rays))
+        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+             for _ in range(tau.ambient_rank)]
+        values = {g: dot(g, x) if g in live else INF for g in gens}
+        quot = tau.span_quotient()
+        expected = solve_rational([quot.descend_dual(g) for g in live],
+                                  [values[g] for g in live]) if live else ()
+        coords = point_from_chart_values(system, chart, values).coords
+        assert coords == expected
+        assert all(type(c) is Fraction for c in coords)
+        overdetermined += len(live) > quot.rank
+    return overdetermined
+
+
+def test_face_inverse_matches_the_general_solve_on_random_cones():
+    rng = fresh_rng(23)
+    overdetermined = 0
+    for _ in range(60):
+        n = rng.choice([2, 3])
+        sigma = Cone.from_rays([tuple(rng.randint(-4, 4) for _ in range(n))
+                                for _ in range(rng.randint(1, 4))], n)
+        if len(hilbert_basis(sigma).generators) > 12:
+            continue
+        system = SystemOfFans(n, ["1"], {("1", "1"): [sigma]})
+        overdetermined += _check_faces_against_the_solve(
+            system, system.omega().class_of(sigma, "1"), rng)
+    assert overdetermined > 40
+
+
+def test_face_inverse_matches_the_general_solve_on_chart_faces():
+    # every class of the fixture systems and of three Proj systems, at
+    # every face of its cone: most of them boundary faces
+    rng = fresh_rng(29)
+    systems = [affine_line(), affine_plane(), line_two_origins(),
+               projective_line_two_charts(), quadrant_fan_system(),
+               point_system()]
+    for group, degrees in [(1, [(1,), (2,), (5,)]), (1, [(1,), (3,), (7,)]),
+                           (2, [(1, 0), (1, 0), (0, 1), (0, 1)])]:
+        systems.append(proj_system_of_fans(
+            Grading(AbelianGroup(group), degrees)).system)
+    overdetermined = 0
+    for system in systems:
+        for chart in system.omega():
+            overdetermined += _check_faces_against_the_solve(system, chart, rng)
+    assert overdetermined > 10
+
+
+def test_repeated_queries_on_one_face_reuse_its_inverse(monkeypatch):
+    system, chart = slanted_system()
+    chart.cone._relations = None    # forget what earlier tests memoised
+    calls = {"solve_rational": 0, "_echelon": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(troppre, "_echelon",
+                        counted("_echelon", troppre._echelon))
+    for module in (exactla, smith, monoid):
+        monkeypatch.setattr(module, "solve_rational",
+                            counted("solve_rational", smith.solve_rational))
+    # generators (0, 1), (1, 0), (2, -1) with the relation (1, -2, 1)
+    dense = [{(0, 1): Fraction(k), (1, 0): Fraction(2 * k + 1, 3),
+              (2, -1): Fraction(k + 2, 3)} for k in range(4)]
+    first = point_from_chart_values(system, chart, dense[0])
+    assert calls == {"solve_rational": 0, "_echelon": 2}
+    for values in dense + dense:
+        point = point_from_chart_values(system, chart, values)
+        assert point.coords == (values[(1, 0)], values[(0, 1)])
+    assert point_from_chart_values(system, chart, dense[0]) == first
+    # only (2, -1) is finite on the ray (1, 2): one more inverse, once
+    boundary = {(0, 1): INF, (1, 0): INF, (2, -1): Fraction(5)}
+    for _ in range(3):
+        point_from_chart_values(system, chart, boundary)
+    assert calls == {"solve_rational": 0, "_echelon": 4}
+
+
+def test_face_inverse_refuses_rows_of_too_small_rank():
+    sigma = quadrant()
+    with pytest.raises(AssertionError, match="rank 1, not 2"):
+        troppre._face_inverse(sigma, ((1, 0),), sigma.faces()[0])
 
 
 def test_values_must_cover_every_generator():
