@@ -19,9 +19,9 @@ counts in the tens, so the algorithms favour clarity over asymptotics.
 Cones are shared and immutable.  Cone.from_rays, Cone.from_inequalities,
 Cone.dual, Cone.intersect and faces() return the one live Cone object for
 each (ambient rank, canonical rays), so equal cones are usually identical
-objects and their lazy caches (faces, hilbert_basis, its relations and
-span_quotient) are computed once and shared by every holder.  The lookup
-table is weak: a cone leaves it as soon as nothing else references it.
+objects and their lazy caches (faces, hilbert_basis, its relations, face
+cuts and span_quotient) are computed once and shared by every holder.  The
+lookup table is weak: a cone leaves it as soon as nothing else references it.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ class Cone:
 
     __slots__ = ("ambient_rank", "rays", "inequalities", "lineality",
                  "_dual_lineality", "_faces", "_supports", "_hilbert",
-                 "_span_quot", "_relations", "__weakref__")
+                 "_span_quot", "_relations", "_cuts", "__weakref__")
 
     def __init__(self, ambient_rank, rays, inequalities, lineality, dual_lineality):
         self.ambient_rank = ambient_rank
@@ -163,6 +163,7 @@ class Cone:
         self._hilbert = None
         self._span_quot = None
         self._relations = None
+        self._cuts = None
 
     @classmethod
     def from_rays(cls, rays, ambient_rank):

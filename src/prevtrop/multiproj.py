@@ -188,7 +188,10 @@ def relevant_subsets(grading):
 class ProjSystem:
     """The glued chart system of a grading, with its construction data;
     shared by every caller with an equal grading, so never mutate one.  Its
-    character map and refined systems are built on first use and kept."""
+    character map and refined systems are built on first use and kept, and
+    so, in _plans, are the point-free plans of tropembed's refined_classical
+    (per gtilde's exponents and chart subset) and forget_refinement (per
+    old chart subset) into and out of a refined system."""
 
     def __init__(self, grading, poset, system, chart_subsets):
         self.grading = grading
@@ -199,6 +202,7 @@ class ProjSystem:
         self.kernel = poset.kernel
         self._characters = None
         self._refined = {}
+        self._plans = {}
 
     def character(self, exponent):
         """The chart character s with q^T s = exponent, or ValueError when

@@ -267,12 +267,18 @@ class ClassicalChartPoint:
         """Value of the chart monomial with the given exponent."""
         sigma = self.chart.cone
         s = _chart_exponent(sigma, exponent)
-        if any(dot(s, r) != 0 for r in self.zero_face.rays):
-            return _ZERO
-        parts = hilbert_basis(sigma).decompose(s)
-        if not parts:
-            return _ONE
-        return reduce(mul, [self.values[g] ** m for g, m in parts.items()])
+        return _monomial_value(self, s, hilbert_basis(sigma).decompose)
+
+
+def _monomial_value(point, s, decompose):
+    """Value at a classical point of the chart monomial s; decompose(s) gives
+    its generator multiplicities, asked for only when s is not zero there."""
+    if any(dot(s, r) != 0 for r in point.zero_face.rays):
+        return _ZERO
+    parts = decompose(s)
+    if not parts:
+        return _ONE
+    return reduce(mul, [point.values[g] ** m for g, m in parts.items()])
 
 
 def classical_point(system, chart, values):
@@ -520,43 +526,65 @@ def _top_chart(proj, point):
     return subset
 
 
-def refined_classical(refinement, point):
-    """The classical point with the extra coordinate x = gtilde(point)."""
-    old = refinement.old_proj
+def _refinement_plan(refinement, subset):
+    """What refined_classical does on the chart subset that no point changes:
+    the new chart, per new generator the (character, multinomial, split) of
+    each composition of its x-exponent over gtilde's monomials, and each
+    character's decomposition over the old chart's generators."""
     new = refinement.new_proj
-    subset = _top_chart(old, point)
-    label = new.chart_label(subset)
-    chart = new.system.omega().class_of(new.poset.cone_of(subset), label)
-    n = refinement.old_grading.n
-    gens = [e for e, _ in refinement.gtilde]
+    gens = tuple(e for e, _ in refinement.gtilde)
+    plan = new._plans.get((gens, subset))
+    if plan is None:
+        old = refinement.old_proj
+        n = refinement.old_grading.n
+        chart = new.system.omega().class_of(new.poset.cone_of(subset),
+                                            new.chart_label(subset))
+        pushforward = new.kernel.basis.transpose()
+        rows = []
+        for g in hilbert_basis(chart.cone).generators:
+            e = pushforward.apply(g)
+            a, b = e[:n], e[n]
+            terms = []
+            for split in _compositions(b, len(gens)):
+                exponent = [x + sum(k[i] * m for k, m in zip(gens, split))
+                            for i, x in enumerate(a)]
+                terms.append((old.character(exponent), _multinomial(b, split),
+                              split))
+            rows.append((g, terms))
+        # the point's chart cone, as _top_chart checks
+        basis = hilbert_basis(old.poset.cone_of(subset))
+        parts = {chi: basis.decompose(chi)
+                 for _, terms in rows for chi, _, _ in terms}
+        plan = new._plans[gens, subset] = chart, rows, parts
+    return plan
+
+
+def refined_classical(refinement, point):
+    """The classical point with the extra coordinate x = gtilde(point).
+
+    Only the evaluation reads the point.  The rest is planned on the first
+    call per (gtilde's exponents, chart subset) and kept in the new system's
+    ProjSystem._plans while it lives, whatever gtilde's coefficients."""
+    subset = _top_chart(refinement.old_proj, point)
+    chart, rows, parts = _refinement_plan(refinement, subset)
     # coefficients one (num == den) are left out of the products
     coeffs = [None if c.num == c.den else c for _, c in refinement.gtilde]
-    pushforward = new.kernel.basis.transpose()
-    evals = {}  # characters recur across generators and compositions
+    evals = {chi: _monomial_value(point, chi, parts.__getitem__)
+             for chi in parts}
     values = {}
-    for g in hilbert_basis(chart.cone).generators:
-        e = pushforward.apply(g)
-        a, b = e[:n], e[n]
+    for g, terms in rows:
         pieces = []
-        for split in _compositions(b, len(gens)):
-            exponent = list(a)
-            for k, mult in zip(gens, split):
-                for i in range(n):
-                    exponent[i] += k[i] * mult
-            chi = old.character(exponent)
-            if chi not in evals:
-                evals[chi] = point.eval(chi)
+        for chi, multinomial, split in terms:
             value = evals[chi]
             if value.is_zero:
                 continue
-            multinomial = _multinomial(b, split)
             if multinomial != 1:
                 value = value * multinomial
             powers = [c ** mult for c, mult in zip(coeffs, split)
                       if mult and c is not None]
             pieces.append(reduce(mul, powers, value))
         values[g] = reduce(add, pieces) if pieces else _ZERO
-    return classical_point(new.system, chart, values)
+    return classical_point(refinement.new_proj.system, chart, values)
 
 
 def refined_trop(refinement, point):
@@ -568,7 +596,9 @@ def forget_refinement(refinement, point):
     """Project a refined tropical point back to the unrefined system.
 
     Undefined over strata that only exist thanks to the new coordinate;
-    everywhere else it recovers the direct tropicalization.
+    everywhere else it recovers the direct tropicalization.  The old chart and
+    its generators' new characters are kept per old chart subset in the new
+    system's ProjSystem._plans while it lives.
     """
     old = refinement.old_proj
     new = refinement.new_proj
@@ -578,13 +608,17 @@ def forget_refinement(refinement, point):
     if not old.poset.is_relevant(subset):
         raise ValueError("the projection is undefined over this stratum")
     base = next(f for f in old.poset.minimal if f <= subset)
-    chart = old.system.omega().class_of(old.poset.cone_of(base),
-                                        old.chart_label(base))
-    pushforward = old.kernel.basis.transpose()
-    values = {}
-    for g in hilbert_basis(chart.cone).generators:
-        values[g] = trop_eval(point, new.character(pushforward.apply(g) + (0,)))
-    return point_from_chart_values(old.system, chart, values)
+    plan = new._plans.get(base)
+    if plan is None:
+        chart = old.system.omega().class_of(old.poset.cone_of(base),
+                                            old.chart_label(base))
+        pushforward = old.kernel.basis.transpose()
+        plan = new._plans[base] = chart, [
+            (g, new.character(pushforward.apply(g) + (0,)))
+            for g in hilbert_basis(chart.cone).generators]
+    chart, characters = plan
+    return point_from_chart_values(
+        old.system, chart, {g: trop_eval(point, chi) for g, chi in characters})
 
 
 def separation_witness(proj, p, q, terms):

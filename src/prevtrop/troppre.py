@@ -15,7 +15,7 @@ from math import lcm
 
 from . import cone
 from .cone import Cone, dot
-from .exactla import (_Value, _echelon, _integer_entry, _integer_vector,
+from .exactla import (_Value, _echelon, _integer_vector,
                       _rational_entry, _with_identity)
 from .extreal import INF, _json_number, format_extended, is_finite
 from .jsondoc import DocumentError, _json_field, _json_objects
@@ -167,7 +167,9 @@ def _chart_table(system, chart, values, convert, live, what):
     """The table of converted values on the chart generators, the live ones
     (whose value passes live) in basis order, the face they cut out, and
     their relation basis; FiniteLocusNotAFace names the generators with what
-    values when they are not those vanishing on that face."""
+    values when they are not those vanishing on that face.  Each live tuple's
+    cut, the face's rays or None, stays in the chart cone's Cone._cuts while
+    the cone lives; holding no cone, it puts none on a reference cycle."""
     _own_class(system, chart, "chart")
     sigma = chart.cone
     basis = cone.hilbert_basis(sigma)
@@ -178,14 +180,20 @@ def _chart_table(system, chart, values, convert, live, what):
         raise ValueError("values must be given on exactly the %d chart "
                          "generators" % len(gens))
     alive = tuple(g for g in gens if live(table[g]))
-    # a face with cut S is the cone meet S^perp, so no other face can match
-    face = sigma.face_orthogonal_to(alive)
-    if alive != tuple(g for g in gens
-                      if all(dot(g, r) == 0 for r in face.rays)):
+    if sigma._cuts is None:
+        sigma._cuts = {}
+    if alive not in sigma._cuts:
+        # a face with cut S is the cone meet S^perp, so no other can match
+        rays = sigma.face_orthogonal_to(alive).rays
+        sigma._cuts[alive] = rays if alive == tuple(
+            g for g in gens if all(dot(g, r) == 0 for r in rays)) else None
+    rays = sigma._cuts[alive]
+    if rays is None:
         raise FiniteLocusNotAFace(
             "the generators with %s values, %r, are not those vanishing on "
             "a face of the chart cone" % (what, sorted(alive)))
-    return table, alive, face, basis.relations(alive)
+    return (table, alive, Cone._shared(rays, sigma.ambient_rank),
+            basis.relations(alive))
 
 
 def point_from_chart_values(system, chart, values):
@@ -391,17 +399,18 @@ def trop_point_to_data(point):
 
 
 def _index(value, count, what):
-    """A document index into count items: an integer, or a string of plain
-    ASCII digits as JSON object keys are; nothing is rounded, and a sign,
-    a space, an underscore or another script's digit is malformed."""
-    if isinstance(value, str) and not (value.isascii() and value.isdigit()):
-        raise DocumentError("%s index %r is not a string of decimal digits"
+    """A document index into count items: a JSON integer, or a string of
+    plain ASCII digits as JSON object keys are.  Anything else, such as true,
+    null, 1.5, 2.0 or a string with a sign, space or underscore, is
+    malformed."""
+    if isinstance(value, str):
+        if not (value.isascii() and value.isdigit()):
+            raise DocumentError("%s index %r is not a string of decimal "
+                                "digits" % (what, value))
+    elif type(value) is not int:
+        raise DocumentError("%s index %r is not a JSON integer"
                             % (what, value))
-    try:
-        k = int(value) if isinstance(value, str) else _integer_entry(value)
-    except ValueError:
-        raise ValueError("%s index %r is not an integer" % (what, value)) \
-            from None
+    k = int(value)
     if not 0 <= k < count:
         raise ValueError("no %s with index %d" % (what, k))
     return k

@@ -171,6 +171,15 @@ def run_on_doc(tmp_path, capsys, command, doc):
      "chart generator index '0_0' is not a string of decimal digits"),
     ("trop", dict(_VALUES, chart="\u0661"),
      "chart class index '\u0661' is not a string of decimal digits"),
+    # indices of another JSON type, an integral float included
+    ("trop", dict(_VALUES, chart=True),
+     "chart class index True is not a JSON integer"),
+    ("trop", dict(_VALUES, chart=None),
+     "chart class index None is not a JSON integer"),
+    ("trop", dict(_VALUES, chart=1.5),
+     "chart class index 1.5 is not a JSON integer"),
+    ("trop", dict(_VALUES, chart=2.0),
+     "chart class index 2.0 is not a JSON integer"),
 ])
 def test_wrong_json_types_exit_one(tmp_path, capsys, command, doc, message):
     code, out, err = run_on_doc(tmp_path, capsys, command, doc)
@@ -559,13 +568,3 @@ def test_fractional_ambient_rank_exits_two(tmp_path, capsys):
                              write_doc(tmp_path, "s.json", doc))
     assert code == 2 and out == ""
     assert err == "error: vector entry 2.5 is not an integer\n"
-
-
-def test_fractional_chart_index_exits_two(tmp_path, capsys):
-    system = write_doc(tmp_path, "sys.json", system_doc(affine_plane()))
-    values = write_doc(tmp_path, "vals.json",
-                       {"schema": 1, "kind": "chart_values", "chart": 1.5,
-                        "values": {"0": "3/2", "1": "inf"}})
-    code, out, err = run_cli(capsys, "trop", values, system)
-    assert code == 2 and out == ""
-    assert err == "error: chart class index 1.5 is not an integer\n"

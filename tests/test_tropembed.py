@@ -1,5 +1,6 @@
 """Valued points, Kapranov membership, and embedding refinement."""
 
+import functools
 import gc
 import itertools
 import operator
@@ -9,16 +10,18 @@ from math import factorial, gcd, prod
 
 import pytest
 
+from prevtrop import cone as cone_module
 from prevtrop import multiproj
 from prevtrop.cone import Cone, hilbert_basis
 from prevtrop.exactla import AbelianGroup, IntMatrix
 from prevtrop.extreal import INF
 from prevtrop.jsondoc import DocumentError
+from prevtrop.monoid import AffineSemigroup
 from prevtrop.multiproj import Grading, proj_system_of_fans
 from prevtrop.sysfan import SystemOfFans, morphism_from_lattice_map
 from prevtrop.troppre import (
     FiniteLocusNotAFace, chart_polynomial, compare_to_trop, induced_map,
-    trop_eval)
+    point_from_chart_values, trop_eval)
 from prevtrop.troppre import trop_point as stratum_point
 from prevtrop.tropembed import (
     NotBounded, NotHomogeneous, NotSeparating, ValuedScalar, apply_morphism,
@@ -27,6 +30,7 @@ from prevtrop.tropembed import (
     kapranov_membership, kapranov_minimizers, nonneg_trop_point,
     refine_embedding,
     refined_classical, refined_trop, restrict_to_chart, scalar,
+    _compositions, _multinomial,
     separation_witness, trop_point, valued_scalar_from_data,
     valued_scalar_to_data)
 
@@ -848,6 +852,183 @@ def test_refined_values_match_the_plain_expansion():
             boundary += p.zero_face.dim > 0
     assert degrees == {(1,), (2,), (3,)}
     assert boundary > 10
+
+
+def loop_refined_classical(refinement, point):
+    """refined_classical as one loop over the new chart's generators, with
+    no plan: each call pushes every generator forward, expands its
+    compositions and evaluates their characters afresh."""
+    old = refinement.old_proj
+    new = refinement.new_proj
+    subset = old.chart_subsets[point.chart.representative]
+    label = new.chart_label(subset)
+    chart = new.system.omega().class_of(new.poset.cone_of(subset), label)
+    n = refinement.old_grading.n
+    gens = [e for e, _ in refinement.gtilde]
+    coeffs = [None if c.num == c.den else c for _, c in refinement.gtilde]
+    pushforward = new.kernel.basis.transpose()
+    evals = {}
+    values = {}
+    for g in hilbert_basis(chart.cone).generators:
+        e = pushforward.apply(g)
+        a, b = e[:n], e[n]
+        pieces = []
+        for split in _compositions(b, len(gens)):
+            exponent = list(a)
+            for k, mult in zip(gens, split):
+                for i in range(n):
+                    exponent[i] += k[i] * mult
+            chi = old.character(exponent)
+            if chi not in evals:
+                evals[chi] = point.eval(chi)
+            value = evals[chi]
+            if value.is_zero:
+                continue
+            multinomial = _multinomial(b, split)
+            if multinomial != 1:
+                value = value * multinomial
+            powers = [c ** mult for c, mult in zip(coeffs, split)
+                      if mult and c is not None]
+            pieces.append(functools.reduce(operator.mul, powers, value))
+        values[g] = functools.reduce(operator.add, pieces) if pieces \
+            else scalar(0)
+    return classical_point(new.system, chart, values)
+
+
+def loop_forget_refinement(refinement, point):
+    """forget_refinement with no plan: the old chart and the characters of
+    its generators are found afresh."""
+    old = refinement.old_proj
+    new = refinement.new_proj
+    subset = new.chart_subsets[point.stratum.representative] \
+        - {refinement.old_grading.n + 1}
+    base = next(f for f in old.poset.minimal if f <= subset)
+    chart = old.system.omega().class_of(old.poset.cone_of(base),
+                                        old.chart_label(base))
+    pushforward = old.kernel.basis.transpose()
+    return point_from_chart_values(old.system, chart, {
+        g: trop_eval(point, new.character(pushforward.apply(g) + (0,)))
+        for g in hilbert_basis(chart.cone).generators})
+
+
+def unit_times_t_power(rng, power):
+    """A random scalar of the given valuation: t**power times a quotient of
+    polynomials with nonzero constant terms."""
+    num = [rng.choice((-3, -2, -1, 1, 2, 3))] \
+        + [rng.randint(-3, 3) for _ in range(rng.randint(0, 2))]
+    den = [rng.choice((1, 2, 3))] + [rng.randint(-3, 3)
+                                     for _ in range(rng.randint(0, 2))]
+    return ValuedScalar.from_polys(num, den) * ValuedScalar.t_power(power)
+
+
+REFINED_SPACES = [
+    # degrees, and the degree of the refining polynomial
+    ([(1,), (1,), (1,)], (2,)),
+    ([(1,), (3,), (7,)], (7,)),
+    ([(1, 0), (1, 0), (0, 1), (0, 1)], (1, 1)),
+]
+
+
+def test_refinement_plans_match_the_per_call_loop():
+    # seeded tropically equal pairs on every chart and a random zero face of
+    # P^2, P(1,3,7) and P^1 x P^1 graded by Z^2: the planned values equal
+    # the loop's in (num, den), and so do their refined and forgotten points
+    rng = fresh_rng(227)
+    pairs = 0
+    for degrees, degree in REFINED_SPACES:
+        grading = Grading(AbelianGroup(len(degree)), degrees)
+        monomials = [e for e in itertools.product(range(8),
+                                                  repeat=len(degrees))
+                     if grading.degree_of_monomial(e) == degree]
+        proj = proj_system_of_fans(grading)
+        for _ in range(3):
+            terms = [(e, random_scalar(rng)) for e in
+                     rng.sample(monomials, rng.randint(2, 3))]
+            clearing = [rng.randint(0, 1) for _ in degrees]
+            ref = refine_embedding(grading, terms, clearing)
+            for label, subset in proj.chart_subsets.items():
+                chart = proj.system.omega().class_of(
+                    proj.poset.cone_of(subset), label)
+                face = rng.choice(chart.cone.faces())
+                powers = [rng.randint(-2, 2)
+                          for _ in range(proj.ambient_rank)]
+                p, q = (coordinate_point(
+                    proj.system, chart,
+                    [unit_times_t_power(rng, k) for k in powers], face)
+                    for _ in range(2))
+                assert trop_point(p) == trop_point(q)
+                for point in (p, q):
+                    planned = refined_classical(ref, point)
+                    looped = loop_refined_classical(ref, point)
+                    assert planned.chart == looped.chart
+                    assert {g: (v.num, v.den)
+                            for g, v in planned.values.items()} \
+                        == {g: (v.num, v.den)
+                            for g, v in looped.values.items()}
+                    refined = refined_trop(ref, point)
+                    assert refined == trop_point(looped)
+                    assert forget_refinement(ref, refined) \
+                        == loop_forget_refinement(ref, refined) \
+                        == trop_point(point)
+                pairs += 1
+    assert pairs == 3 * (3 + 3 + 4)
+
+
+def test_repeated_refinements_build_no_plan(monkeypatch):
+    proj = proj_system_of_fans(Grading(AbelianGroup(1), [(1,), (3,), (7,)]))
+    subset = frozenset({3})
+    chart = proj.system.omega().class_of(proj.poset.cone_of(subset),
+                                         proj.chart_label(subset))
+    p = coordinate_point(proj.system, chart, [T, ONE + T])
+    terms = [((7, 0, 0), ONE), ((1, 2, 0), T), ((0, 0, 1), scalar(2))]
+    ref = refine_embedding(proj.grading, terms)
+    refined = refined_trop(ref, p)
+    forget_refinement(ref, refined)
+    calls = {"character": 0, "decompose": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(multiproj.ProjSystem, "character",
+                        counted("character", multiproj.ProjSystem.character))
+    monkeypatch.setattr(AffineSemigroup, "decompose",
+                        counted("decompose", AffineSemigroup.decompose))
+    # other coefficients on the same exponents share the plan
+    other = refine_embedding(proj.grading, [(e, c + T) for e, c in terms])
+    for r in (ref, other):
+        again = refined_trop(r, p)
+        assert forget_refinement(r, again) == trop_point(p)
+    assert again == refined
+    assert calls == {"character": 0, "decompose": 0}
+    # new exponents make a new plan
+    refined_trop(refine_embedding(proj.grading, terms[:2]), p)
+    assert calls["character"] and calls["decompose"]
+
+
+def test_refinement_plans_live_as_long_as_the_refined_system():
+    gc.collect()
+    gc.disable()
+    try:
+        grading = Grading(AbelianGroup(1), [(1,), (2,), (3,)])
+        before = len(cone_module._CONES)
+        ref = refine_embedding(grading, [((3, 0, 0), ONE), ((1, 1, 0), T),
+                                         ((0, 0, 1), ONE)])
+        old = ref.old_proj
+        chart = old.system.omega().class_of(
+            old.poset.cone_of(frozenset({1})), old.chart_label({1}))
+        p = coordinate_point(old.system, chart, [T, ONE + T])
+        assert forget_refinement(ref, refined_trop(ref, p)) == trop_point(p)
+        assert len(ref.new_proj._plans) == 2
+        built = weakref.ref(ref.new_proj)
+        del ref, old, chart, p
+        # reference counting alone frees the refined system with its plans
+        assert built() is None
+        assert len(cone_module._CONES) == before
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -88,9 +88,18 @@ def test_relation_violation_is_detected_and_named():
 
 def test_finite_locus_must_cut_a_face():
     system, chart = slanted_system()
-    with pytest.raises(FiniteLocusNotAFace):
-        point_from_chart_values(system, chart,
-                                {(0, 1): INF, (1, 0): 0, (2, -1): 0})
+    chart.cone._cuts = None     # forget what earlier tests memoised
+    # the failed cut is memoised and raises the same on every call
+    messages = set()
+    for _ in range(2):
+        with pytest.raises(FiniteLocusNotAFace) as err:
+            point_from_chart_values(system, chart,
+                                    {(0, 1): INF, (1, 0): 0, (2, -1): 0})
+        messages.add(str(err.value))
+    assert messages == {"the generators with finite values, [(1, 0), "
+                        "(2, -1)], are not those vanishing on a face of the "
+                        "chart cone"}
+    assert chart.cone._cuts == {((1, 0), (2, -1)): None}
     # killing the generators off one boundary ray is fine
     p = point_from_chart_values(system, chart,
                                 {(0, 1): 0, (1, 0): INF, (2, -1): INF})
@@ -226,8 +235,9 @@ def test_face_inverse_matches_the_general_solve_on_chart_faces():
 
 def test_repeated_queries_on_one_face_reuse_its_inverse(monkeypatch):
     system, chart = slanted_system()
-    chart.cone._relations = None    # forget what earlier tests memoised
-    calls = {"solve_rational": 0, "_echelon": 0}
+    # forget what earlier tests memoised
+    chart.cone._relations = chart.cone._cuts = None
+    calls = {"solve_rational": 0, "_echelon": 0, "face_orthogonal_to": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -237,6 +247,8 @@ def test_repeated_queries_on_one_face_reuse_its_inverse(monkeypatch):
 
     monkeypatch.setattr(troppre, "_echelon",
                         counted("_echelon", troppre._echelon))
+    monkeypatch.setattr(Cone, "face_orthogonal_to",
+                        counted("face_orthogonal_to", Cone.face_orthogonal_to))
     for module in (exactla, smith, monoid):
         monkeypatch.setattr(module, "solve_rational",
                             counted("solve_rational", smith.solve_rational))
@@ -244,7 +256,8 @@ def test_repeated_queries_on_one_face_reuse_its_inverse(monkeypatch):
     dense = [{(0, 1): Fraction(k), (1, 0): Fraction(2 * k + 1, 3),
               (2, -1): Fraction(k + 2, 3)} for k in range(4)]
     first = point_from_chart_values(system, chart, dense[0])
-    assert calls == {"solve_rational": 0, "_echelon": 2}
+    assert calls == {"solve_rational": 0, "_echelon": 2,
+                     "face_orthogonal_to": 1}
     for values in dense + dense:
         point = point_from_chart_values(system, chart, values)
         assert point.coords == (values[(1, 0)], values[(0, 1)])
@@ -253,7 +266,8 @@ def test_repeated_queries_on_one_face_reuse_its_inverse(monkeypatch):
     boundary = {(0, 1): INF, (1, 0): INF, (2, -1): Fraction(5)}
     for _ in range(3):
         point_from_chart_values(system, chart, boundary)
-    assert calls == {"solve_rational": 0, "_echelon": 4}
+    assert calls == {"solve_rational": 0, "_echelon": 4,
+                     "face_orthogonal_to": 2}
 
 
 def test_face_inverse_refuses_rows_of_too_small_rank():

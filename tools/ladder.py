@@ -21,11 +21,13 @@ function telling them apart, then in fresh interpreters times
 separation_witness -> refined_trop x2 -> forget_refinement x2 and counts
 the calls of solve_rational, hermite_normal_form and proj_system_of_fans,
 the chart posets built (relevant_subsets calls, one per new Proj), and the
-calls of ClassicalChartPoint.eval, ValuedScalar.__pow__ and
-ValuedScalar.__mul__ (with __rmul__); the wall is the median over
-REFINE_RUNS interpreters.  Each rung then drops that refinement and times
-the same calls on the same pair again (warm_s), counting the chart posets
-that warm call builds (warm_proj_builds).
+calls of ClassicalChartPoint.eval, ValuedScalar.__pow__,
+ValuedScalar.__mul__ (with __rmul__), ProjSystem.character and
+AffineSemigroup.decompose; the wall is the median over REFINE_RUNS
+interpreters.  Each rung then drops that refinement and times the same
+calls on the same pair again (warm_s), counting the chart posets, character
+and decompose calls that warm call makes (warm_proj_builds,
+warm_character, warm_decompose).
 With --startup the rungs are a bare `python -c pass` and one
 `python -m prevtrop.cli <command>` per subcommand on small documents (P^1,
 the affine plane and points on it), each run in fresh processes, rounds
@@ -77,7 +79,9 @@ REFINE_RUNGS = {
 }
 REFINE_RUNS = 5
 REFINE_COUNTERS = ("solve_rational", "hermite_normal_form",
-                   "proj_system_of_fans", "proj_builds", "eval", "pow", "mul")
+                   "proj_system_of_fans", "proj_builds", "eval", "pow", "mul",
+                   "character", "decompose")
+WARM_COUNTERS = ("proj_builds", "character", "decompose")
 STARTUP_ROUNDS = 15
 COUNTERS = ("intersect", "kernel_lattice", "sweeps", "simplicial_builds",
             "swept_builds")
@@ -230,7 +234,8 @@ def run_refine_rung(rung):
     from prevtrop import exactla, multiproj
     from prevtrop.exactla import (AbelianGroup, IntMatrix, invert_unimodular,
                                   solve_rational)
-    from prevtrop.multiproj import Grading, proj_system_of_fans
+    from prevtrop.monoid import AffineSemigroup
+    from prevtrop.multiproj import Grading, ProjSystem, proj_system_of_fans
     from prevtrop.tropembed import (ClassicalChartPoint, ValuedScalar,
                                     coordinate_point, forget_refinement,
                                     refined_trop, separation_witness,
@@ -273,7 +278,9 @@ def run_refine_rung(rung):
     for owner, attr, counter in ((ClassicalChartPoint, "eval", "eval"),
                                  (ValuedScalar, "__pow__", "pow"),
                                  (ValuedScalar, "__mul__", "mul"),
-                                 (ValuedScalar, "__rmul__", "mul")):
+                                 (ValuedScalar, "__rmul__", "mul"),
+                                 (ProjSystem, "character", "character"),
+                                 (AffineSemigroup, "decompose", "decompose")):
         setattr(owner, attr, _counted(counts, counter, owner.__dict__[attr]))
 
     def separate():
@@ -294,7 +301,7 @@ def run_refine_rung(rung):
     result = dict(counts, s=cold_s)
     warm_s = separate()
     return dict(result, warm_s=warm_s,
-                warm_proj_builds=counts["proj_builds"] - result["proj_builds"])
+                **{"warm_" + k: counts[k] - result[k] for k in WARM_COUNTERS})
 
 
 def startup_commands(directory):
@@ -456,9 +463,9 @@ def main():
             result.update(s=statistics.median(r["s"] for r in runs),
                           warm_s=statistics.median(r["warm_s"] for r in runs),
                           runs=len(runs))
-            print("%-18s %8.4fs  warm %8.4fs, %d Proj builds  %s" % (
+            print("%-18s %8.4fs  warm %8.4fs %s  %s" % (
                 rung, result["s"], result["warm_s"],
-                result["warm_proj_builds"],
+                {k: result["warm_" + k] for k in WARM_COUNTERS},
                 {k: result[k] for k in REFINE_COUNTERS}))
             continue
         if args.hilbert:
@@ -487,7 +494,8 @@ def main():
         "fresh interpreter per rung; median walls of separation_witness -> "
         "refined_trop x2 -> forget_refinement x2 over fresh interpreters, "
         "with call counts of one run, and of a warm repeat on the same pair "
-        "with its chart posets built (refine_rungs); median milliseconds of "
+        "with its chart posets built, character and decompose calls counted "
+        "(refine_rungs); median milliseconds of "
         "a bare interpreter and of one prevtrop.cli call per subcommand, in "
         "interleaved rounds of fresh processes, with the prevtrop modules a "
         "call loads and their source lines (startup_rungs).")
