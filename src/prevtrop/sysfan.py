@@ -10,6 +10,8 @@ with reverse inclusion on chart sets.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from prevtrop import _lazy
 from prevtrop.cone import Cone
 from prevtrop.exactla import _Value, _integer_entry
@@ -105,15 +107,12 @@ class Fan:
             if not c.is_pointed():
                 issues.append(ValidationIssue(
                     "pointed", where, "cone %r has a lineality space" % (c,)))
-        cones = self.maximal_cones()
-        for a in range(len(cones)):
-            for b in range(a + 1, len(cones)):
-                meet = cones[a].intersect(cones[b])
-                if not (cones[a].has_face(meet) and cones[b].has_face(meet)):
-                    issues.append(ValidationIssue(
-                        "fan", where,
-                        "cones %r and %r overlap without a common face"
-                        % (cones[a], cones[b])))
+        for a, b in combinations(self.maximal_cones(), 2):
+            meet = a.intersect(b)
+            if not (a.has_face(meet) and b.has_face(meet)):
+                issues.append(ValidationIssue(
+                    "fan", where,
+                    "cones %r and %r overlap without a common face" % (a, b)))
         return issues
 
 
@@ -231,6 +230,8 @@ class OmegaPoset:
     answer for diagnostics.  A cone glued between two charts must lie in
     both charts' own fans; when it does not, ValueError names the cone and
     the chart pair.
+    The order is decided on demand and never stored; the maximal classes
+    are read off the charts' fans (_maximal_classes).
     The poset keeps no reference to its system, which caches it: a back
     reference would leave every dropped system on a reference cycle.
     """
@@ -280,13 +281,6 @@ class OmegaPoset:
         for cls in self.classes:
             for m in cls.members:
                 self._by_pair[(cls.cone.rays, m)] = cls
-        # fans are face-closed, so a face of high's cone is glued along the
-        # same charts: the one class on it whose members include high's.
-        # The same fact makes the order transitive; two classes on one cone
-        # are never related, so it is antisymmetric.
-        self._leq = {(self.class_of(f, high.representative).class_id,
-                      high.class_id)
-                     for high in self.classes for f in high.cone.faces()}
 
     def __len__(self):
         return len(self.classes)
@@ -303,14 +297,19 @@ class OmegaPoset:
                            % (cone, label)) from None
 
     def leq(self, low, high):
-        """Whether low precedes high: low's cone is a face of high's cone and
-        low is glued into every chart that high is."""
-        a = low.class_id if isinstance(low, OmegaClass) else low
-        b = high.class_id if isinstance(high, OmegaClass) else high
-        return (a, b) in self._leq
+        """Whether low's cone is a face of high's and low is glued into every
+        chart that high is; an id that names no class is related to nothing."""
+        ids = [c.class_id if isinstance(c, OmegaClass) else c for c in (low, high)]
+        if not all(isinstance(k, int) and 0 <= k < len(self.classes) for k in ids):
+            return False
+        low, high = (self.classes[k] for k in ids)
+        return high.representative in low.members and high.cone.has_face(low.cone)
 
     def order_pairs(self):
-        return frozenset(self._leq)
+        """All (low, high) id pairs with low <= high, built on each call: a
+        face of high's cone lies in one class whose members include high's."""
+        return frozenset((self.class_of(f, h.representative).class_id, h.class_id)
+                         for h in self.classes for f in h.cone.faces())
 
 
 def strata(system):
@@ -391,32 +390,39 @@ def _separation(system):
     axiom gives; without it the union-find classes can join charts that are
     not glued.  Any other system runs the ordered scan over all pairs, which
     alone picks the witness: the first bad pair in class order."""
-    omega = system.omega()
-    classes = omega.classes
-    below = {a for a, b in omega.order_pairs() if a != b}
-    maximal = [c for c in classes if c.class_id not in below]
-    glued = all(c.cone in system.fan(i, k)
-                for c in classes for x, i in enumerate(c.members)
-                for k in c.members[x + 1:])
-    if glued and all(_pair_failure(system, a, b) is None
-                     for x, a in enumerate(maximal) for b in maximal[x + 1:]):
+    classes = system.omega().classes
+    glued = {(a, b): system.fan(a, b)._keys
+             for a in system.labels for b in system.labels}
+    if all(c.cone.rays in glued[i, k]
+           for c in classes for i, k in combinations(c.members, 2)) \
+            and all(_pair_failure(glued, a, b) is None
+                    for a, b in combinations(_maximal_classes(system), 2)):
         return True, None
-    for x in range(len(classes)):
-        for y in range(x + 1, len(classes)):
-            failure = _pair_failure(system, classes[x], classes[y])
-            if failure is not None:
-                return False, failure
+    for a, b in combinations(classes, 2):
+        failure = _pair_failure(glued, a, b)
+        if failure is not None:
+            return False, failure
     return True, None
 
 
-def _pair_failure(system, a, b):
+def _maximal_classes(system):
+    """The classes below no other, in class order: those whose cone is maximal
+    in every member m's fan.  A cone D of m's fan properly over it gives the
+    class of (D, m) above it, since fans are face-closed, and vice versa."""
+    tops = {a: {c.rays for c in system._matrix[a, a].maximal_cones()}
+            for a in system.labels}
+    return [c for c in system.omega().classes
+            if all(c.cone.rays in tops[m] for m in c.members)]
+
+
+def _pair_failure(glued, a, b):
     """The witness (a, b, meet, reason) when classes a and b meet badly,
-    else None."""
+    else None; glued maps each chart pair to its fan's cone keys."""
     meet = a.cone.intersect(b.cone)
     if not (a.cone.has_face(meet) and b.cone.has_face(meet)):
         return a, b, meet, "intersection is not a common face"
     i, j = a.representative, b.representative
-    if meet not in system.fan(i, j):
+    if meet.rays not in glued[i, j]:
         return (a, b, meet, "charts %s and %s are not glued along the "
                             "intersection" % (i, j))
     return None
@@ -433,10 +439,9 @@ def support_is_full(system):
     if not ok:
         raise ValueError("support test requires a separated system; %s"
                          % (witness[3],))
-    n = system.ambient_rank
-    maximal = Fan([cls.cone for cls in system.omega().classes], n).maximal_cones()
+    maximal = [cls.cone for cls in _maximal_classes(system)]
     for c in maximal:
-        if c.dim < n:
+        if c.dim < system.ambient_rank:
             return False
         for facet in c.facets():
             shared = sum(1 for d in maximal if d != c and d.has_face(facet))

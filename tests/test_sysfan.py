@@ -1,5 +1,7 @@
 """Systems of fans: axioms, chart classes, morphisms, products, separation."""
 
+from collections import Counter
+
 import pytest
 
 from prevtrop import cone as cone_module
@@ -8,8 +10,10 @@ from prevtrop.exactla import AbelianGroup, IntMatrix
 from prevtrop.multiproj import EmptyProj, Grading, proj_system_of_fans
 from prevtrop.sysfan import (
     Fan,
+    OmegaPoset,
     SysFanMorphism,
     SystemOfFans,
+    _maximal_classes,
     is_separated,
     morphism_from_lattice_map,
     product,
@@ -227,6 +231,12 @@ def test_two_origins_classes():
     assert omega.leq(zero, ray1) and omega.leq(zero, ray2)
     assert not omega.leq(ray1, ray2) and not omega.leq(ray2, ray1)
     assert not omega.leq(ray1, zero)
+    # ids name classes; an id outside range(3) names none and is never
+    # read from the end, so -3 is not zero and -2 is not ray1
+    assert omega.leq(0, 1) and omega.leq(zero, 2) and omega.leq(2, 2)
+    for low, high in [(0, 3), (3, 3), (3, 0), (-3, 1), (0, -2), (-1, -1),
+                      (zero, -2), (-3, ray1), (0, 10 ** 9), (-10 ** 9, 0)]:
+        assert not omega.leq(low, high)
 
 
 def test_projective_line_classes():
@@ -316,6 +326,74 @@ def _random_glued_system(rng):
             common = [c for c in charts[a] if c in charts[b]]
             entries[(a, b)] = rng.sample(common, rng.randint(0, len(common)))
     return SystemOfFans(2, labels, entries)
+
+
+def order_maximal_classes(omega):
+    """Reference: the classes below no other, read off order_pairs()."""
+    below = {a for a, b in omega.order_pairs() if a != b}
+    return [c for c in omega.classes if c.class_id not in below]
+
+
+def test_a_class_maximal_in_its_representative_fan_alone_is_not_maximal():
+    # chart 1 is the ray (1,0), an open subset of chart 2, the quadrant: the
+    # ray's class is maximal in chart 1's fan but lies below the quadrant
+    ray = Cone.from_rays([(1, 0)], 2)
+    quadrant = Cone.from_rays([(1, 0), (0, 1)], 2)
+    system = SystemOfFans(2, ["1", "2"], {
+        ("1", "1"): [ray], ("2", "2"): [quadrant], ("1", "2"): [ray]})
+    assert validate_system(system) == []
+    omega = system.omega()
+    assert omega.class_of(ray, "2").members == ("1", "2")
+    assert _maximal_classes(system) == [omega.class_of(quadrant, "2")]
+    assert order_maximal_classes(omega) == _maximal_classes(system)
+    assert is_separated(system) == full_scan_separation(system) == (True, None)
+    assert not support_is_full(system)
+
+
+def test_order_and_maximal_classes_are_read_off_the_fans():
+    rng = fresh_rng(23)
+    fixtures = [_random_glued_system(rng) for _ in range(300)]
+    fixtures += [_random_proj_system(rng) for _ in range(30)]
+    separated = 0
+    for system in fixtures:
+        omega = system.omega()
+        assert omega.order_pairs() == {
+            (a.class_id, b.class_id) for a in omega for b in omega
+            if omega.leq(a, b)}
+        maximal = _maximal_classes(system)
+        assert maximal == order_maximal_classes(omega)
+        if is_separated(system)[0]:
+            separated += 1
+            cones = Fan([c.cone for c in omega], system.ambient_rank)
+            assert sorted(c.cone.rays for c in maximal) == \
+                sorted(c.rays for c in cones.maximal_cones())
+    assert 50 < separated < len(fixtures) - 50
+
+
+def test_omega_separation_and_support_build_no_order(monkeypatch):
+    calls = Counter()
+
+    def counting(name, method):
+        def wrapper(self, *args):
+            # a fan call counts once per ordered pair of chart labels
+            calls[("fan", args[0], args[-1]) if name == "fan" else name] += 1
+            return method(self, *args)
+        return wrapper
+
+    for owner, name in [(OmegaPoset, "class_of"), (OmegaPoset, "order_pairs"),
+                        (SystemOfFans, "fan")]:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    system = _projective(4)
+    omega = system.omega()
+    assert calls["class_of"] == 0
+    # the poset keeps its classes and their lookup, and no order
+    assert set(vars(omega)) == {"classes", "_by_pair"}
+    calls.clear()
+    assert is_separated(system) == (True, None)
+    assert support_is_full(system)
+    assert calls["order_pairs"] == calls["class_of"] == 0
+    fans = [k for k in calls if k[0] == "fan"]
+    assert fans and all(calls[k] <= 1 for k in fans)
 
 
 def test_class_order_is_a_partial_order():
@@ -556,9 +634,7 @@ def full_scan_separation(system):
 
 def maximal_pairs_pass(system):
     """The cover test alone: every two maximal classes meet well."""
-    omega = system.omega()
-    top = [c for c in omega.classes
-           if not any(omega.leq(c, d) for d in omega.classes if d != c)]
+    top = order_maximal_classes(system.omega())
     return all(reference_pair_failure(system, a, b) is None
                for x, a in enumerate(top) for b in top[x + 1:])
 

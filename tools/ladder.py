@@ -6,6 +6,8 @@ fresh interpreter and records, per stage, the in-process wall time and five
 work counters: Cone.intersect calls, kernel_lattice calls, double description
 sweeps (_halfspace_generators calls), and new cones built (Cone._build
 calls), split into simplicial builds, which run no sweep, and swept builds.
+After the pipeline, outside its total, it times omega().order_pairs(), the
+whole class order that the omega command prints, and counts its pairs.
 With --hilbert the rungs are instead the cones on (1,0,0), (0,1,0), (1,2,N)
 for N = 5, 10, 20, 40, 80 and on e1, e2, e3, (1,2,3,m) for m = 5, 10, 20;
 each rung builds its cone in a fresh interpreter and records the wall
@@ -172,11 +174,16 @@ def run_rung(rung):
         elapsed = time.perf_counter() - start
         stages[stage] = {"s": round(elapsed, 4)}
         stages[stage].update({k: counts[k] - before[k] for k in counts})
+    start = time.perf_counter()
+    pairs = len(state["system"].omega().order_pairs())
+    order_s = round(time.perf_counter() - start, 4)
     return {"classes": len(state["system"].omega()),
             "issues": state["issues"],
             "separated": state["separated"],
             "support_is_full": state.get("support"),
             "total_s": round(sum(s["s"] for s in stages.values()), 4),
+            "order_pairs_s": order_s,
+            "order_pairs": pairs,
             "stages": stages}
 
 
@@ -479,15 +486,18 @@ def main():
                      result["value_coeffs"], result["kernel_lattice"],
                      result["kernel_lattice_repeat"]))
             continue
-        print("%-18s %8.3fs  separated %.3fs  %s" % (
-            rung, result["total_s"], result["stages"]["separated"]["s"],
-            {k: result["stages"]["separated"][k] for k in COUNTERS}))
+        print("%-18s %8.3fs  omega %.3fs  separated %.3fs  order_pairs %.3fs"
+              "  %s" % (rung, result["total_s"], result["stages"]["omega"]["s"],
+                        result["stages"]["separated"]["s"],
+                        result["order_pairs_s"],
+                        {k: result["stages"]["separated"][k] for k in COUNTERS}))
     out = Path(args.out)
     document = json.loads(out.read_text()) if out.exists() else {"runs": {}}
     document["about"] = (
         "tools/ladder.py: per-stage in-process walls (raw seconds) and work "
-        "counters of proj -> omega -> validate -> separated -> support "
-        "(rungs), walls and generator counts of hilbert_basis "
+        "counters of proj -> omega -> validate -> separated -> support, and "
+        "apart from them the wall of omega().order_pairs() with its pair "
+        "count (rungs), walls and generator counts of hilbert_basis "
         "(hilbert_rungs), and walls, value coefficient counts and "
         "kernel_lattice calls of coordinate_point + trop_point on P(1,3,7) "
         "(scalar_rungs), one "
