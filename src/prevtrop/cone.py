@@ -10,11 +10,14 @@ both lists from an incremental double description sweep over exact
 integers, with a combinatorial extremality test.  A meet of two pointed
 cones in a common face is read off a separating form instead; the other
 meets and from_inequalities sweep.  The faces of a simplicial cone are
-the cones on its ray subsets; any other cone closes its rays under the tight
-sets of its inequalities.  A face's supporting inequalities are found only
-when asked for, and memoised.  There is no floating point anywhere.
-Sizes are desk scale: ambient rank stays in single digits and generator
-counts in the tens, so the algorithms favour clarity over asymptotics.
+the simplicial cones on its ray subsets, registered with no build: their
+dimension is their ray count, and their inequalities (still the canonical
+dual generator list) come from one elimination on first read.  Any other
+cone closes its rays under the tight sets of its inequalities.  A face's
+supporting inequalities are found only when asked for, and memoised.  There
+is no floating point anywhere.  Sizes are desk scale: ambient rank stays in
+single digits and generator counts in the tens, so the algorithms favour
+clarity over asymptotics.
 
 Cones are shared and immutable.  Cone.from_rays, Cone.from_inequalities,
 Cone.dual, Cone.intersect and faces() return the one live Cone object for
@@ -143,21 +146,26 @@ class Cone:
 
     rays: canonical generator list (V-description).
     inequalities: canonical generator list of the dual (H-description); the
-      cone is exactly {x : <u, x> >= 0 for every u in inequalities}.
+      cone is exactly {x : <u, x> >= 0 for every u in inequalities}, filled
+      on first read for a lazy face (a face of a simplicial cone).
 
     Instances are shared (see the module docstring): never mutate one.
     """
 
-    __slots__ = ("ambient_rank", "rays", "inequalities", "lineality",
-                 "_dual_lineality", "_faces", "_supports", "_hilbert",
+    __slots__ = ("ambient_rank", "rays", "lineality", "dim", "_ineqs",
+                 "_dual_lin", "_faces", "_supports", "_hilbert",
                  "_span_quot", "_relations", "_cuts", "__weakref__")
 
     def __init__(self, ambient_rank, rays, inequalities, lineality, dual_lineality):
         self.ambient_rank = ambient_rank
         self.rays = rays
-        self.inequalities = inequalities
         self.lineality = lineality
-        self._dual_lineality = dual_lineality
+        self._ineqs = inequalities
+        self._dual_lin = dual_lineality
+        # the dual lineality is sigma^perp cap M, of rank n - dim sigma; a
+        # lazy face, simplicial, has none until its inequalities are read
+        self.dim = (len(rays) if dual_lineality is None
+                    else ambient_rank - dual_lineality.rank)
         self._faces = None
         self._supports = None
         self._hilbert = None
@@ -181,6 +189,31 @@ class Cone:
             cone = _intern(cls._build(gens, ambient_rank))
             _CONES[key] = cone
         return cone
+
+    def _lazy_face(self, rays):
+        """The live face of this simplicial cone on rays; a miss is not built."""
+        key = (self.ambient_rank, rays)
+        cone = _CONES.get(key)
+        if cone is None:
+            cone = _CONES[key] = Cone(*key, None, self.lineality, None)
+        return cone
+
+    @property
+    def inequalities(self):
+        if self._ineqs is None:
+            self._fill()
+        return self._ineqs
+
+    @property
+    def _dual_lineality(self):
+        if self._dual_lin is None:
+            self._fill()
+        return self._dual_lin
+
+    def _fill(self):
+        """A lazy face's inequalities and dual lineality, from one _build."""
+        built = Cone._build(self.rays, self.ambient_rank)
+        self._ineqs, self._dual_lin = built._ineqs, built._dual_lin
 
     @classmethod
     def from_inequalities(cls, normals, ambient_rank):
@@ -239,11 +272,6 @@ class Cone:
         return "Cone%r" % (list(self.rays),)
 
     # -- basic geometry ----------------------------------------------------
-
-    @property
-    def dim(self):
-        # the dual lineality is sigma^perp cap M, of rank n - dim sigma
-        return self.ambient_rank - self._dual_lineality.rank
 
     def is_pointed(self):
         return self.lineality.rank == 0
@@ -326,7 +354,7 @@ class Cone:
             # only proper faces are cached: caching the cone itself would put
             # every cone with known faces on a reference cycle
             if self.is_simplicial():
-                self._faces = tuple(Cone._shared(s, self.ambient_rank)
+                self._faces = tuple(self._lazy_face(s)
                                     for d in range(len(self.rays))
                                     for s in itertools.combinations(self.rays, d))
             else:

@@ -1,7 +1,7 @@
 """Morphisms of systems of fans, loaded on first use through prevtrop.sysfan."""
 
 from prevtrop.exactla import _Value
-from prevtrop.sysfan import OmegaClass, ValidationIssue
+from prevtrop.sysfan import OmegaClass, ValidationIssue, _names_a_class
 
 
 class SysFanMorphism(_Value):
@@ -23,7 +23,10 @@ class SysFanMorphism(_Value):
     def image_class(self, cls):
         tgt_id = self.class_map[cls.class_id if isinstance(cls, OmegaClass)
                                 else cls]
-        return self.target.omega().classes[tgt_id]
+        classes = self.target.omega().classes
+        if not _names_a_class(tgt_id, classes):
+            raise KeyError("class id %r names no target class" % (tgt_id,))
+        return classes[tgt_id]
 
 
 def validate_morphism(morphism):
@@ -37,6 +40,10 @@ def validate_morphism(morphism):
             issues.append(ValidationIssue(
                 "class-map", (cls.representative,),
                 "class %r has no image" % (cls,)))
+        elif not _names_a_class(cmap[cls.class_id], tgt.classes):
+            issues.append(ValidationIssue(
+                "class-map", (cls.representative,),
+                "class %r maps to %r, no target class" % (cls, cmap[cls.class_id])))
     if issues:
         return issues
     for cls in src.classes:

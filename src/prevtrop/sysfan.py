@@ -220,6 +220,10 @@ class OmegaClass(_Value):
         return "[%r, %s]" % (list(self.cone.rays), self.representative)
 
 
+def _names_a_class(class_id, classes):
+    return isinstance(class_id, int) and 0 <= class_id < len(classes)
+
+
 class OmegaPoset:
     """Classes of (cone, chart) pairs under the gluing relation, ordered.
 
@@ -300,7 +304,7 @@ class OmegaPoset:
         """Whether low's cone is a face of high's and low is glued into every
         chart that high is; an id that names no class is related to nothing."""
         ids = [c.class_id if isinstance(c, OmegaClass) else c for c in (low, high)]
-        if not all(isinstance(k, int) and 0 <= k < len(self.classes) for k in ids):
+        if not all(_names_a_class(k, self.classes) for k in ids):
             return False
         low, high = (self.classes[k] for k in ids)
         return high.representative in low.members and high.cone.has_face(low.cone)

@@ -12,6 +12,7 @@ involution, face closure, quotient identities).
 import gc
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -541,6 +542,136 @@ def test_dim_is_the_rank_of_the_rays_and_computes_no_rank(rng, monkeypatch):
     monkeypatch.setattr(cone_module, "_echelon", refuse)
     assert [c.dim for c in cones] == ranks
     assert len(set(ranks)) == 6
+
+
+# ---------------------------------------------------------------------------
+# lazy faces: the faces of a simplicial cone are registered unbuilt
+# ---------------------------------------------------------------------------
+
+def _fresh_simplicial_cone(rng, n, k):
+    """A simplicial cone on k random independent rays in rank n, with entries
+    large enough that it and its faces are most likely new to the table."""
+    while True:
+        gens = [tuple(rng.randint(-40, 40) for _ in range(n)) for _ in range(k)]
+        if rational_rank(gens, n) == k:
+            return Cone.from_rays(gens, n)
+
+
+def _same_classification(a, b):
+    return a[0] == b[0] and (a[1] is None) == (b[1] is None) \
+        and (a[1] is None or a[1].rays == b[1].rays)
+
+
+def test_lazy_faces_match_the_general_build(rng):
+    lazy = full = lower = 0
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        c = _fresh_simplicial_cone(rng, n, rng.randint(1, n))
+        full += len(c.rays) == n
+        lower += len(c.rays) < n
+        for f in c.faces()[:-1]:
+            if f._ineqs is not None:
+                continue
+            lazy += 1
+            general = Cone._build(f.rays, n)
+            assert general is not f
+            # read the fields a lazy face has before anything that fills it
+            assert f.dim == general.dim and f.lineality == general.lineality
+            assert f.is_pointed() and general.is_pointed()
+            assert f.is_simplicial() and general.is_simplicial()
+            assert [g.rays for g in f.faces()] == [g.rays for g in general.faces()]
+            assert f._ineqs is None
+            assert f.inequalities == general.inequalities
+            assert f._dual_lineality == general._dual_lineality
+            assert f.dual().rays == general.dual().rays
+            for g in f.faces():
+                assert f.face_support(g) == general.face_support(g)
+            for _ in range(4):
+                v = tuple(rng.choice([0, 0, rng.randint(-3, 3), Fraction(1, 2)])
+                          for _ in range(n))
+                if rng.random() < 0.5 and f.rays:
+                    v = tuple(sum(rng.randint(0, 2) * r[i] for r in f.rays)
+                              for i in range(n))
+                assert _same_classification(f.contains(v), general.contains(v))
+    assert lazy > 300 and full > 10 and lower > 10
+
+
+def test_lazy_faces_are_the_interned_cones(rng):
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        c = _fresh_simplicial_cone(rng, n, rng.randint(1, n))
+        # from_rays first, faces() second: the registered cone is kept
+        subset = tuple(r for r in c.rays if rng.random() < 0.5)
+        early = Cone.from_rays(subset, n)
+        assert early._ineqs is not None
+        assert any(f is early for f in c.faces())
+        # faces() first, from_rays and the table's other lookups second
+        for f in c.faces():
+            assert Cone.from_rays(f.rays, n) is f
+            assert Cone._shared(f.rays, n) is f
+            assert c.face_orthogonal_to(c.face_support(f)) is f
+            assert f.dual().dual() is f
+
+
+def test_dropped_lazy_faces_leave_the_intern_table(rng):
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(cone_module._CONES)
+        c = _fresh_simplicial_cone(rng, 5, 5)
+        faces = c.faces()
+        # the zero face may be held elsewhere; the cone itself is last
+        refs = [weakref.ref(f) for f in faces[1:]]
+        assert len(cone_module._CONES) > before
+        # a filled face and an unfilled one go the same way
+        faces[3].inequalities
+        assert faces[3]._ineqs is not None and faces[4]._ineqs is None
+        del c, faces
+        # reference counting alone frees every face, filled or not
+        assert all(r() is None for r in refs)
+        assert len(cone_module._CONES) == before
+    finally:
+        gc.enable()
+
+
+def _count_builds(monkeypatch):
+    calls = {"build": 0, "kernel_lattice": 0}
+    raw_build = Cone._build.__func__
+
+    def build(cls, *args):
+        calls["build"] += 1
+        return raw_build(cls, *args)
+
+    def kernel(matrix):
+        calls["kernel_lattice"] += 1
+        return kernel_lattice(matrix)
+
+    monkeypatch.setattr(Cone, "_build", classmethod(build))
+    monkeypatch.setattr(cone_module, "kernel_lattice", kernel)
+    return calls
+
+
+def test_simplicial_faces_make_no_build(monkeypatch):
+    # a circulant I + 101 P with P the cyclic shift: det 1 + 101^5, so a
+    # simplicial rank-5 cone whose nonzero proper faces, but for lower, are
+    # new to the table
+    rays = [tuple(1 if j == i else 101 if j == (i + 1) % 5 else 0
+                  for j in range(5)) for i in range(5)]
+    sigma = Cone.from_rays(rays, 5)
+    lower = Cone.from_rays(rays[:3], 5)
+    assert sigma.is_simplicial() and sigma._faces is None
+    calls = _count_builds(monkeypatch)
+    assert len(sigma.faces()) == 32 and len(lower.faces()) == 8
+    assert calls == {"build": 0, "kernel_lattice": 0}
+    system = SystemOfFans(5, ["1"], {("1", "1"): [sigma]})
+    assert len(system.fan("1", "1")) == 32
+    assert calls == {"build": 0, "kernel_lattice": 0}
+    # the first read of a lazy face's inequalities is its one build
+    face = sigma.faces()[-2]
+    assert face._ineqs is None
+    face.inequalities
+    face._dual_lineality
+    assert calls == {"build": 1, "kernel_lattice": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -496,6 +496,21 @@ def test_order_violation():
     assert any(i.kind == "order" for i in issues)
 
 
+@pytest.mark.parametrize("bad", [-2, 3, "1", 1.0, None])
+def test_class_map_ids_that_name_no_target_class(bad):
+    # -2 would read classes[1] from the end and 3 is one past the end: each
+    # is a class-map issue naming the id, reported before any other check
+    s = systems.line_two_origins()
+    assert len(s.omega().classes) == 3
+    morphism = SysFanMorphism(s, s, IntMatrix.identity(1), {0: 0, 1: bad, 2: 2})
+    issues = validate_morphism(morphism)
+    assert [i.kind for i in issues] == ["class-map"]
+    assert repr(bad) in issues[0].detail
+    with pytest.raises(KeyError, match="no target class"):
+        morphism.image_class(1)
+    assert morphism.image_class(2) is s.omega().classes[2]
+
+
 def test_morphism_helper_rejects_impossible_maps():
     src = systems.projective_line_two_charts()
     tgt = systems.affine_line()

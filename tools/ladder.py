@@ -2,10 +2,14 @@
 Hilbert bases of cones of growing multiplicity.
 
 Each Proj rung runs proj -> omega -> validate -> separated -> support in a
-fresh interpreter and records, per stage, the in-process wall time and five
+fresh interpreter and records, per stage, the in-process wall time and these
 work counters: Cone.intersect calls, kernel_lattice calls, double description
 sweeps (_halfspace_generators calls), and new cones built (Cone._build
 calls), split into simplicial builds, which run no sweep, and swept builds.
+Lazy faces, the faces of simplicial cones that faces() registers with no
+build, are counted apart: lazy_faces as they are created and lazy_fills as
+a first read of their inequalities runs the deferred build, which is
+counted there and not among the simplicial builds.
 After the pipeline, outside its total, it times omega().order_pairs(), the
 whole class order that the omega command prints, and counts its pairs.
 With --hilbert the rungs are instead the cones on (1,0,0), (0,1,0), (1,2,N)
@@ -86,7 +90,7 @@ REFINE_COUNTERS = ("solve_rational", "hermite_normal_form",
 WARM_COUNTERS = ("proj_builds", "character", "decompose")
 STARTUP_ROUNDS = 15
 COUNTERS = ("intersect", "kernel_lattice", "sweeps", "simplicial_builds",
-            "swept_builds")
+            "swept_builds", "lazy_faces", "lazy_fills")
 
 
 def _counted(counts, name, fn):
@@ -111,7 +115,8 @@ def _count_functions(counts, functions):
 
 def _install_counters(counts):
     """Wrap the counted entry points; counts[name] += 1 per call.  A
-    Cone._build call counts as simplicial when it runs no sweep."""
+    Cone._build call counts as simplicial when it runs no sweep and is not
+    a lazy fill; a Cone made with no dual lineality is a lazy face."""
     from prevtrop import cone as cone_module
     from prevtrop import exactla
 
@@ -122,10 +127,24 @@ def _install_counters(counts):
                else "simplicial_builds"] += 1
         return result
 
+    def init(self, *args):
+        raw_init(self, *args)
+        counts["lazy_faces"] += args[-1] is None
+
+    def fill(self):
+        builds = counts["simplicial_builds"]
+        raw_fill(self)
+        counts["simplicial_builds"] = builds
+        counts["lazy_fills"] += 1
+
     cone = cone_module.Cone
     cone.intersect = _counted(counts, "intersect", cone.intersect)
     raw_build = cone._build.__func__
     cone._build = classmethod(build)
+    raw_init, cone.__init__ = cone.__init__, init
+    raw_fill = getattr(cone, "_fill", None)
+    if raw_fill:    # a checkout from before lazy faces has no fill
+        cone._fill = fill
     _count_functions(counts, ((exactla.kernel_lattice, "kernel_lattice"),
                               (cone_module._halfspace_generators, "sweeps")))
 
