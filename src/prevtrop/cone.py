@@ -3,21 +3,20 @@
 A cone carries both a canonical generator list (primitive extremal rays, plus
 a plus/minus lattice basis of its lineality space when it is not pointed) and
 a canonical inequality list, which is by duality the generator list of the
-dual cone.  A cone on linearly independent generators is simplicial: its
-inequalities are the dual basis on its span, read off one elimination, and
-a plus/minus basis of the kernel of its generators.  Every other cone gets
-both lists from an incremental double description sweep over exact
-integers, with a combinatorial extremality test.  A meet of two pointed
-cones in a common face is read off a separating form instead; the other
-meets and from_inequalities sweep.  The faces of a simplicial cone are
-the simplicial cones on its ray subsets, registered with no build: their
-dimension is their ray count, and their inequalities (still the canonical
-dual generator list) come from one elimination on first read.  Any other
-cone closes its rays under the tight sets of its inequalities.  A face's
-supporting inequalities are found only when asked for, and memoised.  There
-is no floating point anywhere.  Sizes are desk scale: ambient rank stays in
-single digits and generator counts in the tens, so the algorithms favour
-clarity over asymptotics.
+dual cone.  One rule: a cone on linearly independent generators is
+simplicial, its dimension is its ray count, and however it was made it
+computes its inequalities only when they are first read, as the dual basis
+on its span from one elimination and a plus/minus basis of the kernel of its
+generators.  Every other cone gets both lists at once from an incremental
+double description sweep over exact integers, with a combinatorial
+extremality test.  A meet of two pointed cones in a common face is read off
+a separating form instead; the other meets and from_inequalities sweep.  The
+faces of a simplicial cone are the cones on its ray subsets, registered with
+no independence test; any other cone closes its rays under the tight sets
+of its inequalities.  A face's supporting inequalities are found only when
+asked for, and memoised.  There is no floating point anywhere.  Sizes are
+desk scale: ambient rank stays in single digits and generator counts in the
+tens, so the algorithms favour clarity over asymptotics.
 
 Cones are shared and immutable.  Cone.from_rays, Cone.from_inequalities,
 Cone.dual, Cone.intersect and faces() return the one live Cone object for
@@ -146,8 +145,8 @@ class Cone:
 
     rays: canonical generator list (V-description).
     inequalities: canonical generator list of the dual (H-description); the
-      cone is exactly {x : <u, x> >= 0 for every u in inequalities}, filled
-      on first read for a lazy face (a face of a simplicial cone).
+      cone is exactly {x : <u, x> >= 0 for every u in inequalities}.  A
+      simplicial cone fills it, and its dual lineality, on first read.
 
     Instances are shared (see the module docstring): never mutate one.
     """
@@ -163,7 +162,7 @@ class Cone:
         self._ineqs = inequalities
         self._dual_lin = dual_lineality
         # the dual lineality is sigma^perp cap M, of rank n - dim sigma; a
-        # lazy face, simplicial, has none until its inequalities are read
+        # simplicial cone has none until its inequalities are read
         self.dim = (len(rays) if dual_lineality is None
                     else ambient_rank - dual_lineality.rank)
         self._faces = None
@@ -211,9 +210,27 @@ class Cone:
         return self._dual_lin
 
     def _fill(self):
-        """A lazy face's inequalities and dual lineality, from one _build."""
-        built = Cone._build(self.rays, self.ambient_rank)
-        self._ineqs, self._dual_lin = built._ineqs, built._dual_lin
+        """A simplicial cone's inequalities and dual lineality, on first read.
+
+        One echelon of [R | I_k] on the rays R: each kept row is (p, [E | M])
+        with E = M R, and E vanishes on the other pivot columns, so the dual
+        basis vector u_i (<u_i, r_j> = delta_ij, zero off the pivot columns)
+        is M[i] / E[p] at each pivot p.  The dual lineality is R's kernel.
+        """
+        n, rays, k = self.ambient_rank, self.rays, len(self.rays)
+        rows = _echelon([r + (0,) * i + (1,) + (0,) * (k - i - 1)
+                         for i, r in enumerate(rays)], n)
+        dual_lin = (self.lineality if k == n
+                    else kernel_lattice(IntMatrix.from_rows(rays, cols=n)))
+        base = _echelon(dual_lin.basis_rows(), n)
+        den = math.lcm(*(row[p] for p, row in rows))
+        dual_ext = []
+        for i in range(n, n + k):
+            u = [0] * n
+            for p, row in rows:
+                u[p] = row[i] * (den // row[p])
+            dual_ext.append(_reduce_mod(base, u))
+        self._ineqs, self._dual_lin = _generator_list(dual_lin, dual_ext), dual_lin
 
     @classmethod
     def from_inequalities(cls, normals, ambient_rank):
@@ -229,35 +246,16 @@ class Cone:
 
     @classmethod
     def _build(cls, rays, ambient_rank):
-        """A new cone on integer generators, bypassing the table.
-
-        One echelon of [R | I_k] tests the canonical generators R for
-        independence; a non-simplicial cone takes two sweeps instead.  Each
-        kept row is (p, [E | M]) with E = M R, and E vanishes on the other
-        pivot columns, so the dual basis vector u_i (<u_i, r_j> = delta_ij,
-        zero off the pivot columns) is M[i] / E[p] at each pivot p.
-        """
+        """A new cone on integer generators, bypassing the table: unbuilt
+        (see _fill) on independent ones, else from two sweeps."""
         n = ambient_rank
         rays = tuple(sorted({primitive(r) for r in rays if any(r)}))
-        k = len(rays)
-        rows = _echelon([r + (0,) * i + (1,) + (0,) * (k - i - 1)
-                         for i, r in enumerate(rays)], n)
-        if len(rows) < k:
-            dual_lin, dual_ext = _halfspace_generators(rays, n)
-            ineqs = _generator_list(dual_lin, dual_ext)
-            lin, ext = _halfspace_generators(ineqs, n)
-            return cls(n, _generator_list(lin, ext), ineqs, lin, dual_lin)
-        zero = Lattice(n, IntMatrix.from_rows([], cols=n))
-        dual_lin = zero if k == n else kernel_lattice(IntMatrix.from_rows(rays, cols=n))
-        base = _echelon(dual_lin.basis_rows(), n)
-        den = math.lcm(*(row[p] for p, row in rows))
-        dual_ext = []
-        for i in range(n, n + k):
-            u = [0] * n
-            for p, row in rows:
-                u[p] = row[i] * (den // row[p])
-            dual_ext.append(_reduce_mod(base, u))
-        return cls(n, rays, _generator_list(dual_lin, dual_ext), zero, dual_lin)
+        if len(_echelon(rays, n)) == len(rays):
+            return cls(n, rays, None, Lattice(n, IntMatrix.from_rows([], cols=n)), None)
+        dual_lin, dual_ext = _halfspace_generators(rays, n)
+        ineqs = _generator_list(dual_lin, dual_ext)
+        lin, ext = _halfspace_generators(ineqs, n)
+        return cls(n, _generator_list(lin, ext), ineqs, lin, dual_lin)
 
     # -- identity ----------------------------------------------------------
 

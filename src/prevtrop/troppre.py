@@ -107,19 +107,29 @@ def nonneg_point(system, chart, face, coords):
     sigma = chart.cone
     if not sigma.has_face(face):
         raise ValueError("the infinite locus must be a face of the chart cone")
-    quot = face.span_quotient()
-    coords = _vector(coords, quot.rank, "coordinates")
-    pushed = [(r, quot.push(r)) for r in sigma.rays]
-    where, spot = Cone.from_rays([p for _, p in pushed], quot.rank).contains(coords)
-    if where == "outside":
+    coords = _vector(coords, face.span_quotient().rank, "coordinates")
+    carrier = _nonneg_carrier(sigma, face, coords)
+    if carrier is None:
         raise ValueError("coordinates lie outside the image of the chart cone")
-    # the faces of sigma containing face match the faces of its image one to
-    # one (star construction), so the carrier is the preimage of spot
-    carrier = Cone.from_rays([r for r, p in pushed
-                              if all(dot(u, p) >= 0 for u in spot.inequalities)],
-                             sigma.ambient_rank)
     chart = system.omega().class_of(carrier, chart.representative)
     return NonNegTropPoint(chart, face, coords)
+
+
+def _nonneg_carrier(sigma, face, coords):
+    """The face of sigma whose image modulo the span of face holds coords in
+    its relative interior, or None outside the image.  The image's dual is
+    sigma^v cap face^perp, generated by sigma's inequalities vanishing on
+    face, descended; the faces of sigma containing face match the image's
+    (star construction), so those tight at coords cut out the carrier."""
+    quot = face.span_quotient()
+    tight = []
+    for u in sigma.face_support(face):
+        d = dot(quot.descend_dual(u), coords)
+        if d < 0:
+            return None
+        if d == 0:
+            tight.append(u)
+    return sigma.face_orthogonal_to(tight)
 
 
 def _own_class(system, cls, what):
@@ -296,7 +306,6 @@ def nonneg_preimage(system, point):
     """
     _own_class(system, point.stratum, "stratum")
     tau = point.stratum.cone
-    quot = tau.span_quotient()
     omega = system.omega()
     for cls in omega:
         sigma = cls.cone
@@ -304,8 +313,7 @@ def nonneg_preimage(system, point):
             continue
         if omega.class_of(tau, cls.representative) != point.stratum:
             continue
-        image = Cone.from_rays([quot.push(r) for r in sigma.rays], quot.rank)
-        if image.contains(point.coords)[0] != "outside":
+        if _nonneg_carrier(sigma, tau, point.coords) is not None:
             return nonneg_point(system, cls, tau, point.coords)
     return None
 

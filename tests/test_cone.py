@@ -300,7 +300,8 @@ def test_sweep_matches_the_rank_test_oracle(rng):
 
 def test_sweeps_with_zero_lineality_compute_no_kernel(monkeypatch, rng):
     # lin spans the kernel of the normals, so an empty lin is a zero kernel:
-    # a pointed full-dimensional cone computes no kernel in either sweep
+    # a pointed full-dimensional cone computes no kernel in either sweep, and
+    # a simplicial one computes its kernel only when its inequalities are read
     calls = []
 
     def counting(matrix):
@@ -315,6 +316,7 @@ def test_sweeps_with_zero_lineality_compute_no_kernel(monkeypatch, rng):
                 for _ in range(rng.randint(1, n + 3))]
         del calls[:]
         c = Cone._build(gens, n)
+        c.inequalities
         expected = (c.lineality.rank > 0) + (c.dim < n)
         assert len(calls) == expected, (gens, n)
         solid += expected == 0
@@ -353,16 +355,22 @@ def _random_simplicial_generators(rng):
     return gens, n
 
 
+def _two_sweep_cone(rays, n):
+    """The cone on rays from the two sweeps, built outside the intern table."""
+    dual_lin, dual_ext = _halfspace_generators(rays, n)
+    ineqs = _generator_list(dual_lin, dual_ext)
+    lin, ext = _halfspace_generators(ineqs, n)
+    return Cone(n, _generator_list(lin, ext), ineqs, lin, dual_lin)
+
+
 def test_simplicial_builds_match_two_sweeps(rng):
     full = lower = raw = 0
     for _ in range(1500):
         gens, n = _random_simplicial_generators(rng)
         c = Cone._build(gens, n)
-        dual_lin, dual_ext = _halfspace_generators(gens, n)
-        ineqs = _generator_list(dual_lin, dual_ext)
-        lin, ext = _halfspace_generators(ineqs, n)
+        g = _two_sweep_cone(gens, n)
         assert (c.rays, c.inequalities, c.lineality, c._dual_lineality) \
-            == (_generator_list(lin, ext), ineqs, lin, dual_lin), (gens, n)
+            == (g.rays, g.inequalities, g.lineality, g._dual_lineality), (gens, n)
         assert c.is_simplicial()
         full += len(c.rays) == n
         lower += len(c.rays) < n
@@ -573,7 +581,7 @@ def test_lazy_faces_match_the_general_build(rng):
             if f._ineqs is not None:
                 continue
             lazy += 1
-            general = Cone._build(f.rays, n)
+            general = _two_sweep_cone(f.rays, n)
             assert general is not f
             # read the fields a lazy face has before anything that fills it
             assert f.dim == general.dim and f.lineality == general.lineality
@@ -601,9 +609,10 @@ def test_lazy_faces_are_the_interned_cones(rng):
         n = rng.randint(1, 6)
         c = _fresh_simplicial_cone(rng, n, rng.randint(1, n))
         # from_rays first, faces() second: the registered cone is kept
-        subset = tuple(r for r in c.rays if rng.random() < 0.5)
+        subset = tuple(r for r in c.rays if rng.random() < 0.5) or c.rays[:1]
         early = Cone.from_rays(subset, n)
-        assert early._ineqs is not None
+        # a rank-1 ray is most likely registered, and read, already
+        assert early._ineqs is None or n == 1
         assert any(f is early for f in c.faces())
         # faces() first, from_rays and the table's other lookups second
         for f in c.faces():
@@ -635,18 +644,24 @@ def test_dropped_lazy_faces_leave_the_intern_table(rng):
 
 
 def _count_builds(monkeypatch):
-    calls = {"build": 0, "kernel_lattice": 0}
+    calls = {"build": 0, "fill": 0, "kernel_lattice": 0}
     raw_build = Cone._build.__func__
+    raw_fill = Cone._fill
 
     def build(cls, *args):
         calls["build"] += 1
         return raw_build(cls, *args)
+
+    def fill(self):
+        calls["fill"] += 1
+        raw_fill(self)
 
     def kernel(matrix):
         calls["kernel_lattice"] += 1
         return kernel_lattice(matrix)
 
     monkeypatch.setattr(Cone, "_build", classmethod(build))
+    monkeypatch.setattr(Cone, "_fill", fill)
     monkeypatch.setattr(cone_module, "kernel_lattice", kernel)
     return calls
 
@@ -662,16 +677,40 @@ def test_simplicial_faces_make_no_build(monkeypatch):
     assert sigma.is_simplicial() and sigma._faces is None
     calls = _count_builds(monkeypatch)
     assert len(sigma.faces()) == 32 and len(lower.faces()) == 8
-    assert calls == {"build": 0, "kernel_lattice": 0}
+    assert calls == {"build": 0, "fill": 0, "kernel_lattice": 0}
     system = SystemOfFans(5, ["1"], {("1", "1"): [sigma]})
     assert len(system.fan("1", "1")) == 32
-    assert calls == {"build": 0, "kernel_lattice": 0}
-    # the first read of a lazy face's inequalities is its one build
+    assert calls == {"build": 0, "fill": 0, "kernel_lattice": 0}
+    # the first read of a lazy face's inequalities is its one fill: no build,
+    # and one kernel, its rank 4 < 5
     face = sigma.faces()[-2]
     assert face._ineqs is None
     face.inequalities
     face._dual_lineality
-    assert calls == {"build": 1, "kernel_lattice": 1}
+    assert calls == {"build": 0, "fill": 1, "kernel_lattice": 1}
+
+
+def test_simplicial_cones_are_built_on_first_read(monkeypatch, rng):
+    full = lower = 0
+    for _ in range(60):
+        # rank 1 has only two rays, so most likely registered already
+        n = rng.randint(2, 6)
+        k = rng.randint(1, n)
+        calls = _count_builds(monkeypatch)
+        c = _fresh_simplicial_cone(rng, n, k)
+        # from_rays makes one build, which reads no H-description
+        assert calls == {"build": 1, "fill": 0, "kernel_lattice": 0}
+        assert c._ineqs is None and c._dual_lin is None
+        assert c.dim == k and c.is_simplicial()
+        # the first read is one fill, with a kernel only below full rank
+        c.inequalities
+        c._dual_lineality
+        c.inequalities
+        assert calls == {"build": 1, "fill": 1, "kernel_lattice": int(k < n)}
+        full += k == n
+        lower += k < n
+        monkeypatch.undo()
+    assert full > 10 and lower > 10
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from prevtrop import cone as cone_module
 from prevtrop import multiproj
 from prevtrop.cone import Cone
 from prevtrop.exactla import AbelianGroup, rational_rank, solve_rational
@@ -248,6 +249,33 @@ def test_chart_poset_builds_cones_on_request(monkeypatch):
     for f in irrelevant:
         with pytest.raises(KeyError):
             poset.cone_of(f)
+
+
+def test_proj_system_reads_no_cone_description(monkeypatch):
+    # every cone of a Proj chart system is simplicial: building P^4 computes
+    # only the chart poset's degree kernel, and every cone stays unbuilt
+    kernels = []
+    raw_kernel = multiproj.kernel_lattice
+
+    def kernel(matrix):
+        kernels.append(matrix)
+        return raw_kernel(matrix)
+
+    def fill(self):
+        raise AssertionError("cone description read")
+
+    grading = Grading(AbelianGroup(1), [(1,)] * 5)
+    gc.collect()
+    assert grading not in multiproj._PROJS
+    for module in (multiproj, cone_module):
+        monkeypatch.setattr(module, "kernel_lattice", kernel)
+    monkeypatch.setattr(Cone, "_fill", fill)
+    system = proj_system_of_fans(grading).system
+    assert len(kernels) == 1
+    unions = {c for a, b in itertools.permutations(system.labels, 2)
+              for c in system.fan(a, b).maximal_cones()}
+    assert len(unions) == 10
+    assert all(c._ineqs is None and c.dim == 3 for c in unions)
 
 
 def test_monomial_membership():

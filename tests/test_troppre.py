@@ -445,6 +445,69 @@ def test_nonneg_point_matches_the_per_face_shadow_search():
     assert carriers > 600 and outside > 200
 
 
+def _image_cone_carrier(sigma, face, coords):
+    """The carrier by the image cone: the cone on the pushed rays of sigma
+    modulo the span of face, the smallest face of it holding coords, and
+    the rays of sigma pushed into that face; None outside the image."""
+    quot = face.span_quotient()
+    pushed = [(r, quot.push(r)) for r in sigma.rays]
+    where, spot = Cone.from_rays([p for _, p in pushed], quot.rank).contains(coords)
+    if where == "outside":
+        return None
+    return Cone.from_rays([r for r, p in pushed
+                           if all(dot(u, p) >= 0 for u in spot.inequalities)],
+                          sigma.ambient_rank)
+
+
+def test_nonneg_carrier_matches_the_image_cone():
+    rng = fresh_rng(25)
+    proper = interior = outside = non_simplicial = 0
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        sigma = Cone.from_rays([tuple(rng.randint(-3, 3) for _ in range(n))
+                                for _ in range(rng.randint(0, n + 2))], n)
+        non_simplicial += not sigma.is_simplicial()
+        for face in sigma.faces():
+            quot = face.span_quotient()
+            for _ in range(4):
+                if rng.random() < 0.3:
+                    coords = [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                              for _ in range(quot.rank)]
+                else:
+                    coords = [Fraction(0)] * quot.rank
+                    for r in rng.sample(sigma.rays, rng.randint(0, len(sigma.rays))):
+                        weight = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+                        coords = [c + weight * x for c, x in zip(coords, quot.push(r))]
+                coords = tuple(coords)
+                expected = _image_cone_carrier(sigma, face, coords)
+                assert troppre._nonneg_carrier(sigma, face, coords) is expected
+                outside += expected is None
+                interior += expected is sigma
+                proper += expected is not None and expected is not sigma
+    assert outside > 100 and interior > 300 and proper > 300
+    assert non_simplicial > 20
+
+
+def test_nonneg_points_build_no_cone_from_rays(monkeypatch):
+    def refuse(cls, *args):
+        raise AssertionError("from_rays called")
+
+    system = proj_system_of_fans(
+        Grading(AbelianGroup(1), [(1,), (1,), (1,)])).system
+    charts = [(chart, face) for chart in system.omega()
+              for face in chart.cone.faces()]
+    monkeypatch.setattr(Cone, "from_rays", classmethod(refuse))
+    for chart, face in charts:
+        coords = generic_coords(chart, face)
+        point = nonneg_point(system, chart, face, coords)
+        assert nonneg_preimage(system, compare_to_trop(system, point)) == point
+    chart = max(system.omega(), key=lambda c: c.cone.dim)
+    zero = chart.cone.faces()[0]
+    inside = generic_coords(chart, zero)
+    with pytest.raises(ValueError, match="outside the image"):
+        nonneg_point(system, chart, zero, [-x for x in inside])
+
+
 def test_rational_inputs_refuse_floats_and_bools():
     system = proj_system_of_fans(
         Grading(AbelianGroup(1), [(1,), (1,), (1,)])).system

@@ -6,10 +6,13 @@ fresh interpreter and records, per stage, the in-process wall time and these
 work counters: Cone.intersect calls, kernel_lattice calls, double description
 sweeps (_halfspace_generators calls), and new cones built (Cone._build
 calls), split into simplicial builds, which run no sweep, and swept builds.
-Lazy faces, the faces of simplicial cones that faces() registers with no
-build, are counted apart: lazy_faces as they are created and lazy_fills as
-a first read of their inequalities runs the deferred build, which is
-counted there and not among the simplicial builds.
+A simplicial cone computes its inequalities on first read, so a simplicial
+build is one independence test that leaves the cone unbuilt (on checkouts
+from before that rule, it computed them at once).  lazy_faces counts the
+faces of simplicial cones that faces() registers with no _build call, and
+lazy_fills the first reads (Cone._fill calls) of any simplicial cone's
+inequalities, built cones and faces alike (on checkouts where only faces
+fill, a fill's inner _build counts there and not as a simplicial build).
 After the pipeline, outside its total, it times omega().order_pairs(), the
 whole class order that the omega command prints, and counts its pairs.
 With --hilbert the rungs are instead the cones on (1,0,0), (0,1,0), (1,2,N)
@@ -116,13 +119,15 @@ def _count_functions(counts, functions):
 def _install_counters(counts):
     """Wrap the counted entry points; counts[name] += 1 per call.  A
     Cone._build call counts as simplicial when it runs no sweep and is not
-    a lazy fill; a Cone made with no dual lineality is a lazy face."""
+    a lazy fill; a Cone made with no dual lineality outside _build is a lazy
+    face."""
     from prevtrop import cone as cone_module
     from prevtrop import exactla
 
     def build(cls, *args):
-        sweeps = counts["sweeps"]
+        sweeps, faces = counts["sweeps"], counts["lazy_faces"]
         result = raw_build(cls, *args)
+        counts["lazy_faces"] = faces
         counts["swept_builds" if counts["sweeps"] > sweeps
                else "simplicial_builds"] += 1
         return result
