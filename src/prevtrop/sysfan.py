@@ -125,6 +125,8 @@ class SystemOfFans:
     """
 
     def __init__(self, ambient_rank, labels, entries):
+        if ambient_rank < 0:
+            raise ValueError("ambient_rank %d is negative" % ambient_rank)
         labels = tuple(str(l) for l in labels)
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate chart labels")
@@ -221,19 +223,26 @@ class OmegaClass(_Value):
 
 
 def _names_a_class(class_id, classes):
-    return isinstance(class_id, int) and 0 <= class_id < len(classes)
+    return type(class_id) is int and 0 <= class_id < len(classes)
+
+
+def _root(parent, x):
+    """The root of x in a union-find forest, halving its path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 class OmegaPoset:
     """Classes of (cone, chart) pairs under the gluing relation, ordered.
 
     (sigma, i) and (sigma, j) are identified exactly when sigma lies in the
-    fan glued between i and j; transitivity of that relation is the subfan
-    axiom, but the construction uses union-find so that a system whose
-    gluing is not transitive still produces a well-defined (if unexpected)
-    answer for diagnostics.  A cone glued between two charts must lie in
-    both charts' own fans; when it does not, ValueError names the cone and
-    the chart pair.
+    fan glued between i and j, so classes are found per cone, by a union-find
+    over the charts whose fan holds it.  Transitivity is the subfan axiom;
+    the union-find gives a gluing that is not transitive a well-defined (if
+    unexpected) answer for diagnostics.  A cone glued between two charts must
+    lie in both charts' own fans; when it does not, ValueError names the
+    cone and the chart pair.
     The order is decided on demand and never stored; the maximal classes
     are read off the charts' fans (_maximal_classes).
     The poset keeps no reference to its system, which caches it: a back
@@ -242,49 +251,32 @@ class OmegaPoset:
 
     def __init__(self, system):
         labels = system.labels
-        parent = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
+        # rays -> (cone, parent); parent maps labels to labels, in label order
+        by_cone = {}
         for a in labels:
             for cone in system.fan(a, a):
-                parent.setdefault((cone.rays, a), (cone.rays, a))
+                by_cone.setdefault(cone.rays, (cone, {}))[1][a] = a
         for i, a in enumerate(labels):
             for b in labels[i + 1:]:
                 for cone in system.fan(a, b):
+                    parent = by_cone.get(cone.rays, (None, ()))[1]
                     for c in (a, b):
-                        if (cone.rays, c) not in parent:
+                        if c not in parent:
                             raise ValueError(
                                 "cone %r is glued between charts %s and %s but "
                                 "missing from the fan of chart %s" % (cone, a, b, c))
-                    union((cone.rays, a), (cone.rays, b))
-        groups = {}
-        cone_of = {}
-        for a in labels:
-            for cone in system.fan(a, a):
-                root = find((cone.rays, a))
-                groups.setdefault(root, set()).add(a)
-                cone_of[root] = cone
-        pos = {l: i for i, l in enumerate(labels)}
-        keyed = sorted(groups.items(),
-                       key=lambda kv: (cone_of[kv[0]].rays,
-                                       min(pos[m] for m in kv[1])))
-        self.classes = tuple(
-            OmegaClass(i, cone_of[root], tuple(sorted(members, key=pos.get)))
-            for i, (root, members) in enumerate(keyed))
-        self._by_pair = {}
-        for cls in self.classes:
-            for m in cls.members:
-                self._by_pair[(cls.cone.rays, m)] = cls
+                    parent[_root(parent, a)] = _root(parent, b)
+        # a cone's groups come out in order of their first member
+        classes = []
+        for rays in sorted(by_cone):
+            cone, parent = by_cone[rays]
+            groups = {}
+            for a in parent:
+                groups.setdefault(_root(parent, a), []).append(a)
+            for members in groups.values():
+                classes.append(OmegaClass(len(classes), cone, tuple(members)))
+        self.classes = tuple(classes)
+        self._by_pair = {(c.cone.rays, m): c for c in classes for m in c.members}
 
     def __len__(self):
         return len(self.classes)
@@ -437,7 +429,8 @@ def support_is_full(system):
 
     Uses the boundary criterion for pure full-dimensional fans: full support
     is equivalent to every maximal cone having full dimension and every facet
-    of a maximal cone being shared with exactly one other maximal cone.
+    of a maximal cone being shared with exactly one other maximal cone.  A
+    system without cones covers nothing, not even the origin.
     """
     ok, witness = is_separated(system)
     if not ok:
@@ -451,7 +444,7 @@ def support_is_full(system):
             shared = sum(1 for d in maximal if d != c and d.has_face(facet))
             if shared != 1:
                 return False
-    return True
+    return bool(maximal)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +475,6 @@ def system_from_data(data):
         if not _:
             raise ValueError("fan key %r is not 'i,j'" % (key,))
         where = 'fans["%s"]' % key
-        entries[(a, b)] = [Cone.from_rays(_json_rows(rays, "%s[%d]" % (where, k)), n)
+        entries[(a, b)] = [_json_rows(rays, "%s[%d]" % (where, k))
                            for k, rays in enumerate(_json_typed(cones, list, where))]
     return SystemOfFans(n, labels, entries)

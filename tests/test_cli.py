@@ -568,3 +568,21 @@ def test_fractional_ambient_rank_exits_two(tmp_path, capsys):
                              write_doc(tmp_path, "s.json", doc))
     assert code == 2 and out == ""
     assert err == "error: vector entry 2.5 is not an integer\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "omega", "separated"])
+@pytest.mark.parametrize("cones", [[], [[]]])
+def test_negative_ambient_rank_exits_two(tmp_path, capsys, command, cones):
+    doc = {"schema": 1, "kind": "system_of_fans", "ambient_rank": -1,
+           "indices": ["1"], "fans": {"1,1": cones}}
+    code, out, err = run_cli(capsys, command, write_doc(tmp_path, "s.json", doc))
+    assert (code, out, err) == (2, "", "error: ambient_rank -1 is negative\n")
+
+
+def test_a_system_without_cones_does_not_have_full_support(tmp_path, capsys):
+    doc = {"schema": 1, "kind": "system_of_fans", "ambient_rank": 2,
+           "indices": ["1"], "fans": {"1,1": []}}
+    code, out, _ = run_cli(capsys, "separated", write_doc(tmp_path, "s.json", doc))
+    report = json.loads(out)
+    assert code == 0 and report["separated"]
+    assert report["support_is_full"] is False

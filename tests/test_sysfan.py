@@ -10,6 +10,7 @@ from prevtrop.exactla import AbelianGroup, IntMatrix
 from prevtrop.multiproj import EmptyProj, Grading, proj_system_of_fans
 from prevtrop.sysfan import (
     Fan,
+    OmegaClass,
     OmegaPoset,
     SysFanMorphism,
     SystemOfFans,
@@ -209,6 +210,12 @@ def test_label_hygiene():
         SystemOfFans(1, ["a,b"], {("a,b", "a,b"): []})
 
 
+@pytest.mark.parametrize("cones", [[], [[]]])
+def test_negative_ambient_rank_is_refused(cones):
+    with pytest.raises(ValueError, match="^ambient_rank -1 is negative$"):
+        SystemOfFans(-1, ["1"], {("1", "1"): cones})
+
+
 def test_mirrored_entry_lookup():
     s = systems.projective_line_two_charts()
     assert s.fan("2", "1") == s.fan("1", "2")
@@ -235,7 +242,8 @@ def test_two_origins_classes():
     # read from the end, so -3 is not zero and -2 is not ray1
     assert omega.leq(0, 1) and omega.leq(zero, 2) and omega.leq(2, 2)
     for low, high in [(0, 3), (3, 3), (3, 0), (-3, 1), (0, -2), (-1, -1),
-                      (zero, -2), (-3, ray1), (0, 10 ** 9), (-10 ** 9, 0)]:
+                      (zero, -2), (-3, ray1), (0, 10 ** 9), (-10 ** 9, 0),
+                      (True, 1), (0, True), (False, 1)]:
         assert not omega.leq(low, high)
 
 
@@ -307,13 +315,55 @@ def check_partial_order(omega):
         "order not transitive"
 
 
-def _random_glued_system(rng):
+def pair_keyed_omega(system):
+    """Reference: the classes and class_of table of one union-find over
+    (rays, label) pairs, the construction OmegaPoset used to run."""
+    labels = system.labels
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a in labels:
+        for cone in system.fan(a, a):
+            parent[(cone.rays, a)] = (cone.rays, a)
+    for i, a in enumerate(labels):
+        for b in labels[i + 1:]:
+            for cone in system.fan(a, b):
+                for c in (a, b):
+                    if (cone.rays, c) not in parent:
+                        raise ValueError(
+                            "cone %r is glued between charts %s and %s but "
+                            "missing from the fan of chart %s" % (cone, a, b, c))
+                parent[find((cone.rays, a))] = find((cone.rays, b))
+    groups = {}
+    cone_of = {}
+    for a in labels:
+        for cone in system.fan(a, a):
+            root = find((cone.rays, a))
+            groups.setdefault(root, set()).add(a)
+            cone_of[root] = cone
+    pos = {l: i for i, l in enumerate(labels)}
+    keyed = sorted(groups.items(), key=lambda kv: (
+        cone_of[kv[0]].rays, min(pos[m] for m in kv[1])))
+    classes = tuple(
+        OmegaClass(i, cone_of[root], tuple(sorted(members, key=pos.get)))
+        for i, (root, members) in enumerate(keyed))
+    by_pair = {(c.cone.rays, m): c for c in classes for m in c.members}
+    return classes, by_pair
+
+
+def _random_glued_system(rng, misglue=False):
     """A seeded rank-2 system, often invalid, whose omega() constructs.
 
     Chart cones come from a small ray pool, so cones of one chart may
     overlap badly and charts share cones; each pair of charts is glued
     along a random set of their common cones, so gluing need not be
-    transitive.
+    transitive.  With misglue, a pair may also be glued along a cone of
+    one chart only or of neither, which omega() refuses.
     """
     pool = [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (1, 2), (-1, 1)]
     labels = [str(k) for k in range(rng.randint(1, 4))]
@@ -323,9 +373,36 @@ def _random_glued_system(rng):
     entries = {(l, l): charts[l] for l in labels}
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
-            common = [c for c in charts[a] if c in charts[b]]
+            common = [c for c in charts[a] if misglue or c in charts[b]]
+            if misglue:
+                common += [c for c in charts[b] if c not in charts[a]]
+                common.append(Cone.from_rays([rng.choice(pool)], 2))
             entries[(a, b)] = rng.sample(common, rng.randint(0, len(common)))
     return SystemOfFans(2, labels, entries)
+
+
+def test_classes_per_cone_match_the_pair_keyed_union_find():
+    rng = fresh_rng(26)
+    fixtures = [_projective(n) for n in range(2, 9)]
+    fixtures += [_random_glued_system(rng) for _ in range(150)]
+    fixtures += [_random_glued_system(rng, misglue=True) for _ in range(150)]
+    refused = 0
+    for system in fixtures:
+        try:
+            classes, by_pair = pair_keyed_omega(system)
+        except ValueError as err:
+            refused += 1
+            with pytest.raises(ValueError) as raised:
+                OmegaPoset(system)
+            assert str(raised.value) == str(err)
+            continue
+        omega = OmegaPoset(system)
+        assert omega.classes == classes
+        assert omega._by_pair == by_pair
+        assert omega.order_pairs() == frozenset(
+            (by_pair[f.rays, h.representative].class_id, h.class_id)
+            for h in classes for f in h.cone.faces())
+    assert 50 < refused < 150
 
 
 def order_maximal_classes(omega):
@@ -496,7 +573,7 @@ def test_order_violation():
     assert any(i.kind == "order" for i in issues)
 
 
-@pytest.mark.parametrize("bad", [-2, 3, "1", 1.0, None])
+@pytest.mark.parametrize("bad", [-2, 3, "1", 1.0, None, True])
 def test_class_map_ids_that_name_no_target_class(bad):
     # -2 would read classes[1] from the end and 3 is one past the end: each
     # is a class-map issue naming the id, reported before any other check
@@ -741,6 +818,14 @@ def test_support_full():
     assert support_is_full(systems.point_system())
     assert not support_is_full(systems.affine_line())
     assert not support_is_full(systems.affine_plane())
+
+
+def test_a_system_without_cones_covers_nothing():
+    # no maximal class, so no cone's union: not even the origin is covered
+    empty = SystemOfFans(2, ["1"], {("1", "1"): []})
+    assert len(empty.omega()) == 0 and is_separated(empty) == (True, None)
+    assert not support_is_full(empty)
+    assert not support_is_full(SystemOfFans(0, [], {}))
 
 
 def test_support_requires_separated_input():
