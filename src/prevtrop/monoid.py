@@ -2,6 +2,7 @@
 relations and decompositions, loaded on first use through prevtrop.cone."""
 
 import itertools
+import math
 
 from prevtrop.cone import _halfspace_generators, dot
 from prevtrop.exactla import (IntMatrix, _Value, _integer_vector, _rational_entry,
@@ -91,7 +92,8 @@ class AffineSemigroup(_Value):
         self.cone = cone
         self.generators = generators
         self.units = units
-        self._lift_of = _lift_of    # Hilbert basis image -> lift
+        # Hilbert basis image -> (lift, heights over _img_normals)
+        self._lift_of = _lift_of
         self._proj = _proj
         self._img_normals = _img_normals
 
@@ -137,6 +139,8 @@ class AffineSemigroup(_Value):
         fit never fits later, since v - g' outside the cone puts v - g - g'
         outside for every g in it; and every nonzero point of the saturated
         monoid has some basis element that fits, so the pass never backs up.
+        The generators' heights <u, g> are read from the basis, which
+        computed them once.
         """
         target = _integer_vector(target, self.ambient_rank)
         if any(dot(target, r) < 0 for r in self.cone.rays):
@@ -145,10 +149,9 @@ class AffineSemigroup(_Value):
         heights = [dot(u, img) for u in self._img_normals]
         out = {}
         residual = list(target)
-        for g_img, lift in self._lift_of.items():
+        for lift, steps in self._lift_of.values():
             if not any(heights):
                 break
-            steps = [dot(u, g_img) for u in self._img_normals]
             mult = min(h // s for h, s in zip(heights, steps) if s > 0)
             if mult:
                 out[lift] = mult
@@ -180,19 +183,37 @@ class AffineSemigroup(_Value):
         return out
 
 
+# The most fundamental parallelepiped points hilbert_basis enumerates for one
+# cone, summed over its ray subsets: about 8s of enumeration.  The cone over
+# the cyclic rays (1, t, t^2, t^3), t = 1..7, makes 187,023.
+ENUMERATION_LIMIT = 10 ** 6
+
+
+class EnumerationLimitError(ValueError):
+    """A Hilbert basis would enumerate more than ENUMERATION_LIMIT points."""
+
+
 def hilbert_basis(cone):
     """Minimal generator set of sigma^v cap M as an AffineSemigroup.
 
-    Units (a plus/minus lattice basis of sigma^perp) are split off first.  In
-    the pointed quotient every irreducible element lies in some simplicial
-    subcone spanned by independent extremal rays (Caratheodory), and there it
-    is a ray or a lattice point of the subcone's half-open fundamental
-    parallelepiped.  Those points are enumerated from the Smith normal form
-    of each ray subset, and a degree-sorted sieve strikes the reducibles
-    (Bruns-Ichim, "Normaliz: algorithms for affine monoids and rational
-    cones", J. Algebra 324, 2010).  The basis is computed once per cone.  The
-    cone keeps only the semigroup's other fields, since a semigroup refers to
-    its cone and keeping it whole would make a reference cycle.
+    Units (a plus/minus lattice basis of sigma^perp) are split off first.  A
+    pointed quotient of rank 2 is a cone on two rays, whose Hilbert basis is
+    the lattice points on the compact edges of the hull of its nonzero
+    lattice points; a Hirzebruch-Jung continued fraction walks them, one
+    step per basis element (Oda, "Convex Bodies and Algebraic Geometry",
+    1988, 1.6).  In any other rank every irreducible element lies in some
+    simplicial subcone spanned by independent extremal rays (Caratheodory),
+    and there it is a ray or a lattice point of the subcone's half-open
+    fundamental parallelepiped.  Those points are enumerated from the Smith
+    normal form of each ray subset, and a degree-sorted sieve strikes the
+    reducibles (Bruns-Ichim, "Normaliz: algorithms for affine monoids and
+    rational cones", J. Algebra 324, 2010).  The Smith diagonals give the
+    number of points before any is made: over ENUMERATION_LIMIT, it raises
+    EnumerationLimitError.  The basis is computed once per cone, with each
+    element's heights over the image's extremal normals, which decompose
+    reads.  The cone keeps only the semigroup's other fields, since a
+    semigroup refers to its cone and keeping it whole would make a reference
+    cycle.
     """
     if cone._hilbert is None:
         cone._hilbert = _hilbert_fields(cone)
@@ -218,9 +239,73 @@ def _hilbert_fields(cone):
     # not pointed.  Only the extremal normals are kept: basis elements and
     # decomposition targets lie in its span, where they cut it out.
     img_lin, img_normals = _halfspace_generators(img_rays, k)
+    basis_img = sorted(
+        _hirzebruch_jung(*img_rays) if k == 2 and len(img_rays) == 2
+        else _sieved_basis(img_rays, k, k - img_lin.rank, img_normals))
+    lifts = basis_img if quot is None else [tuple(quot.section.apply(h))
+                                            for h in basis_img]
+    return (tuple(sorted(units + lifts)), tuple(sorted(units)),
+            {x: (lift, tuple(dot(u, x) for u in img_normals))
+             for x, lift in zip(basis_img, lifts)},
+            proj, img_normals)
+
+
+def _hirzebruch_jung(u1, u2):
+    """Hilbert basis of the lattice points of cone(u1, u2) in Z^2, for
+    primitive independent u1 and u2, from u1 to u2.
+
+    With w completing u1 to a basis of orientation s = sign det(u1, u2),
+    u2 = alpha u1 + d w where d = |det(u1, u2)|, and the next element is
+    w + ceil(alpha / d) u1, the least point of height one over u1.  Each pair
+    of consecutive elements v, v' is a basis of the same orientation; with
+    u2 = x v + y v' (x < 0 < y) the element after v' is b v' - v, where
+    b = ceil(y / |x|), until u2 itself (Cox-Little-Schenck, "Toric
+    Varieties", 10.2).
+    """
+    s = 1 if _det(u1, u2) > 0 else -1
+    p, q = _bezout(*u1)
+    w = (-s * q, s * p)
+    d, alpha = s * _det(u1, u2), s * _det(u2, w)
+    c = -(-alpha // d)
+    basis = [u1, (w[0] + c * u1[0], w[1] + c * u1[1])]
+    while basis[-1] != u2:
+        v, v1 = basis[-2], basis[-1]
+        b = -(_det(v, u2) // _det(u2, v1))
+        basis.append((b * v1[0] - v[0], b * v1[1] - v[1]))
+    return basis
+
+
+def _det(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _bezout(a, b):
+    """(x, y) with a x + b y = gcd(a, b)."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (x0, y0) if a > 0 else (-x0, -y0)
+
+
+def _sieved_basis(img_rays, k, rank, img_normals):
+    """The Hilbert basis of the pointed cone on img_rays in Z^k of the given
+    rank, cut out in its span by img_normals: the rays and the fundamental
+    parallelepiped points of every rank-subset of them, less the
+    reducibles."""
+    smiths = []
+    for subset in itertools.combinations(img_rays, rank):
+        d, p, _ = smith_normal_form(IntMatrix.from_rows(subset, cols=k))
+        smiths.append((subset, [d[i, i] for i in range(rank)], p))
+    count = sum(math.prod(diag) - 1 for _, diag, _ in smiths if diag[-1])
+    if count > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(
+            "enumerating this Hilbert basis takes %d parallelepiped "
+            "points, over the limit of %d" % (count, ENUMERATION_LIMIT))
     candidates = set(img_rays)
-    for subset in itertools.combinations(img_rays, k - img_lin.rank):
-        candidates.update(_parallelepiped_points(subset, k))
+    for subset, diag, p in smiths:
+        candidates.update(_parallelepiped_points(subset, diag, p))
     # every candidate lies in the span, so x - y is in the image cone iff the
     # extremal normals are no smaller on x than on y; their sum is the degree
     # w.x, w the sum of all normals, and a proper summand has lower degree
@@ -230,30 +315,25 @@ def _hilbert_fields(cone):
         h = heights[x]
         if not any(all(a >= b for a, b in zip(h, g)) for g in kept.values()):
             kept[x] = h
-    basis_img = sorted(kept)
-    lifts = basis_img if quot is None else [tuple(quot.section.apply(h))
-                                            for h in basis_img]
-    return (tuple(sorted(units + lifts)), tuple(sorted(units)),
-            dict(zip(basis_img, lifts)), proj, img_normals)
+    return list(kept)
 
 
-def _parallelepiped_points(rays, k):
+def _parallelepiped_points(rays, diag, p):
     """Nonzero lattice points sum t_i r_i, 0 <= t_i < 1, of independent rays.
 
     There is one per nonzero class of (Z^k cap span) / Z<rays>.  With the
-    Smith form D = P R Q of the ray matrix R, the class group is the direct
-    sum of the cyclic groups generated by (row i of P R) / d_i, whose ray
-    coefficients are P[i] / d_i; all coefficients are kept as integer
-    numerators over the top invariant factor.  Dependent rays give no points.
+    Smith form D = P R Q of the ray matrix R, diagonal diag, the class group
+    is the direct sum of the cyclic groups generated by (row i of P R) / d_i,
+    whose ray coefficients are P[i] / d_i; all coefficients are kept as
+    integer numerators over the top invariant factor.  Dependent rays give
+    no points.
     """
-    m = len(rays)
-    d, p, _ = smith_normal_form(IntMatrix.from_rows(rays, cols=k))
-    top = d[m - 1, m - 1]
+    m, k = len(rays), len(rays[0])
+    top = diag[-1]
     if top == 0:
         return []
     numerators = [(0,) * m]
-    for i in range(m):
-        order = d[i, i]
+    for i, order in enumerate(diag):
         step = [p[i, j] * (top // order) for j in range(m)]
         numerators = [tuple((a + c * s) % top for a, s in zip(num, step))
                       for num in numerators for c in range(order)]

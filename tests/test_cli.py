@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from prevtrop.cli import main
+from prevtrop.monoid import ENUMERATION_LIMIT
 from prevtrop.sysfan import system_to_data, system_from_data
 
 from systems import affine_plane, line_two_origins, projective_line_two_charts
@@ -336,6 +337,36 @@ def test_trop_and_nonneg_commands(tmp_path, capsys):
                                       "1": "1"}})
     code, _, err = run_cli(capsys, "nonneg", unbounded, system)
     assert code == 2 and "valuation" in err
+
+
+def _one_chart(tmp_path, rays, chart, count):
+    """A one-chart system on the cone over rays, and zero values on the
+    count generators of its class chart."""
+    system = write_doc(tmp_path, "sys.json",
+                       {"schema": 1, "kind": "system_of_fans",
+                        "ambient_rank": len(rays[0]), "indices": ["1"],
+                        "fans": {"1,1": [rays]}})
+    values = write_doc(tmp_path, "vals.json",
+                       {"schema": 1, "kind": "chart_values", "chart": chart,
+                        "values": {str(i): "0" for i in range(count)}})
+    return values, system
+
+
+def test_trop_on_a_chart_of_huge_multiplicity(tmp_path, capsys):
+    # the full cone's chart monoid has three generators, whatever N is
+    argv = _one_chart(tmp_path, [[1, 0], [1, 10 ** 6]], 2, 3)
+    code, out, err = run_cli(capsys, "trop", *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"schema": 1, "kind": "trop_point", "class": 0,
+                               "coords": ["0", "0"]}
+
+
+def test_hilbert_basis_over_the_enumeration_limit_exits_two(tmp_path, capsys):
+    argv = _one_chart(tmp_path, [[1, 0, 0], [0, 1, 0], [1, 2, 10 ** 7]], 3, 3)
+    code, out, err = run_cli(capsys, "trop", *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert "over the limit of %d" % ENUMERATION_LIMIT in err
 
 
 def test_kapranov_command(tmp_path, capsys):

@@ -898,6 +898,109 @@ def test_hilbert_basis_sizes_of_large_multiplicity():
     rank4 = Cone.from_rays([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
                             (1, 2, 3, 20)], 4)
     assert len(hilbert_basis(rank4).generators) == 54
+    for n in (10 ** 6, 10 ** 9):
+        basis = hilbert_basis(Cone.from_rays([(1, 0), (1, n)], 2))
+        assert basis.generators == ((0, 1), (1, 0), (n, -1))
+    # the dual of (1, 0), (N - 1, N) has N + 1 generators
+    wide = hilbert_basis(Cone.from_rays([(1, 0), (999, 1000)], 2))
+    assert len(wide.generators) == 1001
+
+
+def _enumerated_fields(cone, monkeypatch):
+    """_hilbert_fields with every rank-2 image enumerated and sieved, the
+    general path, instead of walked."""
+    def enumerated(u1, u2):
+        rays = sorted([u1, u2])
+        return monoid._sieved_basis(rays, 2, 2, _halfspace_generators(rays, 2)[1])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(monoid, "_hirzebruch_jung", enumerated)
+        return monoid._hilbert_fields(cone)
+
+
+def test_rank2_walk_matches_the_enumeration():
+    # every 2-dimensional cone is (1, 0), (a, d) with 0 <= a < d up to a
+    # lattice automorphism, or that with its rays swapped
+    for d in range(2, 201):
+        for a in range(d):
+            if math.gcd(a, d) == 1:
+                rays = [(1, 0), (a, d)]
+                want = sorted(monoid._sieved_basis(
+                    rays, 2, 2, _halfspace_generators(rays, 2)[1]))
+                for u1, u2 in (rays, rays[::-1]):
+                    walk = monoid._hirzebruch_jung(u1, u2)
+                    assert sorted(walk) == want, (u1, u2)
+                    assert walk[0] == u1 and walk[-1] == u2
+
+
+def test_rank2_images_match_the_enumeration(monkeypatch, rng):
+    # pointed 2-dimensional cones, full in Z^2 and lower dimensional in Z^3
+    # and Z^4, where the image is rank 2 after the unit split
+    count = 0
+    while count < 60:
+        n = count % 3 + 2
+        rays = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(2)]
+        if rational_rank(rays) < 2:
+            continue
+        c = Cone.from_rays(rays, n)
+        walked = monoid._hilbert_fields(c)
+        enumerated = _enumerated_fields(c, monkeypatch)
+        assert walked == enumerated, c
+        assert list(walked[2].items()) == list(enumerated[2].items())
+        assert bool(walked[1]) == (n > 2)
+        count += 1
+
+
+def test_rank2_images_enumerate_nothing(monkeypatch):
+    calls = {"points": 0, "snf": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(monoid, "_parallelepiped_points",
+                        counted("points", monoid._parallelepiped_points))
+    monkeypatch.setattr(monoid, "smith_normal_form",
+                        counted("snf", monoid.smith_normal_form))
+    for rays in ([(1, 0), (1, 10 ** 6)], [(1, 0), (999, 1000)], [(3, -7), (-2, 5)]):
+        monoid._hilbert_fields(Cone.from_rays(rays, 2))
+    assert calls == {"points": 0, "snf": 0}
+    # a lower-dimensional cone's only Smith form is its unit quotient's
+    monoid._hilbert_fields(Cone.from_rays([(1, 0, 0), (7, 200, 0)], 3))
+    assert calls == {"points": 0, "snf": 1}
+
+
+def test_enumeration_over_the_limit_raises_before_making_points(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a parallelepiped point was made")
+
+    monkeypatch.setattr(monoid, "_parallelepiped_points", refused)
+    c = Cone.from_rays([(1, 0, 0), (0, 1, 0), (1, 2, 10 ** 7)], 3)
+    with pytest.raises(monoid.EnumerationLimitError,
+                       match="limit of %d" % monoid.ENUMERATION_LIMIT):
+        hilbert_basis(c)
+    assert c._hilbert is None
+
+
+def test_decompose_computes_no_generator_heights(monkeypatch):
+    hb = hilbert_basis(Cone.from_rays([(1, 0, 0), (0, 1, 0), (1, 2, 80)], 3))
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return dot(a, b)
+
+    monkeypatch.setattr(monoid, "dot", counted)
+    target = tuple(map(sum, zip(*hb.generators)))
+    for _ in range(3):
+        del calls[:]
+        combo = hb.decompose(target)
+        # only the target is measured: against each ray and each normal
+        assert len(calls) == len(hb.cone.rays) + len(hb._img_normals)
+        assert tuple(map(sum, zip(*(tuple(m * x for x in g)
+                                    for g, m in combo.items())))) == target
 
 
 def test_hilbert_generators_are_irreducible():
@@ -1033,7 +1136,7 @@ def _searched_decomposition(monoid, target):
     out = {}
     residual = list(target)
     for g_img, mult in search(img).items():
-        lift = monoid._lift_of[g_img]
+        lift = monoid._lift_of[g_img][0]
         out[lift] = mult
         residual = [x - mult * y for x, y in zip(residual, lift)]
     return monoid._absorb_units(out, residual)

@@ -16,14 +16,18 @@ fill, a fill's inner _build counts there and not as a simplicial build).
 After the pipeline, outside its total, it times omega().order_pairs(), the
 whole class order that the omega command prints, and counts its pairs.
 With --hilbert the rungs are instead the cones on (1,0,0), (0,1,0), (1,2,N)
-for N = 5, 10, 20, 40, 80 and on e1, e2, e3, (1,2,3,m) for m = 5, 10, 20;
-each rung builds its cone in a fresh interpreter and records the wall
-of hilbert_basis and the number of generators.  With --scalars the rungs are
-valuation scales 1, 2, 4, 8: each builds P(1,3,7) in a fresh interpreter and
-records the wall of coordinate_point + trop_point over every face of its
-last chart, at torus coordinates of valuations (scale, -2 scale), the
-number of coefficients of the generator values (sum of len(num) + len(den))
-and the kernel_lattice calls made in that loop and in an untimed repeat.
+for N = 5, 10, 20, 40, 80, on e1, e2, e3, (1,2,3,m) for m = 5, 10, 20,
+and on the rank-2 cones (1,0), (1,N) for N = 10^4, 10^6, 10^9 and (1,0),
+(999,1000), whose dual monoid has 1,001 generators; each rung builds its
+cone in a fresh interpreter and records the wall of hilbert_basis and the
+number of generators.  A checkout without the continued-fraction walk for
+rank 2 skips the rank-2 rungs of multiplicity over 10^4.  With --scalars
+the rungs are valuation scales 1, 2, 4, 8: each builds P(1,3,7) in a fresh
+interpreter and records the wall of coordinate_point + trop_point over
+every face of its last chart, at torus coordinates of valuations (scale,
+-2 scale), the number of coefficients of the generator values (sum of
+len(num) + len(den)) and the kernel_lattice calls made in that loop and in
+an untimed repeat.
 With --refine the rungs are P^2, P(1,3,7) and P^1 x P^1 graded by Z^2:
 each builds its Proj, two tropically equal points on one chart and a
 function telling them apart, then in fresh interpreters times
@@ -76,7 +80,12 @@ PRODUCT = "doubled line x P1"
 HILBERT_RUNGS = dict(
     [("N=%d" % n, [(1, 0, 0), (0, 1, 0), (1, 2, n)]) for n in (5, 10, 20, 40, 80)]
     + [("m=%d" % m, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, m)])
-       for m in (5, 10, 20)])
+       for m in (5, 10, 20)]
+    + [("rank2 N=10^%d" % e, [(1, 0), (1, 10 ** e)]) for e in (4, 6, 9)]
+    + [("rank2 (999,1000)", [(1, 0), (999, 1000)])])
+# checkouts that enumerate rank-2 bases make |det| - 1 points, so they run
+# only the rank-2 rungs up to this multiplicity
+ENUMERATED_RANK2_MAX = 10 ** 4
 SCALAR_RUNGS = {"scale=%d" % k: k for k in (1, 2, 4, 8)}
 # degrees, the chart's variable subset, and two degree-zero exponents whose
 # characters form a basis of the chart's character lattice
@@ -216,6 +225,12 @@ def run_hilbert_rung(rung):
     from prevtrop.cone import Cone, hilbert_basis
 
     rays = HILBERT_RUNGS[rung]
+    if len(rays) == 2:
+        from prevtrop import monoid
+        det = abs(rays[0][0] * rays[1][1] - rays[0][1] * rays[1][0])
+        if not hasattr(monoid, "_hirzebruch_jung") \
+                and det > ENUMERATED_RANK2_MAX:
+            return {"skipped": "would enumerate %d points" % (det - 1)}
     sigma = Cone.from_rays(rays, len(rays[0]))
     start = time.perf_counter()
     basis = hilbert_basis(sigma)
@@ -500,8 +515,9 @@ def main():
                 {k: result[k] for k in REFINE_COUNTERS}))
             continue
         if args.hilbert:
-            print("%-18s %8.3fs  %d generators"
-                  % (rung, result["s"], result["generators"]))
+            print("%-18s %s" % (rung, result.get("skipped") or
+                                "%8.4fs  %d generators"
+                                % (result["s"], result["generators"])))
             continue
         if args.scalars:
             print("%-18s %8.3fs  %d faces  %d value coefficients  "
