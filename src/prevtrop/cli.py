@@ -4,8 +4,8 @@ Every input and output is a JSON document carrying "schema": 1 and a
 "kind" tag.  This module reads that envelope, dispatches on the kind and
 emits; each payload is decoded and encoded by the module that owns its type.
 Reports go to standard output with sorted keys, diagnostics to standard
-error.  Exit codes: 0 for success, 1 for malformed input, 2 for
-semantic violations.
+error.  Exit codes: 0 for success, 1 for malformed input or a closed
+standard output, 2 for semantic violations.
 
 A call builds the parser of its own subcommand only and imports the layers
 it uses after reading its first document (the README tabulates them), so an
@@ -14,6 +14,7 @@ unreadable or malformed first document is reported without the geometry.
 
 import argparse
 import json
+import os
 import sys
 
 from .jsondoc import DocumentError
@@ -274,7 +275,14 @@ def main(argv=None):
     if extra:
         args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away: point stdout at devnull so that the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DocumentError as err:
         print("error: %s" % err, file=sys.stderr)
         return 1

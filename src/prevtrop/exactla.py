@@ -294,10 +294,29 @@ def hermite_normal_form(matrix):
 def kernel_lattice(matrix):
     """Saturated integer kernel {v : matrix @ v = 0} with canonical HNF basis.
 
-    The returned basis rows always span a direct summand of Z^cols: they are
-    rows of a unimodular matrix by construction, then HNF-normalized.
+    One _echelon of the rows with their columns reversed finds the set N of
+    columns independent of every later column.  When every pivot entry is 1,
+    each column j outside N is an integer combination of the later columns
+    in N, read off the echelon; the rows e_j minus those coordinates, placed
+    at N, span the integer kernel (an integer choice of the entries outside
+    N fixes integer entries at N), have pivot 1 at j and zeros in every other
+    pivot column, so they are the kernel's unique row HNF.  Otherwise the
+    basis is read off the unimodular transform of the transpose's HNF, then
+    HNF-normalized; its rows span a direct summand of Z^cols either way.
     """
     m, n = matrix.rows, matrix.cols
+    echelon = _echelon([matrix.row(i)[::-1] for i in range(m)], n)
+    if all(r[c] == 1 for c, r in echelon):
+        coords = {n - 1 - c: r[::-1] for c, r in echelon}
+        basis = []
+        for j in range(n):
+            if j not in coords:
+                row = [0] * n
+                row[j] = 1
+                for k, r in coords.items():
+                    row[k] = -r[j]
+                basis.append(row)
+        return Lattice(n, _matrix(basis, n))
     hu = _hnf(_with_identity([matrix.column(j) for j in range(n)]), m)
     basis = [r[m:] for r in hu if not any(r[:m])]
     if basis:

@@ -575,6 +575,28 @@ def test_malformed_documents_exit_one_without_loading_the_geometry(tmp_path):
         assert name not in modules
 
 
+def test_a_closed_standard_output_exits_one_without_traceback(tmp_path, capsys):
+    # omega on P^5 writes about 200KB, more than a pipe holds, so the child
+    # is still writing when the reader closes its end
+    grading = write_doc(tmp_path, "g.json", grading_doc([(1,)] * 6))
+    code, out, _ = run_cli(capsys, "proj", grading)
+    assert code == 0
+    system = tmp_path / "p5.json"
+    system.write_text(out)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.Popen([sys.executable, "-m", "prevtrop.cli", "omega",
+                              str(system)], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.read(64)
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=120) == 1
+    assert "Traceback" not in err
+    assert len(err.splitlines()) <= 1
+
+
 def test_fractional_ray_entries_exit_two(tmp_path, capsys):
     doc = {"schema": 1, "kind": "system_of_fans", "ambient_rank": 2,
            "indices": ["1"], "fans": {"1,1": [[[1, 0.5]]]}}

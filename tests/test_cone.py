@@ -1206,6 +1206,31 @@ def test_relations_are_computed_once_per_cone(monkeypatch):
     assert first == tuple(kernel_lattice(cols).basis_rows())
 
 
+def test_relations_of_a_large_basis_run_no_hermite_elimination(monkeypatch):
+    # the dual of (1, 0), (999, 1000) has 1,001 generators in Z^2, so its
+    # relation lattice has rank 999
+    wide = Cone.from_rays([(1, 0), (999, 1000)], 2)
+    basis = hilbert_basis(wide)
+    assert wide._relations is None
+
+    def refuse(h, n):
+        raise AssertionError("_hnf called")
+
+    monkeypatch.setattr(exactla, "_hnf", refuse)
+    rows = basis.relations()
+    assert len(rows) == 999
+    for row in rows:
+        assert all(sum(c * g[j] for c, g in zip(row, basis.generators)) == 0
+                   for j in range(2))
+    # unit pivots with zeros in every other pivot column: 999 independent
+    # rows spanning a direct summand, so the saturated kernel, in its HNF
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+    assert pivots == sorted(set(pivots))
+    for row, p in zip(rows, pivots):
+        assert row[p] == 1
+        assert all(row[q] == 0 for q in pivots if q != p)
+
+
 def test_span_quotient_goes_through_the_public_lattice_quotient(monkeypatch):
     calls = []
 

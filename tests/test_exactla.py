@@ -7,6 +7,8 @@ from sympy import Matrix as SymMatrix
 from sympy import Rational
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from prevtrop import exactla
+from prevtrop.cone import Cone, hilbert_basis
 from prevtrop.exactla import (
     AbelianGroup,
     IntMatrix,
@@ -396,6 +398,40 @@ def test_normal_forms_match_the_paired_transform_oracle():
         d, p, q = smith_normal_form(a)
         assert (d.row_lists(), p.row_lists(), q.row_lists()) == oracle_paired_snf(rows, n)
         assert kernel_lattice(a).basis.row_lists() == oracle_paired_kernel(rows, n)
+
+
+def test_kernel_fast_path_matches_the_general_path(monkeypatch):
+    # the unit-pivot read-off and the HNF fallback, told apart by whether
+    # _hnf ran, each against the paired-transform oracle
+    raw = exactla._hnf
+    calls = [0]
+
+    def counted(h, n):
+        calls[0] += 1
+        return raw(h, n)
+
+    monkeypatch.setattr(exactla, "_hnf", counted)
+    rng = fresh_rng(13)
+    cases = [([], 3), ([[0, 0, 0]], 3), ([[0] * 4] * 3, 4)]
+    for trial in range(600):
+        m, n = rng.randint(0, 4), rng.randint(1, 7)
+        rows = [[rng.choice((-1, 0, 1, 2)) for _ in range(n)] for _ in range(m)]
+        if trial % 3 == 0 and m >= 2:
+            rows[-1] = [x + y for x, y in zip(rows[0], rows[-2])]
+        cases.append((rows, n))
+    while len(cases) < 800:
+        k = rng.randint(2, 3)
+        rays = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        if rational_rank(rays) == k:
+            gens = hilbert_basis(Cone.from_rays(rays, k)).generators
+            cases.append(([[g[j] for g in gens] for j in range(k)], len(gens)))
+    branches = {"fast": 0, "fallback": 0}
+    for rows, n in cases:
+        before = calls[0]
+        basis = kernel_lattice(IntMatrix.from_rows(rows, cols=n)).basis.row_lists()
+        branches["fallback" if calls[0] > before else "fast"] += 1
+        assert basis == oracle_paired_kernel(rows, n), rows
+    assert min(branches.values()) >= 100, branches
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ With --hilbert the rungs are instead the cones on (1,0,0), (0,1,0), (1,2,N)
 for N = 5, 10, 20, 40, 80, on e1, e2, e3, (1,2,3,m) for m = 5, 10, 20,
 and on the rank-2 cones (1,0), (1,N) for N = 10^4, 10^6, 10^9 and (1,0),
 (999,1000), whose dual monoid has 1,001 generators; each rung builds its
-cone in a fresh interpreter and records the wall of hilbert_basis and the
-number of generators.  A checkout without the continued-fraction walk for
-rank 2 skips the rank-2 rungs of multiplicity over 10^4.  With --scalars
+cone in a fresh interpreter and records the wall of hilbert_basis, the
+number of generators and the wall of the basis's relations()
+(relations_s).  A checkout without the continued-fraction walk for rank 2
+skips the rank-2 rungs of multiplicity over 10^4.  With --scalars
 the rungs are valuation scales 1, 2, 4, 8: each builds P(1,3,7) in a fresh
 interpreter and records the wall of coordinate_point + trop_point over
 every face of its last chart, at torus coordinates of valuations (scale,
@@ -221,7 +222,8 @@ def run_rung(rung):
 
 
 def run_hilbert_rung(rung):
-    """One Hilbert rung in this process: its wall and generator count."""
+    """One Hilbert rung in this process: its wall, generator count and the
+    wall of its relations."""
     from prevtrop.cone import Cone, hilbert_basis
 
     rays = HILBERT_RUNGS[rung]
@@ -235,7 +237,11 @@ def run_hilbert_rung(rung):
     start = time.perf_counter()
     basis = hilbert_basis(sigma)
     elapsed = time.perf_counter() - start
-    return {"s": round(elapsed, 4), "generators": len(basis.generators)}
+    start = time.perf_counter()
+    basis.relations()
+    relations_s = time.perf_counter() - start
+    return {"s": round(elapsed, 4), "generators": len(basis.generators),
+            "relations_s": round(relations_s, 4)}
 
 
 def run_scalar_rung(rung):
@@ -516,8 +522,9 @@ def main():
             continue
         if args.hilbert:
             print("%-18s %s" % (rung, result.get("skipped") or
-                                "%8.4fs  %d generators"
-                                % (result["s"], result["generators"])))
+                                "%8.4fs  %d generators  relations %8.4fs"
+                                % (result["s"], result["generators"],
+                                   result["relations_s"])))
             continue
         if args.scalars:
             print("%-18s %8.3fs  %d faces  %d value coefficients  "
@@ -537,9 +544,9 @@ def main():
         "tools/ladder.py: per-stage in-process walls (raw seconds) and work "
         "counters of proj -> omega -> validate -> separated -> support, and "
         "apart from them the wall of omega().order_pairs() with its pair "
-        "count (rungs), walls and generator counts of hilbert_basis "
-        "(hilbert_rungs), and walls, value coefficient counts and "
-        "kernel_lattice calls of coordinate_point + trop_point on P(1,3,7) "
+        "count (rungs), walls and generator counts of hilbert_basis and "
+        "walls of its relations() (hilbert_rungs), and walls, value "
+        "coefficient counts and kernel_lattice calls of coordinate_point + trop_point on P(1,3,7) "
         "(scalar_rungs), one "
         "fresh interpreter per rung; median walls of separation_witness -> "
         "refined_trop x2 -> forget_refinement x2 over fresh interpreters, "
