@@ -33,14 +33,6 @@ class Infinity:
 
     __radd__ = __add__
 
-    def __mul__(self, other):
-        # only positive-scalar rescaling is ever needed
-        if isinstance(other, (int, Fraction)) and other > 0:
-            return self
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         return other is self
 

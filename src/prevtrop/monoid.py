@@ -4,7 +4,7 @@ relations and decompositions, loaded on first use through prevtrop.cone."""
 import itertools
 import math
 
-from prevtrop.cone import _halfspace_generators, dot
+from prevtrop.cone import dot
 from prevtrop.exactla import (IntMatrix, _Value, _integer_vector, _rational_entry,
                               invert_unimodular, kernel_lattice, primitive,
                               smith_normal_form, solve_rational)
@@ -82,25 +82,22 @@ class AffineSemigroup(_Value):
     generators is the canonical minimal generating set: the Hilbert basis of
     the pointed quotient lifted back, together with a plus/minus lattice basis
     of the unit subgroup sigma^perp cap M when the cone is not full
-    dimensional.
+    dimensional.  _lift_of maps each Hilbert basis element of the pointed
+    image to its lift and its heights over the cone's rays.
     """
 
-    __slots__ = ("cone", "generators", "units", "_lift_of", "_proj",
-                 "_img_normals")
+    __slots__ = ("cone", "generators", "units", "_lift_of", "_proj")
 
-    def __init__(self, cone, generators, units, _lift_of, _proj, _img_normals):
+    def __init__(self, cone, generators, units, _lift_of, _proj):
         self.cone = cone
         self.generators = generators
         self.units = units
-        # Hilbert basis image -> (lift, heights over _img_normals)
         self._lift_of = _lift_of
         self._proj = _proj
-        self._img_normals = _img_normals
 
     def _key(self):
         # _lift_of is an unhashable dict and stays out
-        return (self.cone, self.generators, self.units, self._proj,
-                self._img_normals)
+        return self.cone, self.generators, self.units, self._proj
 
     @property
     def ambient_rank(self):
@@ -134,19 +131,20 @@ class AffineSemigroup(_Value):
         Returns a dict generator -> multiplicity.  Raises ValueError when the
         target is not in the monoid.  One pass over the Hilbert basis of the
         pointed image, in its sorted order, takes each generator g as often
-        as the image v stays in the cone, the least floor(<u, v> / <u, g>)
-        over extremal normals u with <u, g> > 0.  A generator that does not
-        fit never fits later, since v - g' outside the cone puts v - g - g'
-        outside for every g in it; and every nonzero point of the saturated
-        monoid has some basis element that fits, so the pass never backs up.
-        The generators' heights <u, g> are read from the basis, which
-        computed them once.
+        as the remainder v stays in the dual cone, the least
+        floor(<v, r> / <g, r>) over the cone's rays r with <g, r> > 0; rays
+        of the lineality pair to 0 with every point of the dual cone.  A
+        generator that does not fit never fits later, since v - g' outside
+        the cone puts v - g - g' outside for every g in it; and every
+        nonzero point of the saturated monoid has some basis element that
+        fits, so the pass never backs up.  The target's heights <v, r> are
+        also its membership test, and the generators' heights <g, r> are
+        read from the basis, which computed them once.
         """
         target = _integer_vector(target, self.ambient_rank)
-        if any(dot(target, r) < 0 for r in self.cone.rays):
+        heights = [dot(target, r) for r in self.cone.rays]
+        if any(h < 0 for h in heights):
             raise ValueError("target outside the dual cone")
-        img = self._proj.apply(target)
-        heights = [dot(u, img) for u in self._img_normals]
         out = {}
         residual = list(target)
         for lift, steps in self._lift_of.values():
@@ -209,11 +207,14 @@ def hilbert_basis(cone):
     reducibles (Bruns-Ichim, "Normaliz: algorithms for affine monoids and
     rational cones", J. Algebra 324, 2010).  The Smith diagonals give the
     number of points before any is made: over ENUMERATION_LIMIT, it raises
-    EnumerationLimitError.  The basis is computed once per cone, with each
-    element's heights over the image's extremal normals, which decompose
-    reads.  The cone keeps only the semigroup's other fields, since a
-    semigroup refers to its cone and keeping it whole would make a reference
-    cycle.
+    EnumerationLimitError.  The sieve's normals are the cone's extremal
+    rays, descended to the quotient: since (sigma^v)^v = sigma (Fulton,
+    "Introduction to Toric Varieties", 1.2) they cut the image out in its
+    span, so no double description sweep runs.  The basis is computed once
+    per cone, with each element's heights over the cone's rays, which
+    decompose reads.  The cone keeps only the semigroup's other fields,
+    since a semigroup refers to its cone and keeping it whole would make a
+    reference cycle.
     """
     if cone._hilbert is None:
         cone._hilbert = _hilbert_fields(cone)
@@ -233,21 +234,19 @@ def _hilbert_fields(cone):
     ext = [u for u in cone.inequalities if u not in pairs]
     img_rays = sorted({primitive(proj.apply(r)) for r in ext})
     if not img_rays:
-        return tuple(sorted(units)), tuple(sorted(units)), {}, proj, ()
-    # H-description of the image cone: it is always pointed (its lineality
-    # maps to zero), though it can be lower dimensional when the input cone is
-    # not pointed.  Only the extremal normals are kept: basis elements and
-    # decomposition targets lie in its span, where they cut it out.
-    img_lin, img_normals = _halfspace_generators(img_rays, k)
+        return tuple(sorted(units)), tuple(sorted(units)), {}, proj
+    # the image is pointed and of rank dim sigma - dim lineality
+    rays = set(cone.rays)
+    normals = [r if quot is None else quot.descend_dual(r)
+               for r in cone.rays if tuple(-x for x in r) not in rays]
     basis_img = sorted(
         _hirzebruch_jung(*img_rays) if k == 2 and len(img_rays) == 2
-        else _sieved_basis(img_rays, k, k - img_lin.rank, img_normals))
+        else _sieved_basis(img_rays, k, cone.dim - cone.lineality.rank, normals))
     lifts = basis_img if quot is None else [tuple(quot.section.apply(h))
                                             for h in basis_img]
     return (tuple(sorted(units + lifts)), tuple(sorted(units)),
-            {x: (lift, tuple(dot(u, x) for u in img_normals))
-             for x, lift in zip(basis_img, lifts)},
-            proj, img_normals)
+            {x: (lift, tuple(dot(lift, r) for r in cone.rays))
+             for x, lift in zip(basis_img, lifts)}, proj)
 
 
 def _hirzebruch_jung(u1, u2):

@@ -236,23 +236,23 @@ def point_from_chart_values(system, chart, values):
 
 
 def _face_inverse(sigma, live, tau):
-    """The indices into live of the first r generators whose rows, descended
-    to the quotient by the face tau of sigma, are independent (the rows span
-    tau^perp, of rank r), and the integer inverse of those rows, one
-    (divisor, row) pair per coordinate.  Kept in sigma's Cone._relations
-    under (tau.rays, live), a key no live tuple matches that holds no cone."""
+    """The indices into live of the first r independent generators (they
+    span tau^perp, of rank r, for the face tau of sigma, where descent to
+    the quotient by tau is injective), and the integer inverse of their
+    descended rows, one (divisor, row) pair per coordinate.  Kept in sigma's
+    Cone._relations under (tau.rays, live), a key no live tuple matches
+    that holds no cone."""
     key = (tau.rays, live)
     if sigma._relations is None:
         sigma._relations = {}
     if key not in sigma._relations:
         quot = tau.span_quotient()
-        rows = [quot.descend_dual(g) for g in live]
-        picked = [i for i, _ in _echelon(list(zip(*rows)), len(rows))]
+        picked = [i for i, _ in _echelon(list(zip(*live)), len(live))]
         if len(picked) != quot.rank:
             raise AssertionError("the live generators have rank %d, not %d"
                                  % (len(picked), quot.rank))
-        block = _echelon(_with_identity([rows[i] for i in picked]),
-                         quot.rank)
+        block = _echelon(_with_identity([quot.descend_dual(live[i])
+                                         for i in picked]), quot.rank)
         sigma._relations[key] = picked, [(row[c], row[quot.rank:])
                                          for c, row in block]
     return sigma._relations[key]

@@ -12,6 +12,7 @@ involution, face closure, quotient identities).
 import gc
 import itertools
 import math
+import sys
 import weakref
 from fractions import Fraction
 
@@ -997,10 +998,52 @@ def test_decompose_computes_no_generator_heights(monkeypatch):
     for _ in range(3):
         del calls[:]
         combo = hb.decompose(target)
-        # only the target is measured: against each ray and each normal
-        assert len(calls) == len(hb.cone.rays) + len(hb._img_normals)
+        # only the target is measured: against each ray
+        assert len(calls) == len(hb.cone.rays)
         assert tuple(map(sum, zip(*(tuple(m * x for x in g)
                                     for g, m in combo.items())))) == target
+
+
+def test_hilbert_bases_run_no_sweep(monkeypatch):
+    # pointed and lower dimensional, each enumerated and walked, and
+    # non-pointed, full and not: each cone is built and read before the sweep
+    # is refused, so only the Hilbert basis could run one
+    cones = [Cone.from_rays(rays, len(rays[0])) for rays in (
+        [(1, 0, 0), (0, 1, 0), (1, 2, 7)],
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)],
+        [(3, 1), (-2, 5)],
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (1, 3, 4)],
+        [(1, 0, 0), (-1, 0, 0), (0, 2, 1), (1, 1, 3), (0, 1, 3)],
+        [(1, 0, 0, 0), (0, 1, 0, 0), (1, 2, 5, 0)],
+        [(1, 0, 0), (2, 7, 0)],
+        [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (1, 2, 5, 0)])]
+    for c in cones:
+        c.inequalities
+        c._hilbert = c._relations = None
+
+    def refuse(*args):
+        raise AssertionError("swept")
+
+    raw = cone_module._halfspace_generators
+    for name, module in list(sys.modules.items()):
+        if name == "prevtrop" or name.startswith("prevtrop."):
+            for key, value in list(vars(module).items()):
+                if value is raw:
+                    monkeypatch.setattr(module, key, refuse)
+    assert cone_module._halfspace_generators is refuse
+    kinds = set()
+    for c in cones:
+        hb = hilbert_basis(c)
+        kinds.add((c.is_pointed(), c.dim == c.ambient_rank))
+        for rel in hb.relations():
+            assert not any(map(sum, zip(*(tuple(m * x for x in g) for m, g
+                                          in zip(rel, hb.generators)))))
+        target = tuple(map(sum, zip(*hb.generators)))
+        combo = hb.decompose(target)
+        assert tuple(map(sum, zip(*(tuple(m * x for x in g)
+                                    for g, m in combo.items())))) == target
+    assert kinds == {(True, True), (False, True), (True, False),
+                     (False, False)}
 
 
 def test_hilbert_generators_are_irreducible():

@@ -21,7 +21,7 @@ from prevtrop.multiproj import Grading, proj_system_of_fans
 from prevtrop.sysfan import SystemOfFans, morphism_from_lattice_map
 from prevtrop.troppre import (
     FiniteLocusNotAFace, chart_polynomial, compare_to_trop, induced_map,
-    point_from_chart_values, trop_eval)
+    point_from_chart_values, skeleton_seminorm, trop_eval)
 from prevtrop.troppre import trop_point as stratum_point
 from prevtrop.tropembed import (
     NotBounded, NotHomogeneous, NotSeparating, ValuedScalar, apply_morphism,
@@ -500,6 +500,23 @@ def test_frozen_line_membership():
     assert kapranov_membership(poly, tie)
     assert kapranov_minimizers(poly, stratum_point(system, dense, (1, 2))) \
         == [((0, 0), 0)]
+
+
+def test_terms_with_infinite_coefficients_are_dropped():
+    system = affine_plane()
+    chart = plane_chart(system)
+    dense = system.omega().class_of(Cone.from_rays([], 2), "1")
+    point = stratum_point(system, dense, (1, 2))
+    # a term whose coefficient has valuation INF is the zero term
+    dead = chart_polynomial(system, chart, [((0, 0), INF)])
+    assert kapranov_minimizers(dead, point) == []
+    assert kapranov_membership(dead, point)
+    assert skeleton_seminorm(point, dead) is INF
+    mixed = chart_polynomial(system, chart,
+                             [((0, 0), INF), ((0, 1), INF), ((1, 0), 0)])
+    assert kapranov_minimizers(mixed, point) == [((1, 0), 1)]
+    assert not kapranov_membership(mixed, point)
+    assert skeleton_seminorm(point, mixed) == 1
 
 
 def test_line_membership_region():

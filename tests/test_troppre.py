@@ -270,6 +270,29 @@ def test_repeated_queries_on_one_face_reuse_its_inverse(monkeypatch):
                      "face_orthogonal_to": 2}
 
 
+def test_face_inverse_descends_only_the_picked_generators(monkeypatch):
+    # the dual monoid is generated by (1, 0), (1, 1), ..., (1, 10)
+    sigma = Cone.from_rays([(0, 1), (10, -1)], 2)
+    system = SystemOfFans(2, ["1"], {("1", "1"): [sigma]})
+    chart = system.omega().class_of(sigma, "1")
+    gens = hilbert_basis(sigma).generators
+    assert len(gens) == 11
+    # forget what earlier tests memoised, so the query is a cache miss
+    sigma._relations = sigma._cuts = None
+    calls = []
+    descend = monoid.LatticeQuotient.descend_dual
+
+    def counted(quot, covector):
+        calls.append(covector)
+        return descend(quot, covector)
+
+    monkeypatch.setattr(monoid.LatticeQuotient, "descend_dual", counted)
+    point = point_from_chart_values(
+        system, chart, {g: Fraction(3 * g[0] - 2 * g[1], 5) for g in gens})
+    assert point.coords == (Fraction(3, 5), Fraction(-2, 5))
+    assert len(calls) <= 2
+
+
 def test_face_inverse_refuses_rows_of_too_small_rank():
     sigma = quadrant()
     with pytest.raises(AssertionError, match="rank 1, not 2"):

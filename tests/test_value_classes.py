@@ -60,7 +60,7 @@ def test_equal_fields_compare_and_hash_equal(cls):
 def test_affine_semigroup_ignores_its_lift_table():
     monoid = hilbert_basis(Cone.from_rays([(1, 0), (1, 2)], 2))
     fields = (monoid.cone, monoid.generators, monoid.units, monoid._lift_of,
-              monoid._proj, monoid._img_normals)
+              monoid._proj)
     copy = AffineSemigroup(*fields)
     unlifted = AffineSemigroup(*fields[:3], {}, *fields[4:])
     assert monoid == copy == unlifted

@@ -4,15 +4,14 @@ Hilbert bases of cones of growing multiplicity.
 Each Proj rung runs proj -> omega -> validate -> separated -> support in a
 fresh interpreter and records, per stage, the in-process wall time and these
 work counters: Cone.intersect calls, kernel_lattice calls, double description
-sweeps (_halfspace_generators calls), and new cones built (Cone._build
-calls), split into simplicial builds, which run no sweep, and swept builds.
-A simplicial cone computes its inequalities on first read, so a simplicial
-build is one independence test that leaves the cone unbuilt (on checkouts
-from before that rule, it computed them at once).  lazy_faces counts the
+sweeps (_halfspace_generators calls, all of them made by cone, since Hilbert
+bases run none), and new cones built (Cone._build calls), split into
+simplicial builds, which run no sweep, and swept builds.  A simplicial cone
+computes its inequalities on first read, so a simplicial build is one
+independence test that leaves the cone unbuilt.  lazy_faces counts the
 faces of simplicial cones that faces() registers with no _build call, and
 lazy_fills the first reads (Cone._fill calls) of any simplicial cone's
-inequalities, built cones and faces alike (on checkouts where only faces
-fill, a fill's inner _build counts there and not as a simplicial build).
+inequalities, built cones and faces alike.
 After the pipeline, outside its total, it times omega().order_pairs(), the
 whole class order that the omega command prints, and counts its pairs.
 With --hilbert the rungs are instead the cones on (1,0,0), (0,1,0), (1,2,N)
@@ -21,14 +20,12 @@ and on the rank-2 cones (1,0), (1,N) for N = 10^4, 10^6, 10^9 and (1,0),
 (999,1000), whose dual monoid has 1,001 generators; each rung builds its
 cone in a fresh interpreter and records the wall of hilbert_basis, the
 number of generators and the wall of the basis's relations()
-(relations_s).  A checkout without the continued-fraction walk for rank 2
-skips the rank-2 rungs of multiplicity over 10^4.  With --scalars
-the rungs are valuation scales 1, 2, 4, 8: each builds P(1,3,7) in a fresh
-interpreter and records the wall of coordinate_point + trop_point over
-every face of its last chart, at torus coordinates of valuations (scale,
--2 scale), the number of coefficients of the generator values (sum of
-len(num) + len(den)) and the kernel_lattice calls made in that loop and in
-an untimed repeat.
+(relations_s).  With --scalars the rungs are valuation scales 1, 2, 4, 8:
+each builds P(1,3,7) in a fresh interpreter and records the wall of
+coordinate_point + trop_point over every face of its last chart, at torus
+coordinates of valuations (scale, -2 scale), the number of coefficients of
+the generator values (sum of len(num) + len(den)) and the kernel_lattice
+calls made in that loop and in an untimed repeat.
 With --refine the rungs are P^2, P(1,3,7) and P^1 x P^1 graded by Z^2:
 each builds its Proj, two tropically equal points on one chart and a
 function telling them apart, then in fresh interpreters times
@@ -84,9 +81,6 @@ HILBERT_RUNGS = dict(
        for m in (5, 10, 20)]
     + [("rank2 N=10^%d" % e, [(1, 0), (1, 10 ** e)]) for e in (4, 6, 9)]
     + [("rank2 (999,1000)", [(1, 0), (999, 1000)])])
-# checkouts that enumerate rank-2 bases make |det| - 1 points, so they run
-# only the rank-2 rungs up to this multiplicity
-ENUMERATED_RANK2_MAX = 10 ** 4
 SCALAR_RUNGS = {"scale=%d" % k: k for k in (1, 2, 4, 8)}
 # degrees, the chart's variable subset, and two degree-zero exponents whose
 # characters form a basis of the chart's character lattice
@@ -157,9 +151,7 @@ def _install_counters(counts):
     raw_build = cone._build.__func__
     cone._build = classmethod(build)
     raw_init, cone.__init__ = cone.__init__, init
-    raw_fill = getattr(cone, "_fill", None)
-    if raw_fill:    # a checkout from before lazy faces has no fill
-        cone._fill = fill
+    raw_fill, cone._fill = cone._fill, fill
     _count_functions(counts, ((exactla.kernel_lattice, "kernel_lattice"),
                               (cone_module._halfspace_generators, "sweeps")))
 
@@ -227,12 +219,6 @@ def run_hilbert_rung(rung):
     from prevtrop.cone import Cone, hilbert_basis
 
     rays = HILBERT_RUNGS[rung]
-    if len(rays) == 2:
-        from prevtrop import monoid
-        det = abs(rays[0][0] * rays[1][1] - rays[0][1] * rays[1][0])
-        if not hasattr(monoid, "_hirzebruch_jung") \
-                and det > ENUMERATED_RANK2_MAX:
-            return {"skipped": "would enumerate %d points" % (det - 1)}
     sigma = Cone.from_rays(rays, len(rays[0]))
     start = time.perf_counter()
     basis = hilbert_basis(sigma)
@@ -521,10 +507,9 @@ def main():
                 {k: result[k] for k in REFINE_COUNTERS}))
             continue
         if args.hilbert:
-            print("%-18s %s" % (rung, result.get("skipped") or
-                                "%8.4fs  %d generators  relations %8.4fs"
-                                % (result["s"], result["generators"],
-                                   result["relations_s"])))
+            print("%-18s %8.4fs  %d generators  relations %8.4fs"
+                  % (rung, result["s"], result["generators"],
+                     result["relations_s"]))
             continue
         if args.scalars:
             print("%-18s %8.3fs  %d faces  %d value coefficients  "
