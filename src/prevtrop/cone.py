@@ -9,14 +9,16 @@ computes its inequalities only when they are first read, as the dual basis
 on its span from one elimination and a plus/minus basis of the kernel of its
 generators.  Every other cone gets both lists at once from an incremental
 double description sweep over exact integers, with a combinatorial
-extremality test.  A meet of two pointed cones in a common face is read off
-a separating form instead; the other meets and from_inequalities sweep.  The
-faces of a simplicial cone are the cones on its ray subsets, registered with
-no independence test; any other cone closes its rays under the tight sets
-of its inequalities.  A face's supporting inequalities are found only when
-asked for, and memoised.  There is no floating point anywhere.  Sizes are
-desk scale: ambient rank stays in single digits and generator counts in the
-tens, so the algorithms favour clarity over asymptotics.
+extremality test.  The cone cut out by inequalities is the dual of the cone
+on them, so it is built the same way.  A meet of two pointed cones in a
+common face is read off a separating form; any other meet is cut out by the
+inequalities of both.  The faces of a simplicial cone are the cones on its
+ray subsets, registered with no independence test; any other cone closes
+its rays under the tight sets of its inequalities.  A face's supporting
+inequalities are found only when asked for, and memoised.  There is no
+floating point anywhere.  Sizes are desk scale: ambient rank stays in single
+digits and generator counts in the tens, so the algorithms favour clarity
+over asymptotics.
 
 Cones are shared and immutable.  Cone.from_rays, Cone.from_inequalities,
 Cone.dual, Cone.intersect and faces() return the one live Cone object for
@@ -129,9 +131,8 @@ def _generator_list(lineality, extremal):
     return tuple(sorted(gens))
 
 
-# One live Cone per canonical cone: (ambient_rank, generators) -> Cone.  A
-# cone is registered under its canonical rays and under every generator list
-# it was built from; entries vanish with the cone.
+# One live Cone per canonical cone: (ambient_rank, canonical rays) -> Cone,
+# and no other key; entries vanish with the cone.
 _CONES = weakref.WeakValueDictionary()
 
 
@@ -182,12 +183,8 @@ class Cone:
     @classmethod
     def _shared(cls, gens, ambient_rank):
         """The live cone on sorted primitive generators, built on a miss."""
-        key = (ambient_rank, gens)
-        cone = _CONES.get(key)
-        if cone is None:
-            cone = _intern(cls._build(gens, ambient_rank))
-            _CONES[key] = cone
-        return cone
+        cone = _CONES.get((ambient_rank, gens))
+        return _intern(cls._build(gens, ambient_rank)) if cone is None else cone
 
     def _lazy_face(self, rays):
         """The live face of this simplicial cone on rays; a miss is not built."""
@@ -234,15 +231,8 @@ class Cone:
 
     @classmethod
     def from_inequalities(cls, normals, ambient_rank):
-        normals = [_integer_vector(a, ambient_rank) for a in normals]
-        lin, ext = _halfspace_generators(normals, ambient_rank)
-        rays = _generator_list(lin, ext)
-        cone = _CONES.get((ambient_rank, rays))
-        if cone is None:
-            dual_lin, dual_ext = _halfspace_generators(rays, ambient_rank)
-            cone = _intern(cls(ambient_rank, rays, _generator_list(dual_lin, dual_ext),
-                               lin, dual_lin))
-        return cone
+        """The cone {x : <a, x> >= 0 for a in normals}, dual to the cone on them."""
+        return cls.from_rays(normals, ambient_rank).dual()
 
     @classmethod
     def _build(cls, rays, ambient_rank):
@@ -291,7 +281,7 @@ class Cone:
         that vanish on F and are <= 0 on self, so the meet lies in u^perp,
         which cuts F out of self (or of other) when u vanishes on no further
         ray of it.  Any other meet, among them every one that is not a
-        common face, runs the two sweeps of from_inequalities.
+        common face, is cut out by the inequalities of both.
         """
         n = self.ambient_rank
         if n != other.ambient_rank:

@@ -5,9 +5,9 @@ import itertools
 import math
 
 from prevtrop.cone import dot
-from prevtrop.exactla import (IntMatrix, _Value, _integer_vector, _rational_entry,
-                              invert_unimodular, kernel_lattice, primitive,
-                              smith_normal_form, solve_rational)
+from prevtrop.exactla import (IntMatrix, Lattice, _Value, _integer_vector,
+                              _rational_entry, invert_unimodular, kernel_lattice,
+                              primitive, smith_normal_form, solve_rational)
 
 
 class LatticeQuotient(_Value):
@@ -46,8 +46,12 @@ class LatticeQuotient(_Value):
 
 def lattice_quotient(spanning_vectors, ambient_rank):
     """Build the canonical quotient of Z^n by the saturated span of vectors."""
-    perp = kernel_lattice(IntMatrix.from_rows(spanning_vectors, cols=ambient_rank))
-    sub = kernel_lattice(perp.basis)
+    vectors = IntMatrix.from_rows(spanning_vectors, cols=ambient_rank)
+    if any(vectors.entries):
+        sub = kernel_lattice(kernel_lattice(vectors).basis)
+    else:
+        # a zero span is the zero sublattice: nothing to eliminate
+        sub = Lattice(ambient_rank, IntMatrix.zero(0, ambient_rank))
     k = sub.rank
     if k == 0:
         eye = IntMatrix.identity(ambient_rank)

@@ -288,15 +288,24 @@ def _random_normals(rng):
 
 
 def test_sweep_matches_the_rank_test_oracle(rng):
-    non_pointed = non_simplicial = 0
-    for _ in range(2000):
+    non_pointed = non_simplicial = independent = 0
+    for draw in range(2000):
         normals, n = _random_normals(rng)
         lin, rays = _halfspace_generators(normals, n)
         ref_lin, ref_rays = oracle_halfspace_generators(normals, n)
         assert (lin.basis_rows(), rays) == (ref_lin.basis_rows(), ref_rays)
         non_pointed += lin.rank > 0
         non_simplicial += len(rays) > n - lin.rank
-    assert non_pointed > 500 and non_simplicial > 100
+        if draw < 500:
+            # the cone cut out by the normals is the dual of the cone on
+            # them, which independent normals leave unbuilt until read
+            ref = _generator_list(ref_lin, ref_rays)
+            cut = Cone.from_inequalities(normals, n)
+            assert cut.rays == ref and cut.lineality == ref_lin
+            assert cut is Cone.from_rays(ref, n)
+            gens = {primitive(a) for a in normals if any(a)}
+            independent += bool(gens) and len(_echelon(gens, n)) == len(gens)
+    assert non_pointed > 500 and non_simplicial > 100 and independent >= 50
 
 
 def test_sweeps_with_zero_lineality_compute_no_kernel(monkeypatch, rng):
@@ -1287,6 +1296,24 @@ def test_span_quotient_goes_through_the_public_lattice_quotient(monkeypatch):
     assert quot.push((1, 1)) == (0,)
 
 
+def test_a_zero_span_runs_no_elimination(monkeypatch):
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return kernel_lattice(matrix)
+
+    monkeypatch.setattr(monoid, "kernel_lattice", counting)
+    for n in range(5):
+        # the quotient that eliminating the empty span gives
+        eye = IntMatrix.identity(n)
+        sub = kernel_lattice(kernel_lattice(IntMatrix.from_rows([], cols=n)).basis)
+        expected = monoid.LatticeQuotient(n, sub, eye, eye)
+        assert lattice_quotient([], n) == expected
+        assert Cone.from_rays([], n).span_quotient() == expected
+    assert calls == []
+
+
 def test_membership_predicate():
     hb = hilbert_basis(Cone.from_rays([(1, 0), (1, 2)], 2))
     assert (1, 1) in hb
@@ -1324,6 +1351,8 @@ def test_equal_cones_are_one_object():
     assert Cone.from_rays([(1, 2), (1, 0)], 2) is a
     # non-extremal, non-primitive and Fraction presentations resolve to it
     assert Cone.from_rays([(2, 4), (1, 0), (3, 0), (1, 2), (2, 2)], 2) is a
+    # the table holds canonical keys only, not the generators a build saw
+    assert (2, ((1, 0), (1, 1), (1, 2))) not in cone_module._CONES
     assert Cone.from_rays([(Fraction(3), 0), (1, Fraction(2))], 2) is a
     assert Cone.from_inequalities(a.inequalities, 2) is a
     assert a.dual().dual() is a

@@ -4,9 +4,11 @@ Hilbert bases of cones of growing multiplicity.
 Each Proj rung runs proj -> omega -> validate -> separated -> support in a
 fresh interpreter and records, per stage, the in-process wall time and these
 work counters: Cone.intersect calls, kernel_lattice calls, double description
-sweeps (_halfspace_generators calls, all of them made by cone, since Hilbert
-bases run none), and new cones built (Cone._build calls), split into
-simplicial builds, which run no sweep, and swept builds.  A simplicial cone
+sweeps (_halfspace_generators calls, all of them made inside Cone._build,
+since a cone cut out by inequalities is built as the dual of the cone on
+them and Hilbert bases run none), and new cones built (Cone._build calls),
+split into simplicial builds, which run no sweep, and swept builds, so a
+swept meet counts as a swept build.  A simplicial cone
 computes its inequalities on first read, so a simplicial build is one
 independence test that leaves the cone unbuilt.  lazy_faces counts the
 faces of simplicial cones that faces() registers with no _build call, and
@@ -18,10 +20,10 @@ With --hilbert the rungs are instead the cones on (1,0,0), (0,1,0), (1,2,N)
 for N = 5, 10, 20, 40, 80, on e1, e2, e3, (1,2,3,m) for m = 5, 10, 20,
 and on the rank-2 cones (1,0), (1,N) for N = 10^4, 10^6, 10^9 and (1,0),
 (999,1000), whose dual monoid has 1,001 generators; each rung builds its
-cone in a fresh interpreter and records the wall of hilbert_basis, the
-number of generators and the wall of the basis's relations()
-(relations_s).  With --scalars the rungs are valuation scales 1, 2, 4, 8:
-each builds P(1,3,7) in a fresh interpreter and records the wall of
+cone in RUNS fresh interpreters and records the median wall of
+hilbert_basis, the number of generators and the median wall of the basis's
+relations() (relations_s).  With --scalars the rungs are valuation scales
+1, 2, 4, 8: each builds P(1,3,7) in a fresh interpreter and records the wall of
 coordinate_point + trop_point over every face of its last chart, at torus
 coordinates of valuations (scale, -2 scale), the number of coefficients of
 the generator values (sum of len(num) + len(den)) and the kernel_lattice
@@ -34,7 +36,7 @@ the calls of solve_rational, hermite_normal_form and proj_system_of_fans,
 the chart posets built (relevant_subsets calls, one per new Proj), and the
 calls of ClassicalChartPoint.eval, ValuedScalar.__pow__,
 ValuedScalar.__mul__ (with __rmul__), ProjSystem.character and
-AffineSemigroup.decompose; the wall is the median over REFINE_RUNS
+AffineSemigroup.decompose; the wall is the median over RUNS
 interpreters.  Each rung then drops that refinement and times the same
 calls on the same pair again (warm_s), counting the chart posets, character
 and decompose calls that warm call makes (warm_proj_builds,
@@ -90,7 +92,7 @@ REFINE_RUNGS = {
     "P1xP1 (Z^2)": ([(1, 0), (1, 0), (0, 1), (0, 1)], {1, 3},
                     [(-1, 1, 0, 0), (0, 0, -1, 1)]),
 }
-REFINE_RUNS = 5
+RUNS = 5
 REFINE_COUNTERS = ("solve_rational", "hermite_normal_form",
                    "proj_system_of_fans", "proj_builds", "eval", "pow", "mul",
                    "character", "decompose")
@@ -495,12 +497,13 @@ def main():
         key = "rungs"
     for rung in rungs:
         runs = [_run_child(rung, args)
-                for _ in range(REFINE_RUNS if args.refine else 1)]
+                for _ in range(RUNS if args.refine or args.hilbert else 1)]
         results[rung] = result = runs[0]
+        if len(runs) > 1:
+            walls = ("s", "warm_s") if args.refine else ("s", "relations_s")
+            result.update({k: statistics.median(r[k] for r in runs)
+                           for k in walls}, runs=len(runs))
         if args.refine:
-            result.update(s=statistics.median(r["s"] for r in runs),
-                          warm_s=statistics.median(r["warm_s"] for r in runs),
-                          runs=len(runs))
             print("%-18s %8.4fs  warm %8.4fs %s  %s" % (
                 rung, result["s"], result["warm_s"],
                 {k: result["warm_" + k] for k in WARM_COUNTERS},
@@ -529,11 +532,12 @@ def main():
         "tools/ladder.py: per-stage in-process walls (raw seconds) and work "
         "counters of proj -> omega -> validate -> separated -> support, and "
         "apart from them the wall of omega().order_pairs() with its pair "
-        "count (rungs), walls and generator counts of hilbert_basis and "
-        "walls of its relations() (hilbert_rungs), and walls, value "
+        "count (rungs), and walls, value "
         "coefficient counts and kernel_lattice calls of coordinate_point + trop_point on P(1,3,7) "
         "(scalar_rungs), one "
-        "fresh interpreter per rung; median walls of separation_witness -> "
+        "fresh interpreter per rung; median walls over fresh interpreters of "
+        "hilbert_basis and of its relations(), with generator counts "
+        "(hilbert_rungs); median walls of separation_witness -> "
         "refined_trop x2 -> forget_refinement x2 over fresh interpreters, "
         "with call counts of one run, and of a warm repeat on the same pair "
         "with its chart posets built, character and decompose calls counted "
