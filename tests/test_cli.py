@@ -11,6 +11,7 @@ import pytest
 from prevtrop.cli import main
 from prevtrop.monoid import ENUMERATION_LIMIT
 from prevtrop.sysfan import system_to_data, system_from_data
+from prevtrop.tropembed import POWER_LIMIT
 
 from systems import affine_plane, line_two_origins, projective_line_two_charts
 
@@ -272,6 +273,38 @@ def test_bad_classical_values_exit_one(tmp_path, capsys, value, message):
     for command in ("trop", "nonneg"):
         code, out, err = run_cli(capsys, command, point, system)
         assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("value, code, err", [
+    ({"num": [["1", 10 ** 12]]}, 2,
+     "error: num[0] power 1000000000000 is over the limit of %d\n"
+     % POWER_LIMIT),
+    ({"num": [["1", 0]], "den": [["1", 0], ["1", POWER_LIMIT + 1]]}, 2,
+     "error: den[1] power %d is over the limit of %d\n"
+     % (POWER_LIMIT + 1, POWER_LIMIT)),
+    ({"num": [["1", POWER_LIMIT]]}, 0, ""),
+])
+def test_powers_over_the_limit_exit_two(tmp_path, capsys, value, code, err):
+    system = write_doc(tmp_path, "sys.json", system_doc(affine_plane()))
+    point = write_doc(tmp_path, "cp.json",
+                      {"schema": 1, "kind": "classical_point", "chart": 2,
+                       "values": {"0": value, "1": "1"}})
+    got, out, stderr = run_cli(capsys, "trop", point, system)
+    assert (got, stderr) == (code, err)
+    if code == 0:
+        assert json.loads(out)["coords"] == ["0", str(POWER_LIMIT)]
+
+
+def test_gtilde_power_over_the_limit_exits_two(tmp_path, capsys):
+    grading = write_doc(tmp_path, "g.json", grading_doc([(), ()], free_rank=0))
+    gtilde = write_doc(tmp_path, "gt.json",
+                       {"schema": 1, "kind": "polynomial",
+                        "terms": [{"exp": [1, 0],
+                                   "coeff": {"num": [["1", 10 ** 12]]}}]})
+    code, out, err = run_cli(capsys, "refine", grading, "--gtilde", gtilde)
+    assert (code, out) == (2, "")
+    assert err == ("error: num[0] power 1000000000000 is over the limit of "
+                   "%d\n" % POWER_LIMIT)
 
 
 def test_proj_reproduces_the_doubled_line(tmp_path, capsys):

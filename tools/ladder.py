@@ -1,66 +1,59 @@
-"""Ladder benchmark: the Proj pipeline on P^4 to P^8 and on a product, and
-Hilbert bases of cones of growing multiplicity.
+"""Ladder benchmark: the library's constructions measured rung by rung, in
+five modes that share one runner.
 
-Each Proj rung runs proj -> omega -> validate -> separated -> support in a
-fresh interpreter and records, per stage, the in-process wall time and these
-work counters: Cone.intersect calls, kernel_lattice calls, double description
-sweeps (_halfspace_generators calls, all of them made inside Cone._build,
-since a cone cut out by inequalities is built as the dual of the cone on
-them and Hilbert bases run none), and new cones built (Cone._build calls),
-split into simplicial builds, which run no sweep, and swept builds, so a
-swept meet counts as a swept build.  A simplicial cone
-computes its inequalities on first read, so a simplicial build is one
-independence test that leaves the cone unbuilt.  lazy_faces counts the
-faces of simplicial cones that faces() registers with no _build call, and
-lazy_fills the first reads (Cone._fill calls) of any simplicial cone's
-inequalities, built cones and faces alike.
+Every mode runs RUNS rounds, and a round runs every rung once, each in a
+fresh interpreter.  A rung's result is its first run with every number
+(booleans aside, nested stage dicts included) replaced by its median over
+the rounds; counters are deterministic, so their median is their value.
+Given --src and --label twice, paired by position, each round runs every
+rung on both checkouts, the one that runs first alternating from round to
+round, so a parent and its change are measured in one invocation and drift
+of the host falls on both alike.  Times are raw perf_counter seconds.
+
+Proj rungs (the default) run proj -> omega -> validate -> separated ->
+support on P^4 to P^8 and on a product, and record per stage the wall and
+these counters: Cone.intersect and kernel_lattice calls; double description
+sweeps (_halfspace_generators calls, all made inside Cone._build: a cone cut
+out by inequalities is built as the dual of the cone on them, and Hilbert
+bases run none); new cones built (Cone._build calls), split into simplicial
+builds, one independence test that runs no sweep and leaves the cone
+unbuilt, and swept builds, swept meets included; lazy_faces, the faces of
+simplicial cones that faces() registers with no _build call; and lazy_fills,
+the first reads (Cone._fill calls) of any simplicial cone's inequalities.
 After the pipeline, outside its total, it times omega().order_pairs(), the
-whole class order that the omega command prints, and counts its pairs.
-With --hilbert the rungs are instead the cones on (1,0,0), (0,1,0), (1,2,N)
-for N = 5, 10, 20, 40, 80, on e1, e2, e3, (1,2,3,m) for m = 5, 10, 20,
-and on the rank-2 cones (1,0), (1,N) for N = 10^4, 10^6, 10^9 and (1,0),
-(999,1000), whose dual monoid has 1,001 generators; each rung builds its
-cone in RUNS fresh interpreters and records the median wall of
-hilbert_basis, the number of generators and the median wall of the basis's
-relations() (relations_s).  With --scalars the rungs are valuation scales
-1, 2, 4, 8: each builds P(1,3,7) in a fresh interpreter and records the wall of
-coordinate_point + trop_point over every face of its last chart, at torus
-coordinates of valuations (scale, -2 scale), the number of coefficients of
-the generator values (sum of len(num) + len(den)) and the kernel_lattice
-calls made in that loop and in an untimed repeat.
-With --refine the rungs are P^2, P(1,3,7) and P^1 x P^1 graded by Z^2:
-each builds its Proj, two tropically equal points on one chart and a
-function telling them apart, then in fresh interpreters times
-separation_witness -> refined_trop x2 -> forget_refinement x2 and counts
-the calls of solve_rational, hermite_normal_form and proj_system_of_fans,
-the chart posets built (relevant_subsets calls, one per new Proj), and the
-calls of ClassicalChartPoint.eval, ValuedScalar.__pow__,
-ValuedScalar.__mul__ (with __rmul__), ProjSystem.character and
-AffineSemigroup.decompose; the wall is the median over RUNS
-interpreters.  Each rung then drops that refinement and times the same
-calls on the same pair again (warm_s), counting the chart posets, character
-and decompose calls that warm call makes (warm_proj_builds,
-warm_character, warm_decompose).
-With --startup the rungs are a bare `python -c pass` and one
-`python -m prevtrop.cli <command>` per subcommand on small documents (P^1,
-the affine plane and points on it), each run in fresh processes, rounds
-interleaved, and record the median wall of each in milliseconds; each
-subcommand rung also records the prevtrop modules one call loads and their
-total source lines.
-Times are raw perf_counter seconds, not corrected for host speed.  Run from
-the root of a checkout:
+class order that the omega command prints, and counts its pairs.
+--hilbert rungs are the cones on (1,0,0), (0,1,0), (1,2,N) for N = 5, 10,
+20, 40, 80, on e1, e2, e3, (1,2,3,m) for m = 5, 10, 20, and on the rank-2
+cones (1,0), (1,N) for N = 10^4, 10^6, 10^9 and (1,0), (999,1000), whose
+dual monoid has 1,001 generators; each times hilbert_basis and the basis's
+relations() (relations_s) and counts the generators.
+--scalars rungs are valuation scales 1, 2, 4, 8: each builds P(1,3,7) and
+times coordinate_point + trop_point over every face of its last chart, at
+torus coordinates of valuations (scale, -2 scale), counting the
+coefficients of the generator values (sum of len(num) + len(den)) and the
+kernel_lattice calls made in that loop and in an untimed repeat.
+--refine rungs are P^2, P(1,3,7) and P^1 x P^1 graded by Z^2: each builds
+its Proj, two tropically equal points on one chart and a function telling
+them apart, times separation_witness -> refined_trop x2 ->
+forget_refinement x2 and counts the calls of solve_rational,
+hermite_normal_form, proj_system_of_fans, relevant_subsets (proj_builds,
+one per chart poset built), ClassicalChartPoint.eval, ValuedScalar.__pow__,
+__mul__ with __rmul__, ProjSystem.character and AffineSemigroup.decompose.
+It then drops that refinement and times the same calls on the same pair
+again (warm_s, with warm_proj_builds, warm_character and warm_decompose).
+--startup rungs are a bare `python -c pass` and one `python -m prevtrop.cli
+<command>` per subcommand on small documents (P^1, the affine plane and
+points on it): each times one such process in milliseconds and, for a
+subcommand, records the prevtrop modules one call loads and their total
+source lines.  Run from the root of a checkout:
 
-    python3 tools/ladder.py --label change
-    python3 tools/ladder.py --label parent --src OTHER/src --max-n 6
-    python3 tools/ladder.py --label change --hilbert
-    python3 tools/ladder.py --label change --scalars
-    python3 tools/ladder.py --label change --refine
-    python3 tools/ladder.py --label change --startup
+    python3 tools/ladder.py --label change --max-n 6
+    python3 tools/ladder.py --label parent --src OTHER/src --label change \\
+        --src src --hilbert
 
-Results are merged into BENCH_ladder.json under the label, Proj rungs under
-"rungs", Hilbert rungs under "hilbert_rungs", scalar rungs under
-"scalar_rungs", refinement rungs under "refine_rungs" and start-up rungs
-under "startup_rungs", so runs of two checkouts sit side by side.
+Each rung prints one line: its label, its name and its result as JSON.
+Results are merged into BENCH_ladder.json under each label, in "rungs",
+"hilbert_rungs", "scalar_rungs", "refine_rungs" or "startup_rungs".
 """
 
 import argparse
@@ -75,7 +68,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-STAGES = ("proj", "omega", "validate", "separated", "support")
 PRODUCT = "doubled line x P1"
 HILBERT_RUNGS = dict(
     [("N=%d" % n, [(1, 0, 0), (0, 1, 0), (1, 2, n)]) for n in (5, 10, 20, 40, 80)]
@@ -92,34 +84,39 @@ REFINE_RUNGS = {
     "P1xP1 (Z^2)": ([(1, 0), (1, 0), (0, 1), (0, 1)], {1, 3},
                     [(-1, 1, 0, 0), (0, 0, -1, 1)]),
 }
-RUNS = 5
+STARTUP_RUNGS = ("python -c pass", "validate", "omega", "separated", "proj",
+                 "trop", "nonneg", "kapranov", "refine", "product")
+RUNS = 15
 REFINE_COUNTERS = ("solve_rational", "hermite_normal_form",
                    "proj_system_of_fans", "proj_builds", "eval", "pow", "mul",
                    "character", "decompose")
 WARM_COUNTERS = ("proj_builds", "character", "decompose")
-STARTUP_ROUNDS = 15
 COUNTERS = ("intersect", "kernel_lattice", "sweeps", "simplicial_builds",
             "swept_builds", "lazy_faces", "lazy_fills")
 
 
-def _counted(counts, name, fn):
+def _timed(step):
+    """step() and its wall in seconds, rounded to 0.1ms."""
+    start = time.perf_counter()
+    value = step()
+    return value, round(time.perf_counter() - start, 4)
+
+
+def _count(counts, owner, attr, counter):
+    """Replace owner.attr, a module's function or a class's method, by a
+    wrapper that adds one to counts[counter] per call.  A function is
+    rebound under every name a prevtrop module binds it to."""
+    raw = owner.__dict__[attr]
+
     def wrapper(*args, **kwargs):
-        counts[name] += 1
-        return fn(*args, **kwargs)
-    return wrapper
-
-
-def _count_functions(counts, functions):
-    """Replace each (function, counter) pair's module-level function, under
-    every name a prevtrop module binds it to, by a wrapper that adds one to
-    counts[counter] per call."""
-    for raw, counter in functions:
-        wrapped = _counted(counts, counter, raw)
-        for name, module in list(sys.modules.items()):
-            if name == "prevtrop" or name.startswith("prevtrop."):
-                for key, value in list(vars(module).items()):
-                    if value is raw:
-                        setattr(module, key, wrapped)
+        counts[counter] += 1
+        return raw(*args, **kwargs)
+    setattr(owner, attr, wrapper)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "prevtrop":
+            for key, value in list(vars(module).items()):
+                if value is raw:
+                    setattr(module, key, wrapper)
 
 
 def _install_counters(counts):
@@ -149,13 +146,13 @@ def _install_counters(counts):
         counts["lazy_fills"] += 1
 
     cone = cone_module.Cone
-    cone.intersect = _counted(counts, "intersect", cone.intersect)
+    _count(counts, cone, "intersect", "intersect")
     raw_build = cone._build.__func__
     cone._build = classmethod(build)
     raw_init, cone.__init__ = cone.__init__, init
     raw_fill, cone._fill = cone._fill, fill
-    _count_functions(counts, ((exactla.kernel_lattice, "kernel_lattice"),
-                              (cone_module._halfspace_generators, "sweeps")))
+    _count(counts, exactla, "kernel_lattice", "kernel_lattice")
+    _count(counts, cone_module, "_halfspace_generators", "sweeps")
 
 
 def run_rung(rung):
@@ -168,47 +165,33 @@ def run_rung(rung):
     counts = dict.fromkeys(COUNTERS, 0)
     _install_counters(counts)
     stages = {}
-    state = {}
+
+    def stage(name, step):
+        """step(), with its wall and the counts it adds in stages[name]."""
+        before = dict(counts)
+        value, wall = _timed(step)
+        stages[name] = dict({k: counts[k] - before[k] for k in counts}, s=wall)
+        return value
 
     def build():
         if rung == PRODUCT:
             line = proj_system_of_fans(Grading(AbelianGroup(1), [(1,), (-1,)]))
             p1 = proj_system_of_fans(Grading(AbelianGroup(1), [(1,), (1,)]))
-            state["system"] = product(line.system, p1.system)
-        else:
-            n = int(rung[1:])
-            grading = Grading(AbelianGroup(1), [(1,)] * (n + 1))
-            state["system"] = proj_system_of_fans(grading).system
+            return product(line.system, p1.system)
+        grading = Grading(AbelianGroup(1), [(1,)] * (int(rung[1:]) + 1))
+        return proj_system_of_fans(grading).system
 
-    def omega():
-        state["system"].omega()
-
-    def validate():
-        state["issues"] = len(validate_system(state["system"]))
-
-    def separated():
-        state["separated"] = is_separated(state["system"])[0]
-
-    def support():
-        if state["separated"]:
-            state["support"] = support_is_full(state["system"])
-
-    steps = {"proj": build, "omega": omega, "validate": validate,
-             "separated": separated, "support": support}
-    for stage in STAGES:
-        before = dict(counts)
-        start = time.perf_counter()
-        steps[stage]()
-        elapsed = time.perf_counter() - start
-        stages[stage] = {"s": round(elapsed, 4)}
-        stages[stage].update({k: counts[k] - before[k] for k in counts})
-    start = time.perf_counter()
-    pairs = len(state["system"].omega().order_pairs())
-    order_s = round(time.perf_counter() - start, 4)
-    return {"classes": len(state["system"].omega()),
-            "issues": state["issues"],
-            "separated": state["separated"],
-            "support_is_full": state.get("support"),
+    system = stage("proj", build)
+    stage("omega", system.omega)
+    issues = len(stage("validate", lambda: validate_system(system)))
+    separated = stage("separated", lambda: is_separated(system)[0])
+    support = stage("support",
+                    lambda: support_is_full(system) if separated else None)
+    pairs, order_s = _timed(lambda: len(system.omega().order_pairs()))
+    return {"classes": len(system.omega()),
+            "issues": issues,
+            "separated": separated,
+            "support_is_full": support,
             "total_s": round(sum(s["s"] for s in stages.values()), 4),
             "order_pairs_s": order_s,
             "order_pairs": pairs,
@@ -222,14 +205,10 @@ def run_hilbert_rung(rung):
 
     rays = HILBERT_RUNGS[rung]
     sigma = Cone.from_rays(rays, len(rays[0]))
-    start = time.perf_counter()
-    basis = hilbert_basis(sigma)
-    elapsed = time.perf_counter() - start
-    start = time.perf_counter()
-    basis.relations()
-    relations_s = time.perf_counter() - start
-    return {"s": round(elapsed, 4), "generators": len(basis.generators),
-            "relations_s": round(relations_s, 4)}
+    basis, elapsed = _timed(lambda: hilbert_basis(sigma))
+    _, relations_s = _timed(basis.relations)
+    return {"s": elapsed, "generators": len(basis.generators),
+            "relations_s": relations_s}
 
 
 def run_scalar_rung(rung):
@@ -254,7 +233,7 @@ def run_scalar_rung(rung):
               for p in (scale, -2 * scale)]
     coeffs = 0
     counts = {"kernel_lattice": 0}
-    _count_functions(counts, ((exactla.kernel_lattice, "kernel_lattice"),))
+    _count(counts, exactla, "kernel_lattice", "kernel_lattice")
     start = time.perf_counter()
     for face in faces:
         point = coordinate_point(proj.system, chart, coords, zero_face=face)
@@ -310,18 +289,18 @@ def run_refine_rung(rung):
     f = [(exponents[0], one), (exponents[1], one),
          ((0,) * len(degrees), one)]
     counts = dict.fromkeys(REFINE_COUNTERS, 0)
-    _count_functions(counts, (
-        (exactla.solve_rational, "solve_rational"),
-        (exactla.hermite_normal_form, "hermite_normal_form"),
-        (multiproj.proj_system_of_fans, "proj_system_of_fans"),
-        (multiproj.relevant_subsets, "proj_builds")))
-    for owner, attr, counter in ((ClassicalChartPoint, "eval", "eval"),
-                                 (ValuedScalar, "__pow__", "pow"),
-                                 (ValuedScalar, "__mul__", "mul"),
-                                 (ValuedScalar, "__rmul__", "mul"),
-                                 (ProjSystem, "character", "character"),
-                                 (AffineSemigroup, "decompose", "decompose")):
-        setattr(owner, attr, _counted(counts, counter, owner.__dict__[attr]))
+    for owner, attr, counter in (
+            (exactla, "solve_rational", "solve_rational"),
+            (exactla, "hermite_normal_form", "hermite_normal_form"),
+            (multiproj, "proj_system_of_fans", "proj_system_of_fans"),
+            (multiproj, "relevant_subsets", "proj_builds"),
+            (ClassicalChartPoint, "eval", "eval"),
+            (ValuedScalar, "__pow__", "pow"),
+            (ValuedScalar, "__mul__", "mul"),
+            (ValuedScalar, "__rmul__", "mul"),
+            (ProjSystem, "character", "character"),
+            (AffineSemigroup, "decompose", "decompose")):
+        _count(counts, owner, attr, counter)
 
     def separate():
         start = time.perf_counter()
@@ -412,143 +391,108 @@ LOADED = ("import json, sys\n"
           "      file=sys.stderr)")
 
 
-def run_startup(src):
-    """Median milliseconds of a bare interpreter and of one call of every
-    subcommand, over interleaved rounds of fresh processes; for each
-    subcommand also the prevtrop modules one call loads and their total
-    source lines, a count that does not depend on the machine."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
-                                                      env.get("PYTHONPATH")]))
+def run_startup_rung(rung):
+    """One start-up rung: the milliseconds of one fresh process and, for a
+    subcommand, the prevtrop modules one call loads and their total source
+    lines, a count that does not depend on the machine."""
     with tempfile.TemporaryDirectory() as directory:
-        commands = startup_commands(directory)
-        argvs = {"python -c pass": ["-c", "pass"]}
-        argvs.update((name, ["-m", "prevtrop.cli"] + argv)
-                     for name, argv in commands.items())
-        samples = {name: [] for name in argvs}
-        for _ in range(STARTUP_ROUNDS):
-            for name, argv in argvs.items():
-                start = time.perf_counter()
-                subprocess.run([sys.executable] + argv, env=env, check=True,
-                               stdout=subprocess.DEVNULL)
-                samples[name].append(time.perf_counter() - start)
-        loaded = {name: json.loads(subprocess.run(
-            [sys.executable, "-c", LOADED] + argv, env=env, check=True,
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-            text=True).stderr.splitlines()[-1])
-            for name, argv in commands.items()}
-    return {name: dict({"ms": round(1000 * statistics.median(times), 1),
-                        "runs": len(times)}, **loaded.get(name, {}))
-            for name, times in samples.items()}
+        argv = startup_commands(directory).get(rung)
+        _, wall = _timed(lambda: subprocess.run([sys.executable] + (
+            ["-m", "prevtrop.cli"] + argv if argv else ["-c", "pass"]),
+            check=True, stdout=subprocess.DEVNULL))
+        result = {"ms": round(1000 * wall, 1)}
+        if argv:
+            result.update(json.loads(subprocess.run(
+                [sys.executable, "-c", LOADED] + argv, check=True,
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                text=True).stderr.splitlines()[-1]))
+    return result
 
 
-def _run_child(rung, args):
-    """The result of one rung, run in a fresh interpreter."""
+# mode (the default, proj, first): its rung names given --max-n, the
+# function that runs one rung in this process and its key in the output file
+MODES = {
+    "proj": (lambda n: ["P%d" % k for k in range(4, n + 1)] + [PRODUCT],
+             run_rung, "rungs"),
+    "hilbert": (lambda n: HILBERT_RUNGS, run_hilbert_rung, "hilbert_rungs"),
+    "scalars": (lambda n: SCALAR_RUNGS, run_scalar_rung, "scalar_rungs"),
+    "refine": (lambda n: REFINE_RUNGS, run_refine_rung, "refine_rungs"),
+    "startup": (lambda n: STARTUP_RUNGS, run_startup_rung, "startup_rungs"),
+}
+
+
+def _run_child(mode, rung, src):
+    """The result of one rung of mode in a fresh interpreter, which finds
+    the library in src through PYTHONPATH, as do the processes it starts."""
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     child = subprocess.run(
-        [sys.executable, __file__, "--rung", rung, "--src", args.src]
-        + ["--hilbert"] * args.hilbert + ["--scalars"] * args.scalars
-        + ["--refine"] * args.refine,
+        [sys.executable, __file__, "--rung", rung]
+        + ["--" + mode] * (mode != "proj"),
+        env=dict(os.environ, PYTHONPATH=path),
         check=True, capture_output=True, text=True)
     return json.loads(child.stdout.splitlines()[-1])
 
 
+def _merge(runs):
+    """The first run, with every int or float that is not a bool, in nested
+    dicts too, replaced by its median over runs."""
+    merged = dict(runs[0])
+    for key, value in merged.items():
+        if isinstance(value, dict):
+            merged[key] = _merge([run[key] for run in runs])
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            merged[key] = statistics.median(run[key] for run in runs)
+    return merged
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", default="change",
-                        help="key of this run in the output file")
-    parser.add_argument("--src", default=str(ROOT / "src"),
-                        help="the src directory of the checkout to measure")
+    parser.add_argument("--label", action="append",
+                        help="key of a run in the output file, one per --src")
+    parser.add_argument("--src", action="append",
+                        help="the src directory of a checkout to measure")
     parser.add_argument("--max-n", type=int, default=8,
                         help="largest n of the P^n rungs")
     kind = parser.add_mutually_exclusive_group()
-    kind.add_argument("--hilbert", action="store_true",
-                      help="run the Hilbert basis rungs instead")
-    kind.add_argument("--scalars", action="store_true",
-                      help="run the Q(t) scalar rungs instead")
-    kind.add_argument("--refine", action="store_true",
-                      help="run the embedding refinement rungs instead")
-    kind.add_argument("--startup", action="store_true",
-                      help="time command line start-up per subcommand instead")
+    for mode in list(MODES)[1:]:
+        kind.add_argument("--" + mode, dest="mode", action="store_const",
+                          const=mode, help="run the %s rungs instead" % mode)
+    parser.set_defaults(mode="proj")
     parser.add_argument("--out", default=str(ROOT / "BENCH_ladder.json"))
     parser.add_argument("--rung", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    labels = args.label or ["change"]
+    srcs = [str(Path(src).resolve()) for src in args.src or [ROOT / "src"]]
+    if len(labels) != len(srcs) or len(set(labels)) < len(labels):
+        parser.error("give each --src its own --label")
+    names, run, key = MODES[args.mode]
     if args.rung:
-        run = (run_hilbert_rung if args.hilbert
-               else run_scalar_rung if args.scalars
-               else run_refine_rung if args.refine else run_rung)
         print(json.dumps(run(args.rung)))
         return
-    results = {}
-    if args.startup:
-        rungs, key = [], "startup_rungs"
-        results = run_startup(str(Path(args.src).resolve()))
-        for rung, result in results.items():
-            print("%-18s %8.1fms %6s source lines" % (
-                rung, result["ms"], result.get("source_lines", "")))
-    elif args.hilbert:
-        rungs, key = list(HILBERT_RUNGS), "hilbert_rungs"
-    elif args.scalars:
-        rungs, key = list(SCALAR_RUNGS), "scalar_rungs"
-    elif args.refine:
-        rungs, key = list(REFINE_RUNGS), "refine_rungs"
-    else:
-        rungs = ["P%d" % n for n in range(4, args.max_n + 1)] + [PRODUCT]
-        key = "rungs"
-    for rung in rungs:
-        runs = [_run_child(rung, args)
-                for _ in range(RUNS if args.refine or args.hilbert else 1)]
-        results[rung] = result = runs[0]
-        if len(runs) > 1:
-            walls = ("s", "warm_s") if args.refine else ("s", "relations_s")
-            result.update({k: statistics.median(r[k] for r in runs)
-                           for k in walls}, runs=len(runs))
-        if args.refine:
-            print("%-18s %8.4fs  warm %8.4fs %s  %s" % (
-                rung, result["s"], result["warm_s"],
-                {k: result["warm_" + k] for k in WARM_COUNTERS},
-                {k: result[k] for k in REFINE_COUNTERS}))
-            continue
-        if args.hilbert:
-            print("%-18s %8.4fs  %d generators  relations %8.4fs"
-                  % (rung, result["s"], result["generators"],
-                     result["relations_s"]))
-            continue
-        if args.scalars:
-            print("%-18s %8.3fs  %d faces  %d value coefficients  "
-                  "kernel_lattice calls %d, %d on a repeat"
-                  % (rung, result["s"], result["faces"],
-                     result["value_coeffs"], result["kernel_lattice"],
-                     result["kernel_lattice_repeat"]))
-            continue
-        print("%-18s %8.3fs  omega %.3fs  separated %.3fs  order_pairs %.3fs"
-              "  %s" % (rung, result["total_s"], result["stages"]["omega"]["s"],
-                        result["stages"]["separated"]["s"],
-                        result["order_pairs_s"],
-                        {k: result["stages"]["separated"][k] for k in COUNTERS}))
+    rungs = names(args.max_n)
+    trees = list(zip(labels, srcs))
+    samples = {(label, rung): [] for label in labels for rung in rungs}
+    for round_ in range(RUNS):
+        for rung in rungs:
+            for label, src in trees[::-1] if round_ % 2 else trees:
+                samples[label, rung].append(_run_child(args.mode, rung, src))
     out = Path(args.out)
     document = json.loads(out.read_text()) if out.exists() else {"runs": {}}
     document["about"] = (
-        "tools/ladder.py: per-stage in-process walls (raw seconds) and work "
-        "counters of proj -> omega -> validate -> separated -> support, and "
-        "apart from them the wall of omega().order_pairs() with its pair "
-        "count (rungs), and walls, value "
-        "coefficient counts and kernel_lattice calls of coordinate_point + trop_point on P(1,3,7) "
-        "(scalar_rungs), one "
-        "fresh interpreter per rung; median walls over fresh interpreters of "
-        "hilbert_basis and of its relations(), with generator counts "
-        "(hilbert_rungs); median walls of separation_witness -> "
-        "refined_trop x2 -> forget_refinement x2 over fresh interpreters, "
-        "with call counts of one run, and of a warm repeat on the same pair "
-        "with its chart posets built, character and decompose calls counted "
-        "(refine_rungs); median milliseconds of "
-        "a bare interpreter and of one prevtrop.cli call per subcommand, in "
-        "interleaved rounds of fresh processes, with the prevtrop modules a "
-        "call loads and their source lines (startup_rungs).")
-    document["runs"].setdefault(args.label, {}).update({
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        key: results})
+        "tools/ladder.py, whose docstring says what each mode measures: each "
+        "number of a rung (raw seconds, startup_rungs' ms) is its median over "
+        "%d rounds of fresh interpreters, which two checkouts measured "
+        "together share, alternating which goes first." % RUNS)
+    for label in labels:
+        results = {}
+        for rung in rungs:
+            results[rung] = dict(_merge(samples[label, rung]), runs=RUNS)
+            print(label, rung, json.dumps(results[rung], sort_keys=True,
+                                          separators=(",", ":")))
+        document["runs"].setdefault(label, {}).update({
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            key: results})
     out.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
 
 
