@@ -384,20 +384,42 @@ def _separation(system):
     cover are, so pairs of maximal classes decide the verdict.  That needs
     every two charts of a class to be glued along its cone, which the subfan
     axiom gives; without it the union-find classes can join charts that are
-    not glued.  Any other system runs the ordered scan over all pairs, which
-    alone picks the witness: the first bad pair in class order."""
-    classes = system.omega().classes
+    not glued, and the ordered scan runs over all pairs.
+
+    The witness is the first bad pair in class order.  Under the same
+    condition, an open subscheme of a separated scheme is separated
+    (Hartshorne, Algebraic Geometry, II, Cor. 4.6), so a pair (a, b) with
+    a <= a' and b <= b' is good when the maximal classes a' and b' are equal
+    or a good pair, and the scan skips it.  up[x] has bit k when class x is
+    at or below the k-th maximal class, and reach[x] ORs the masks of those
+    maximal classes' good partners (each its own partner)."""
+    omega = system.omega()
+    classes = omega.classes
     glued = {(a, b): system.fan(a, b)._keys
              for a in system.labels for b in system.labels}
+    up, reach, bad = [0] * len(classes), [0] * len(classes), {}
     if all(c.cone.rays in glued[i, k]
-           for c in classes for i, k in combinations(c.members, 2)) \
-            and all(_pair_failure(glued, a, b) is None
-                    for a, b in combinations(_maximal_classes(system), 2)):
-        return True, None
-    for a, b in combinations(classes, 2):
-        failure = _pair_failure(glued, a, b)
-        if failure is not None:
-            return False, failure
+           for c in classes for i, k in combinations(c.members, 2)):
+        maximal = _maximal_classes(system)
+        partners = [(1 << len(maximal)) - 1] * len(maximal)
+        for (k, a), (l, b) in combinations(enumerate(maximal), 2):
+            failure = _pair_failure(glued, a, b)
+            if failure is not None:
+                bad[a.class_id, b.class_id] = failure
+                partners[k] &= ~(1 << l)
+                partners[l] &= ~(1 << k)
+        if not bad:
+            return True, None
+        for k, m in enumerate(maximal):
+            for face in m.cone.faces():
+                x = omega.class_of(face, m.representative).class_id
+                up[x] |= 1 << k
+                reach[x] |= partners[k]
+    for (x, a), (y, b) in combinations(enumerate(classes), 2):
+        if not reach[x] & up[y]:
+            failure = bad.get((x, y)) or _pair_failure(glued, a, b)
+            if failure is not None:
+                return False, failure
     return True, None
 
 

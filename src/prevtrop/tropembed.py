@@ -114,6 +114,13 @@ def _scalar(num, den):
     return out
 
 
+# The largest power a decoded polynomial may hold, and the largest exponent
+# a scalar is raised to.  Scalars are stored as dense coefficient lists, so
+# each power is checked before its list is built or multiplied: decoding and
+# squaring t^(10^5) takes about 0.3s and 23MB, t^(10^6) about 2s and 100MB.
+POWER_LIMIT = 10 ** 5
+
+
 class ValuedScalar:
     """An element of Q(t) with its t-adic valuation.
 
@@ -194,6 +201,9 @@ class ValuedScalar:
 
     def __pow__(self, power):
         power = _integer_entry(power)
+        if abs(power) > POWER_LIMIT:
+            raise ValueError("power %d is over the limit of %d"
+                             % (power, POWER_LIMIT))
         if power < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
@@ -661,13 +671,6 @@ def separation_witness(proj, p, q, terms):
 def valued_scalar_to_data(value):
     return {"num": [[str(c), k] for k, c in enumerate(value.num) if c],
             "den": [[str(c), k] for k, c in enumerate(value.den) if c]}
-
-
-# The largest power a decoded polynomial may hold.  Scalars are stored as
-# dense coefficient lists, so each power is checked before its list is built:
-# decoding and squaring t^(10^5) takes about 0.3s and 23MB, t^(10^6) about 2s
-# and 100MB.
-POWER_LIMIT = 10 ** 5
 
 
 def _poly_from_sparse(entries, what):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -305,6 +306,32 @@ def test_gtilde_power_over_the_limit_exits_two(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == ("error: num[0] power 1000000000000 is over the limit of "
                    "%d\n" % POWER_LIMIT)
+
+
+@pytest.mark.parametrize("power, value, code, err", [
+    (10 ** 12, [["1", 0], ["1", 1]], 2,
+     "error: power 1000000000000 is over the limit of %d\n" % POWER_LIMIT),
+    (POWER_LIMIT, [["1", 1]], 0, ""),
+])
+def test_gtilde_exponent_over_the_limit_at_a_point_exits_two(
+        tmp_path, capsys, power, value, code, err):
+    # the point raises generator 0's value (1 + t, or t) to the term's power
+    grading = write_doc(tmp_path, "g.json", grading_doc([(), ()], free_rank=0))
+    gtilde = write_doc(tmp_path, "gt.json",
+                       {"schema": 1, "kind": "polynomial",
+                        "terms": [{"exp": [power, 0], "coeff": "1"},
+                                  {"exp": [0, 1], "coeff": "1"}]})
+    point = write_doc(tmp_path, "p.json",
+                      {"schema": 1, "kind": "classical_point", "chart": 2,
+                       "values": {"0": {"num": value},
+                                  "1": {"num": [["1", 1]]}}})
+    start = time.perf_counter()
+    got, out, stderr = run_cli(capsys, "refine", grading, "--gtilde", gtilde,
+                               "--point", point)
+    assert time.perf_counter() - start < 1.0
+    assert (got, stderr) == (code, err)
+    if code == 0:
+        assert json.loads(out)["points"][0]["refined"]["coords"][2] == "1"
 
 
 def test_proj_reproduces_the_doubled_line(tmp_path, capsys):

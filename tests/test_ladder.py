@@ -27,8 +27,10 @@ REFINE_KEYS = {"solve_rational", "hermite_normal_form", "proj_system_of_fans",
     (["scale=1", "--scalars"], {"s", "faces", "value_coeffs",
                                 "kernel_lattice", "kernel_lattice_repeat"}),
     (["P2", "--refine"], REFINE_KEYS),
+    (["(4,4)", "--separated"], {"s", "classes", "maximal", "separated",
+                                "intersect"}),
     (["omega", "--startup"], {"ms", "modules", "source_lines"}),
-], ids=["proj", "hilbert", "scalars", "refine", "startup"])
+], ids=["proj", "hilbert", "scalars", "refine", "separated", "startup"])
 def test_each_mode_keeps_its_result_keys(tmp_path, argv, keys):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(ROOT / "src"), os.environ.get("PYTHONPATH")])))

@@ -773,6 +773,54 @@ def test_separation_on_maximal_classes_matches_the_full_scan():
     assert all(validate_system(s) for s in fooled)
 
 
+def _witness_key(verdict):
+    ok, witness = verdict
+    if witness is None:
+        return ok, None
+    a, b, meet, reason = witness
+    return ok, a.class_id, b.class_id, meet.rays, reason
+
+
+def _glued_within_classes(system):
+    """Every two charts of a class are glued along its cone."""
+    return all(c.cone in system.fan(i, k) for c in system.omega()
+               for x, i in enumerate(c.members) for k in c.members[x + 1:])
+
+
+def _covered(system, a, b):
+    """Reference: a and b lie below maximal classes that are equal or meet
+    well, read off leq and the maximal pairs' own scan."""
+    omega = system.omega()
+    top = order_maximal_classes(omega)
+    return any(omega.leq(a, p) and omega.leq(b, q)
+               and (p == q or reference_pair_failure(system, p, q) is None)
+               for p in top for q in top)
+
+
+def test_pruned_separation_returns_the_full_scan_witness():
+    # the scan skips pairs covered by a good pair of maximal classes only
+    # when every class is glued along its cone; it must still return the
+    # full scan's first bad pair, its meet and its reason
+    rng = fresh_rng(32)
+    fixtures = [_random_glued_system(rng) for _ in range(600)]
+    fixtures += [_random_proj_system(rng) for _ in range(300)]
+    # p weights +1 and q weights -1 at (p, q) = (4, 4): 255 classes
+    fixtures.append(proj_system_of_fans(
+        Grading(AbelianGroup(1), [(1,)] * 4 + [(-1,)] * 4)).system)
+    pruned = unglued = 0
+    for system in fixtures:
+        expected = full_scan_separation(system)
+        assert _witness_key(is_separated(system)) == _witness_key(expected)
+        if expected[0]:
+            continue
+        if _glued_within_classes(system):
+            pruned += not maximal_pairs_pass(system)
+        else:
+            # the full scan runs here: its witness may lie in a covered pair
+            unglued += _covered(system, *expected[1][:2])
+    assert pruned > 100 and unglued > 3
+
+
 def test_separation_of_projective_space_meets_maximal_classes_only(monkeypatch):
     calls = []
     intersect = Cone.intersect

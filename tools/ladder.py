@@ -1,5 +1,5 @@
 """Ladder benchmark: the library's constructions measured rung by rung, in
-five modes that share one runner.
+six modes that share one runner.
 
 Every mode runs RUNS rounds, and a round runs every rung once, each in a
 fresh interpreter.  A rung's result is its first run with every number
@@ -8,7 +8,8 @@ the rounds; counters are deterministic, so their median is their value.
 Given --src and --label twice, paired by position, each round runs every
 rung on both checkouts, the one that runs first alternating from round to
 round, so a parent and its change are measured in one invocation and drift
-of the host falls on both alike.  Times are raw perf_counter seconds.
+of the host falls on both alike.  Times are raw perf_counter seconds,
+rounded to 1us.
 
 Proj rungs (the default) run proj -> omega -> validate -> separated ->
 support on P^4 to P^8 and on a product, and record per stage the wall and
@@ -41,6 +42,10 @@ one per chart poset built), ClassicalChartPoint.eval, ValuedScalar.__pow__,
 __mul__ with __rmul__, ProjSystem.character and AffineSemigroup.decompose.
 It then drops that refinement and times the same calls on the same pair
 again (warm_s, with warm_proj_builds, warm_character and warm_decompose).
+--separated rungs are the Z-gradings with p weights +1 and q weights -1 for
+(p, q) = (4, 4), (5, 5) and (6, 5), none of them separated: each builds the
+Proj and its chart classes, then times is_separated and counts its
+Cone.intersect calls, the chart classes and the maximal classes.
 --startup rungs are a bare `python -c pass` and one `python -m prevtrop.cli
 <command>` per subcommand on small documents (P^1, the affine plane and
 points on it): each times one such process in milliseconds and, for a
@@ -53,7 +58,8 @@ source lines.  Run from the root of a checkout:
 
 Each rung prints one line: its label, its name and its result as JSON.
 Results are merged into BENCH_ladder.json under each label, in "rungs",
-"hilbert_rungs", "scalar_rungs", "refine_rungs" or "startup_rungs".
+"hilbert_rungs", "scalar_rungs", "refine_rungs", "separated_rungs" or
+"startup_rungs".
 """
 
 import argparse
@@ -84,6 +90,7 @@ REFINE_RUNGS = {
     "P1xP1 (Z^2)": ([(1, 0), (1, 0), (0, 1), (0, 1)], {1, 3},
                     [(-1, 1, 0, 0), (0, 0, -1, 1)]),
 }
+SEPARATED_RUNGS = {"(%d,%d)" % pq: pq for pq in [(4, 4), (5, 5), (6, 5)]}
 STARTUP_RUNGS = ("python -c pass", "validate", "omega", "separated", "proj",
                  "trop", "nonneg", "kapranov", "refine", "product")
 RUNS = 15
@@ -96,10 +103,10 @@ COUNTERS = ("intersect", "kernel_lattice", "sweeps", "simplicial_builds",
 
 
 def _timed(step):
-    """step() and its wall in seconds, rounded to 0.1ms."""
+    """step() and its wall in seconds, rounded to 1us."""
     start = time.perf_counter()
     value = step()
-    return value, round(time.perf_counter() - start, 4)
+    return value, round(time.perf_counter() - start, 6)
 
 
 def _count(counts, owner, attr, counter):
@@ -192,7 +199,7 @@ def run_rung(rung):
             "issues": issues,
             "separated": separated,
             "support_is_full": support,
-            "total_s": round(sum(s["s"] for s in stages.values()), 4),
+            "total_s": round(sum(s["s"] for s in stages.values()), 6),
             "order_pairs_s": order_s,
             "order_pairs": pairs,
             "stages": stages}
@@ -243,7 +250,7 @@ def run_scalar_rung(rung):
     first = counts["kernel_lattice"]
     for face in faces:  # untimed: what the per-cone caches leave to redo
         trop_point(coordinate_point(proj.system, chart, coords, zero_face=face))
-    return {"s": round(elapsed, 4), "faces": len(faces),
+    return {"s": round(elapsed, 6), "faces": len(faces),
             "value_coeffs": coeffs, "kernel_lattice": first,
             "kernel_lattice_repeat": counts["kernel_lattice"] - first}
 
@@ -312,7 +319,7 @@ def run_refine_rung(rung):
                 or back != direct:
             raise RuntimeError("%s: the refinement did not separate the pair"
                                % rung)
-        return round(elapsed, 4)
+        return round(elapsed, 6)
 
     # the first call's refinement is dropped before the warm one, so only
     # what the library keeps of it can be reused
@@ -321,6 +328,25 @@ def run_refine_rung(rung):
     warm_s = separate()
     return dict(result, warm_s=warm_s,
                 **{"warm_" + k: counts[k] - result[k] for k in WARM_COUNTERS})
+
+
+def run_separated_rung(rung):
+    """One separation rung in this process: the wall of is_separated on a
+    Proj whose chart classes are built, and its Cone.intersect calls."""
+    from prevtrop.cone import Cone
+    from prevtrop.exactla import AbelianGroup
+    from prevtrop.multiproj import Grading, proj_system_of_fans
+    from prevtrop.sysfan import _maximal_classes, is_separated
+
+    p, q = SEPARATED_RUNGS[rung]
+    system = proj_system_of_fans(Grading(AbelianGroup(1),
+                                         [(1,)] * p + [(-1,)] * q)).system
+    classes = len(system.omega())
+    counts = {"intersect": 0}
+    _count(counts, Cone, "intersect", "intersect")
+    (separated, _), elapsed = _timed(lambda: is_separated(system))
+    return dict(counts, s=elapsed, classes=classes, separated=separated,
+                maximal=len(_maximal_classes(system)))
 
 
 def startup_commands(directory):
@@ -400,7 +426,7 @@ def run_startup_rung(rung):
         _, wall = _timed(lambda: subprocess.run([sys.executable] + (
             ["-m", "prevtrop.cli"] + argv if argv else ["-c", "pass"]),
             check=True, stdout=subprocess.DEVNULL))
-        result = {"ms": round(1000 * wall, 1)}
+        result = {"ms": round(1000 * wall, 3)}
         if argv:
             result.update(json.loads(subprocess.run(
                 [sys.executable, "-c", LOADED] + argv, check=True,
@@ -417,6 +443,8 @@ MODES = {
     "hilbert": (lambda n: HILBERT_RUNGS, run_hilbert_rung, "hilbert_rungs"),
     "scalars": (lambda n: SCALAR_RUNGS, run_scalar_rung, "scalar_rungs"),
     "refine": (lambda n: REFINE_RUNGS, run_refine_rung, "refine_rungs"),
+    "separated": (lambda n: SEPARATED_RUNGS, run_separated_rung,
+                  "separated_rungs"),
     "startup": (lambda n: STARTUP_RUNGS, run_startup_rung, "startup_rungs"),
 }
 
