@@ -16,10 +16,12 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from .jsondoc import DocumentError
 
 SCHEMA = 1
+EMIT_BATCH = 16384
 
 
 def _read_document(path, kinds):
@@ -42,10 +44,16 @@ def _read_document(path, kinds):
 
 
 def _emit(kind, payload):
-    """Write one document of the given kind to standard output."""
+    """Write one document of the given kind to standard output.  The
+    encoder's chunks are joined EMIT_BATCH at a time, one write per batch:
+    a write per chunk costs more than encoding, and one string of the whole
+    document several times the memory."""
     document = {"schema": SCHEMA, "kind": kind}
     document.update(payload)
-    json.dump(document, sys.stdout, sort_keys=True, indent=2)
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(document)
+    # no chunk is empty, so only the end makes an empty batch
+    for batch in iter(lambda: "".join(islice(chunks, EMIT_BATCH)), ""):
+        sys.stdout.write(batch)
     sys.stdout.write("\n")
     return 0
 

@@ -137,21 +137,22 @@ class ChartPoset:
         self.grading = grading
         self.kernel = kernel_lattice(grading.free_degree_matrix())
         self.q = self.kernel.basis          # q(a) = basis_matrix @ a
+        # by size, then lexicographically: the (len(s), sorted(s)) order of
+        # subsets and minimal, and every subset's maximal proper subsets
+        # come before it
         relevant = set()
-        minimal = []
-        by_size = sorted((frozenset(c)
-                          for size in range(n + 1)
-                          for c in combinations(range(1, n + 1), size)),
-                         key=lambda s: (len(s), sorted(s)))
-        for subset in by_size:
-            if any(subset - {i} in relevant for i in subset):
+        subsets, minimal = [], []
+        for size in range(n + 1):
+            for subset in map(frozenset, combinations(range(1, n + 1), size)):
+                if not any(subset - {i} in relevant for i in subset):
+                    if not is_relevant_subset(grading, subset):
+                        continue
+                    minimal.append(subset)
                 relevant.add(subset)
-            elif is_relevant_subset(grading, subset):
-                relevant.add(subset)
-                minimal.append(subset)
-        self.subsets = tuple(sorted(relevant, key=lambda s: (len(s), sorted(s))))
+                subsets.append(subset)
+        self.subsets = tuple(subsets)
         self._relevant = frozenset(relevant)
-        self.minimal = tuple(sorted(minimal, key=lambda s: (len(s), sorted(s))))
+        self.minimal = tuple(minimal)
         self._cones = {}
 
     def __iter__(self):
@@ -274,9 +275,8 @@ def proj_system_of_fans(grading):
     chart_subsets = dict(zip(labels, minimal))
     entries = {}
     for x, f in enumerate(minimal):
-        for g in minimal[x:]:
-            union = f | g
-            entries[(_label_for(f), _label_for(g))] = [poset.cone_of(union)]
+        for g, label in zip(minimal[x:], labels[x:]):
+            entries[(labels[x], label)] = [poset.cone_of(f | g)]
     system = SystemOfFans(poset.kernel.rank, labels, entries)
     proj = _PROJS[grading] = ProjSystem(grading, poset, system, chart_subsets)
     return proj

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from prevtrop.cli import main
+from prevtrop.cli import EMIT_BATCH, SCHEMA, _emit, main
 from prevtrop.monoid import ENUMERATION_LIMIT
 from prevtrop.sysfan import system_to_data, system_from_data
-from prevtrop.tropembed import POWER_LIMIT
+from prevtrop.tropembed import POWER_LIMIT, SPAN_LIMIT
 
 from systems import affine_plane, line_two_origins, projective_line_two_charts
 
@@ -312,10 +312,14 @@ def test_gtilde_power_over_the_limit_exits_two(tmp_path, capsys):
     (10 ** 12, [["1", 0], ["1", 1]], 2,
      "error: power 1000000000000 is over the limit of %d\n" % POWER_LIMIT),
     (POWER_LIMIT, [["1", 1]], 0, ""),
+    (5000, [["1", 0], ["1", 1]], 2,
+     "error: power 5000 spans 5000 degrees, over the limit of %d\n"
+     % SPAN_LIMIT),
+    (500, [["1", 0], ["1", 1]], 0, ""),
 ])
 def test_gtilde_exponent_over_the_limit_at_a_point_exits_two(
         tmp_path, capsys, power, value, code, err):
-    # the point raises generator 0's value (1 + t, or t) to the term's power
+    # the point raises generator 1's value (1 + t, or t) to the term's power
     grading = write_doc(tmp_path, "g.json", grading_doc([(), ()], free_rank=0))
     gtilde = write_doc(tmp_path, "gt.json",
                        {"schema": 1, "kind": "polynomial",
@@ -323,15 +327,17 @@ def test_gtilde_exponent_over_the_limit_at_a_point_exits_two(
                                   {"exp": [0, 1], "coeff": "1"}]})
     point = write_doc(tmp_path, "p.json",
                       {"schema": 1, "kind": "classical_point", "chart": 2,
-                       "values": {"0": {"num": value},
-                                  "1": {"num": [["1", 1]]}}})
+                       "values": {"0": {"num": [["1", 1]]},
+                                  "1": {"num": value}}})
     start = time.perf_counter()
     got, out, stderr = run_cli(capsys, "refine", grading, "--gtilde", gtilde,
                                "--point", point)
     assert time.perf_counter() - start < 1.0
     assert (got, stderr) == (code, err)
     if code == 0:
-        assert json.loads(out)["points"][0]["refined"]["coords"][2] == "1"
+        # the new coordinate is the valuation of value ** power + t
+        assert json.loads(out)["points"][0]["refined"]["coords"][2] == (
+            "1" if value == [["1", 1]] else "0")
 
 
 def test_proj_reproduces_the_doubled_line(tmp_path, capsys):
@@ -655,6 +661,17 @@ def test_a_closed_standard_output_exits_one_without_traceback(tmp_path, capsys):
     assert child.wait(timeout=120) == 1
     assert "Traceback" not in err
     assert len(err.splitlines()) <= 1
+
+
+def test_a_document_longer_than_one_batch_is_written_as_dumps_writes_it(
+        capsys):
+    # each row is several encoder chunks, so the rows span several batches
+    payload = {"rows": [{"z": k, "a": [str(k), None, k % 2 == 0, "\u00e9"]}
+                        for k in range(EMIT_BATCH)]}
+    assert _emit("report", payload) == 0
+    document = dict(payload, schema=SCHEMA, kind="report")
+    assert capsys.readouterr().out == json.dumps(
+        document, sort_keys=True, indent=2) + "\n"
 
 
 def test_fractional_ray_entries_exit_two(tmp_path, capsys):

@@ -30,7 +30,8 @@ REFINE_KEYS = {"solve_rational", "hermite_normal_form", "proj_system_of_fans",
     (["(4,4)", "--separated"], {"s", "classes", "maximal", "separated",
                                 "intersect"}),
     (["omega", "--startup"], {"ms", "modules", "source_lines"}),
-], ids=["proj", "hilbert", "scalars", "refine", "separated", "startup"])
+    (["P4", "--cli"], {"proj", "omega", "validate", "separated"}),
+], ids=["proj", "hilbert", "scalars", "refine", "separated", "startup", "cli"])
 def test_each_mode_keeps_its_result_keys(tmp_path, argv, keys):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
@@ -45,6 +46,8 @@ def test_each_mode_keeps_its_result_keys(tmp_path, argv, keys):
                                           "separated", "support"]
         assert all(set(stage) == STAGE_KEYS
                    for stage in result["stages"].values())
+    if "--cli" in argv:
+        assert all(set(call) == {"s", "bytes"} for call in result.values())
     assert not out.exists()
 
 

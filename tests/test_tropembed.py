@@ -24,7 +24,8 @@ from prevtrop.troppre import (
     point_from_chart_values, skeleton_seminorm, trop_eval)
 from prevtrop.troppre import trop_point as stratum_point
 from prevtrop.tropembed import (
-    NotBounded, NotHomogeneous, NotSeparating, ValuedScalar, apply_morphism,
+    SPAN_LIMIT, NotBounded, NotHomogeneous, NotSeparating, ValuedScalar,
+    apply_morphism,
     classical_point, classical_point_from_data, coordinate_point, evaluate_polynomial, forget_refinement,
     hypersurface, hypersurface_from_data, hypersurface_to_data,
     kapranov_membership, kapranov_minimizers, nonneg_trop_point,
@@ -120,6 +121,17 @@ def test_powers_and_division():
         scalar(2) ** Fraction(1, 2)
     with pytest.raises(ValueError):
         ValuedScalar.t_power(1.5)
+
+
+def test_powers_are_bounded_by_the_degrees_they_span():
+    # t^400 (1 + t) spans one degree, so its cube spans three
+    assert (T ** 400 * (ONE + T)) ** 3 == T ** 1200 * (ONE + T) ** 3
+    assert ((ONE + T) ** SPAN_LIMIT).den == (1,)
+    for base, power in [(ONE + T ** 400, 3),
+                        (ONE / (ONE + T), SPAN_LIMIT + 1)]:
+        with pytest.raises(ValueError, match="over the limit of %d$"
+                           % SPAN_LIMIT):
+            base ** power
 
 
 def test_numbers_divide_by_scalars():

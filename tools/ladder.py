@@ -1,5 +1,5 @@
 """Ladder benchmark: the library's constructions measured rung by rung, in
-six modes that share one runner.
+seven modes that share one runner.
 
 Every mode runs RUNS rounds, and a round runs every rung once, each in a
 fresh interpreter.  A rung's result is its first run with every number
@@ -13,14 +13,17 @@ rounded to 1us.
 
 Proj rungs (the default) run proj -> omega -> validate -> separated ->
 support on P^4 to P^8 and on a product, and record per stage the wall and
-these counters: Cone.intersect and kernel_lattice calls; double description
-sweeps (_halfspace_generators calls, all made inside Cone._build: a cone cut
-out by inequalities is built as the dual of the cone on them, and Hilbert
-bases run none); new cones built (Cone._build calls), split into simplicial
-builds, one independence test that runs no sweep and leaves the cone
-unbuilt, and swept builds, swept meets included; lazy_faces, the faces of
-simplicial cones that faces() registers with no _build call; and lazy_fills,
-the first reads (Cone._fill calls) of any simplicial cone's inequalities.
+Cone.intersect and kernel_lattice calls; double description sweeps
+(_halfspace_generators calls); new cones built (Cone._build calls), split
+into simplicial builds, one independence test that runs no sweep and leaves
+the cone unbuilt, and swept builds, swept meets included; lazy_faces, the
+faces of simplicial cones that faces() registers with no _build call; and
+lazy_fills, the first reads (Cone._fill calls) of any simplicial cone's
+inequalities.  Two facts of the library split these plain call counts: only
+_build sweeps, twice per swept build, so swept builds are half the sweeps;
+and every Cone is made by _build, by dual() or as a lazy face, so lazy faces
+are Cone.__init__ calls less those two.  A stage with odd sweeps or negative
+lazy faces raises RuntimeError.
 After the pipeline, outside its total, it times omega().order_pairs(), the
 class order that the omega command prints, and counts its pairs.
 --hilbert rungs are the cones on (1,0,0), (0,1,0), (1,2,N) for N = 5, 10,
@@ -50,16 +53,20 @@ Cone.intersect calls, the chart classes and the maximal classes.
 <command>` per subcommand on small documents (P^1, the affine plane and
 points on it): each times one such process in milliseconds and, for a
 subcommand, records the prevtrop modules one call loads and their total
-source lines.  Run from the root of a checkout:
+source lines.
+--cli rungs are P^4 to P^max-n and the --separated rungs' gradings: each
+runs proj on its grading document, then omega, validate and separated on the
+system proj wrote, each one python -m prevtrop.cli process with its stdout
+in a file, and records each call's wall (s) and stdout size (bytes).
+Run from the root of a checkout:
 
     python3 tools/ladder.py --label change --max-n 6
     python3 tools/ladder.py --label parent --src OTHER/src --label change \\
         --src src --hilbert
 
 Each rung prints one line: its label, its name and its result as JSON.
-Results are merged into BENCH_ladder.json under each label, in "rungs",
-"hilbert_rungs", "scalar_rungs", "refine_rungs", "separated_rungs" or
-"startup_rungs".
+Results are merged into BENCH_ladder.json under each label, in the key that
+MODES gives their mode ("rungs" for proj rungs).
 """
 
 import argparse
@@ -83,7 +90,7 @@ HILBERT_RUNGS = dict(
     + [("rank2 (999,1000)", [(1, 0), (999, 1000)])])
 SCALAR_RUNGS = {"scale=%d" % k: k for k in (1, 2, 4, 8)}
 # degrees, the chart's variable subset, and two degree-zero exponents whose
-# characters form a basis of the chart's character lattice
+# characters are the chart's two Hilbert-basis generators
 REFINE_RUNGS = {
     "P2": ([(1,), (1,), (1,)], {1}, [(-1, 1, 0), (-1, 0, 1)]),
     "P(1,3,7)": ([(1,), (3,), (7,)], {1}, [(-3, 1, 0), (-7, 0, 1)]),
@@ -94,12 +101,6 @@ SEPARATED_RUNGS = {"(%d,%d)" % pq: pq for pq in [(4, 4), (5, 5), (6, 5)]}
 STARTUP_RUNGS = ("python -c pass", "validate", "omega", "separated", "proj",
                  "trop", "nonneg", "kapranov", "refine", "product")
 RUNS = 15
-REFINE_COUNTERS = ("solve_rational", "hermite_normal_form",
-                   "proj_system_of_fans", "proj_builds", "eval", "pow", "mul",
-                   "character", "decompose")
-WARM_COUNTERS = ("proj_builds", "character", "decompose")
-COUNTERS = ("intersect", "kernel_lattice", "sweeps", "simplicial_builds",
-            "swept_builds", "lazy_faces", "lazy_fills")
 
 
 def _timed(step):
@@ -110,15 +111,17 @@ def _timed(step):
 
 
 def _count(counts, owner, attr, counter):
-    """Replace owner.attr, a module's function or a class's method, by a
-    wrapper that adds one to counts[counter] per call.  A function is
+    """Replace owner.attr, a function, method or classmethod, by a wrapper
+    that adds one to counts[counter] (from 0) per call; a function is also
     rebound under every name a prevtrop module binds it to."""
+    counts.setdefault(counter, 0)
     raw = owner.__dict__[attr]
+    call = raw.__func__ if isinstance(raw, classmethod) else raw
 
     def wrapper(*args, **kwargs):
         counts[counter] += 1
-        return raw(*args, **kwargs)
-    setattr(owner, attr, wrapper)
+        return call(*args, **kwargs)
+    setattr(owner, attr, wrapper if call is raw else classmethod(wrapper))
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "prevtrop":
             for key, value in list(vars(module).items()):
@@ -126,58 +129,41 @@ def _count(counts, owner, attr, counter):
                     setattr(module, key, wrapper)
 
 
-def _install_counters(counts):
-    """Wrap the counted entry points; counts[name] += 1 per call.  A
-    Cone._build call counts as simplicial when it runs no sweep and is not
-    a lazy fill; a Cone made with no dual lineality outside _build is a lazy
-    face."""
-    from prevtrop import cone as cone_module
-    from prevtrop import exactla
-
-    def build(cls, *args):
-        sweeps, faces = counts["sweeps"], counts["lazy_faces"]
-        result = raw_build(cls, *args)
-        counts["lazy_faces"] = faces
-        counts["swept_builds" if counts["sweeps"] > sweeps
-               else "simplicial_builds"] += 1
-        return result
-
-    def init(self, *args):
-        raw_init(self, *args)
-        counts["lazy_faces"] += args[-1] is None
-
-    def fill(self):
-        builds = counts["simplicial_builds"]
-        raw_fill(self)
-        counts["simplicial_builds"] = builds
-        counts["lazy_fills"] += 1
-
-    cone = cone_module.Cone
-    _count(counts, cone, "intersect", "intersect")
-    raw_build = cone._build.__func__
-    cone._build = classmethod(build)
-    raw_init, cone.__init__ = cone.__init__, init
-    raw_fill, cone._fill = cone._fill, fill
-    _count(counts, exactla, "kernel_lattice", "kernel_lattice")
-    _count(counts, cone_module, "_halfspace_generators", "sweeps")
-
-
 def run_rung(rung):
     """One rung in this process: a dict of per-stage seconds and counts."""
+    from prevtrop import cone, exactla
     from prevtrop.exactla import AbelianGroup
     from prevtrop.multiproj import Grading, proj_system_of_fans
     from prevtrop.sysfan import (is_separated, product, support_is_full,
                                  validate_system)
 
-    counts = dict.fromkeys(COUNTERS, 0)
-    _install_counters(counts)
+    counts = {}
+    for owner, attr, counter in (
+            (cone.Cone, "intersect", "intersect"),
+            (exactla, "kernel_lattice", "kernel_lattice"),
+            (cone, "_halfspace_generators", "sweeps"),
+            (cone.Cone, "_build", "builds"),
+            (cone.Cone, "__init__", "cones"),
+            (cone.Cone, "dual", "duals"),
+            (cone.Cone, "_fill", "fills")):
+        _count(counts, owner, attr, counter)
     stages = {}
 
     def stage(name, step):
         """step(), with its wall and the counts it adds in stages[name]."""
         before = dict(counts)
         value, wall = _timed(step)
-        stages[name] = dict({k: counts[k] - before[k] for k in counts}, s=wall)
+        n = {k: counts[k] - before[k] for k in counts}
+        swept = n["sweeps"] // 2
+        lazy_faces = n["cones"] - n["builds"] - n["duals"]
+        if n["sweeps"] % 2 or lazy_faces < 0:
+            raise RuntimeError("%s %s: odd sweeps or negative lazy faces in "
+                               "%r" % (rung, name, n))
+        stages[name] = dict(
+            intersect=n["intersect"], kernel_lattice=n["kernel_lattice"],
+            sweeps=n["sweeps"], simplicial_builds=n["builds"] - swept,
+            swept_builds=swept, lazy_faces=lazy_faces, lazy_fills=n["fills"],
+            s=wall)
         return value
 
     def build():
@@ -195,14 +181,10 @@ def run_rung(rung):
     support = stage("support",
                     lambda: support_is_full(system) if separated else None)
     pairs, order_s = _timed(lambda: len(system.omega().order_pairs()))
-    return {"classes": len(system.omega()),
-            "issues": issues,
-            "separated": separated,
-            "support_is_full": support,
+    return {"classes": len(system.omega()), "issues": issues,
+            "separated": separated, "support_is_full": support,
             "total_s": round(sum(s["s"] for s in stages.values()), 6),
-            "order_pairs_s": order_s,
-            "order_pairs": pairs,
-            "stages": stages}
+            "order_pairs_s": order_s, "order_pairs": pairs, "stages": stages}
 
 
 def run_hilbert_rung(rung):
@@ -239,7 +221,7 @@ def run_scalar_rung(rung):
               + ValuedScalar.t_power(p + 1, 3)
               for p in (scale, -2 * scale)]
     coeffs = 0
-    counts = {"kernel_lattice": 0}
+    counts = {}
     _count(counts, exactla, "kernel_lattice", "kernel_lattice")
     start = time.perf_counter()
     for face in faces:
@@ -258,12 +240,11 @@ def run_scalar_rung(rung):
 def run_refine_rung(rung):
     """One refinement rung in this process: its wall and call counts."""
     from prevtrop import exactla, multiproj
-    from prevtrop.exactla import (AbelianGroup, IntMatrix, invert_unimodular,
-                                  solve_rational)
+    from prevtrop.exactla import AbelianGroup, solve_rational
     from prevtrop.monoid import AffineSemigroup
     from prevtrop.multiproj import Grading, ProjSystem, proj_system_of_fans
     from prevtrop.tropembed import (ClassicalChartPoint, ValuedScalar,
-                                    coordinate_point, forget_refinement,
+                                    classical_point, forget_refinement,
                                     refined_trop, separation_witness,
                                     trop_point)
 
@@ -272,30 +253,20 @@ def run_refine_rung(rung):
                                        degrees))
     chart = proj.system.omega().class_of(proj.poset.cone_of(subset),
                                          proj.chart_label(subset))
-    # the exponents' characters in the kernel basis, and the inverse that
-    # turns their values into torus coordinates
     qt = proj.q.transpose().row_lists()
-    inverse = invert_unimodular(IntMatrix.from_rows(
-        [[c.numerator for c in solve_rational(qt, e)] for e in exponents]))
+    gens = [tuple(c.numerator for c in solve_rational(qt, e))
+            for e in exponents]
     t = ValuedScalar.t_power(1)
 
     def point(tail):
         # chi_1 = t and chi_2 = -1 - t + tail, so chi_1 + chi_2 + 1 = tail
-        values = (t, ValuedScalar.of(-1) - t + tail)
-        coords = []
-        for row in inverse.row_lists():
-            c = ValuedScalar.of(1)
-            for v, k in zip(values, row):
-                c = c * v ** k
-            coords.append(c)
-        return coordinate_point(proj.system, chart, coords)
+        return classical_point(proj.system, chart, dict(
+            zip(gens, (t, ValuedScalar.of(-1) - t + tail))))
 
     p, q = point(t * t), point(ValuedScalar.t_power(3, 2))
     direct = trop_point(p), trop_point(q)
-    one = ValuedScalar.of(1)
-    f = [(exponents[0], one), (exponents[1], one),
-         ((0,) * len(degrees), one)]
-    counts = dict.fromkeys(REFINE_COUNTERS, 0)
+    f = [(e, ValuedScalar.of(1)) for e in exponents + [(0,) * len(degrees)]]
+    counts = {}
     for owner, attr, counter in (
             (exactla, "solve_rational", "solve_rational"),
             (exactla, "hermite_normal_form", "hermite_normal_form"),
@@ -326,8 +297,9 @@ def run_refine_rung(rung):
     cold_s = separate()
     result = dict(counts, s=cold_s)
     warm_s = separate()
-    return dict(result, warm_s=warm_s,
-                **{"warm_" + k: counts[k] - result[k] for k in WARM_COUNTERS})
+    return dict(result, warm_s=warm_s, **{
+        "warm_" + k: counts[k] - result[k]
+        for k in ("proj_builds", "character", "decompose")})
 
 
 def run_separated_rung(rung):
@@ -342,7 +314,7 @@ def run_separated_rung(rung):
     system = proj_system_of_fans(Grading(AbelianGroup(1),
                                          [(1,)] * p + [(-1,)] * q)).system
     classes = len(system.omega())
-    counts = {"intersect": 0}
+    counts = {}
     _count(counts, Cone, "intersect", "intersect")
     (separated, _), elapsed = _timed(lambda: is_separated(system))
     return dict(counts, s=elapsed, classes=classes, separated=separated,
@@ -359,10 +331,9 @@ def startup_commands(directory):
 
     def write(name, kind, payload):
         path = os.path.join(directory, name)
-        document = {"schema": 1, "kind": kind}
-        document.update(payload)
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True)
+            json.dump(dict(payload, schema=1, kind=kind), handle,
+                      sort_keys=True)
         return path
 
     line = Grading(AbelianGroup(1), [(1,), (1,)])
@@ -435,6 +406,29 @@ def run_startup_rung(rung):
     return result
 
 
+def run_cli_rung(rung):
+    """One CLI rung: proj on the rung's grading, then omega, validate and
+    separated on the system it wrote, each one python -m prevtrop.cli
+    process whose stdout goes to a file; the wall and stdout bytes of each."""
+    p, q = SEPARATED_RUNGS.get(rung) or (int(rung[1:]) + 1, 0)
+    result = {}
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory)
+        (path / "grading.json").write_text(json.dumps({
+            "schema": 1, "kind": "grading", "n": p + q, "free_rank": 1,
+            "torsion": [], "degrees": [[1]] * p + [[-1]] * q}))
+        for command, document in (("proj", "grading"), ("omega", "proj"),
+                                  ("validate", "proj"), ("separated", "proj")):
+            out = path / (command + ".json")
+            with open(out, "wb") as handle:
+                _, wall = _timed(lambda: subprocess.run(
+                    [sys.executable, "-m", "prevtrop.cli", command,
+                     str(path / (document + ".json"))],
+                    check=True, stdout=handle))
+            result[command] = {"s": wall, "bytes": out.stat().st_size}
+    return result
+
+
 # mode (the default, proj, first): its rung names given --max-n, the
 # function that runs one rung in this process and its key in the output file
 MODES = {
@@ -446,6 +440,8 @@ MODES = {
     "separated": (lambda n: SEPARATED_RUNGS, run_separated_rung,
                   "separated_rungs"),
     "startup": (lambda n: STARTUP_RUNGS, run_startup_rung, "startup_rungs"),
+    "cli": (lambda n: ["P%d" % k for k in range(4, n + 1)]
+            + list(SEPARATED_RUNGS), run_cli_rung, "cli_rungs"),
 }
 
 
